@@ -129,15 +129,17 @@ def effort_curve(defects, efforts) -> list[EffortCurvePoint]:
     return [EffortCurvePoint(float(x), float(y)) for x, y in zip(xs, ys)]
 
 
-def _curve_area(defects, efforts) -> float:
-    # trapezoid rule over the cumulative lift chart; strictly sequential
-    # accumulation so results are reproducible to the last bit
-    cum_e = np.cumsum(efforts)
-    cum_d = np.cumsum(defects)
-    xs = np.concatenate([[0.0], cum_e / cum_e[-1]])
-    ys = np.concatenate([[0.0], cum_d / cum_d[-1]])
-    terms = (xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1])
-    return float(np.cumsum(terms)[-1] / 2.0)
+def _curve_area(defects, efforts):
+    # trapezoid rule over the cumulative lift chart of each ranking (last
+    # axis); strictly sequential accumulation so results are reproducible to
+    # the last bit, whether rankings come one at a time or as a batch
+    cum_e = np.cumsum(efforts, axis=-1)
+    cum_d = np.cumsum(defects, axis=-1)
+    origin = np.zeros(cum_e.shape[:-1] + (1,))
+    xs = np.concatenate([origin, cum_e / cum_e[..., -1:]], axis=-1)
+    ys = np.concatenate([origin, cum_d / cum_d[..., -1:]], axis=-1)
+    terms = (xs[..., 1:] - xs[..., :-1]) * (ys[..., 1:] + ys[..., :-1])
+    return np.cumsum(terms, axis=-1)[..., -1] / 2.0
 
 
 def _density_order(defects, efforts, descending: bool) -> np.ndarray:
@@ -146,6 +148,44 @@ def _density_order(defects, efforts, descending: bool) -> np.ndarray:
     if descending:
         return np.lexsort((idx, efforts, -density))
     return np.lexsort((idx, efforts, density))
+
+
+def popt_bounds(defects, efforts) -> tuple[float, float] | None:
+    """(optimal, worst) lift-curve areas of a set of rows, or None when the
+    set is degenerate: no rows, no defects, or no gap between the two.
+
+    The optimal curve visits rows by defect density, descending; the worst
+    ascending.  Both depend only on the multiset of (defect, effort) pairs,
+    so one call serves every ranking of the same rows.
+    """
+    defects = np.asarray(defects, dtype=float)
+    efforts = np.asarray(efforts, dtype=float)
+    if len(defects) == 0:
+        return None
+    if not np.all(efforts > 0):
+        raise UnsupportedScoreError("popt needs effort > 0 for every row")
+    if defects.sum() <= 0:
+        return None
+    best = _density_order(defects, efforts, descending=True)
+    worst = _density_order(defects, efforts, descending=False)
+    s_opt = float(_curve_area(defects[best], efforts[best]))
+    s_worst = float(_curve_area(defects[worst], efforts[worst]))
+    if s_opt - s_worst <= 1e-12:
+        return None
+    return s_opt, s_worst
+
+
+def popt_values(defects, efforts, bounds) -> np.ndarray:
+    """Popt of each ranking in a batch: every slice of ``defects`` and
+    ``efforts`` along the last axis is one ordering of the rows that
+    ``bounds`` (from ``popt_bounds``) describes.  Each ranking's area is
+    normalized between the worst and optimal areas and clamped to [0, 1]
+    (NaN reads 0); degenerate bounds give 0.5."""
+    if bounds is None:
+        return np.full(np.shape(defects)[:-1], 0.5)
+    s_opt, s_worst = bounds
+    value = 1.0 - (s_opt - _curve_area(defects, efforts)) / (s_opt - s_worst)
+    return np.minimum(1.0, np.fmax(0.0, value))
 
 
 def popt(defects, efforts) -> PoptResult:
@@ -162,21 +202,10 @@ def popt(defects, efforts) -> PoptResult:
     efforts = np.asarray(efforts, dtype=float)
     if len(defects) != len(efforts):
         raise ValueError("defects/efforts length mismatch")
-    if len(defects) == 0:
+    bounds = popt_bounds(defects, efforts)
+    if bounds is None:
         return PoptResult(0.5, degenerate=True)
-    if not np.all(efforts > 0):
-        raise UnsupportedScoreError("popt needs effort > 0 for every row")
-    if defects.sum() <= 0:
-        return PoptResult(0.5, degenerate=True)
-    best = _density_order(defects, efforts, descending=True)
-    worst = _density_order(defects, efforts, descending=False)
-    s_opt = _curve_area(defects[best], efforts[best])
-    s_worst = _curve_area(defects[worst], efforts[worst])
-    if s_opt - s_worst <= 1e-12:
-        return PoptResult(0.5, degenerate=True)
-    s_m = _curve_area(defects, efforts)
-    value = 1.0 - (s_opt - s_m) / (s_opt - s_worst)
-    return PoptResult(min(1.0, max(0.0, value)))
+    return PoptResult(float(popt_values(defects, efforts, bounds)))
 
 
 def recall_at_20(defects, efforts, budget: float = 0.2) -> float:

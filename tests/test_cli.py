@@ -137,6 +137,17 @@ def test_fit_bad_rule_is_a_config_error(project_dir, capsys):
     assert main(["fit", str(paths["1.0"]), "--positive-if", "nope"]) == 5
 
 
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_depth_below_one_is_a_training_error(project_dir, command, capsys):
+    _, paths = project_dir
+    csvs = [str(paths["1.0"])] + ([str(paths["1.1"])] if command == "eval"
+                                  else [])
+    assert main([command, *csvs, "--depth", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "depth" in err
+    assert len(err.splitlines()) == 1
+
+
 # -------------------------------------------------------------------- eval
 
 def test_eval_trains_on_older_versions(project_dir, capsys):
@@ -189,6 +200,17 @@ def test_eval_with_saved_perfect_model(project_dir, tmp_path):
     assert report["popt_degenerate"] is False
     assert report["recall_at_20"] == 0.25
     assert "train" not in report
+
+
+def test_eval_model_with_empty_final_leaf_is_a_data_error(project_dir,
+                                                         tmp_path, capsys):
+    _, paths = project_dir
+    model_path = tmp_path / "leafless.json"
+    model_path.write_text(json.dumps(dict(PERFECT_MODEL, final_leaf={})))
+    assert main(["eval", str(paths["1.2"]), "--model", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad model payload")
+    assert len(err.splitlines()) == 1
 
 
 def test_eval_model_against_mismatched_columns(project_dir, tmp_path, capsys):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from frugal import fft, metrics, synth
+from frugal.dataset import Dataset, LabelRule, binarize
 from frugal.errors import DatasetError, TrainingError, UnsupportedScoreError
 from frugal.fft import (ExitPolicy, FFTree, Node, Range, all_policies,
                         build_tree, discretize, grow, grow_multi, parse,
@@ -218,6 +220,21 @@ def test_single_class_data_yields_full_recall():
 
 # -------------------------------------------------------------------- grow
 
+@pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
+def test_grow_without_positives_scores_like_the_oracle(fn):
+    ds = make_dataset(("c", "d"), [[1, 4], [2, 3], [3, 2], [4, 1]],
+                      labels=[False] * 4, effort=[5, 1, 3, 2])
+    rows, efforts = dataset_rows(ds), ds.effort.tolist()
+    _, trees = grow(ds, depth=2, fn=fn)
+    for tree in trees:
+        want = oracles.build_tree_oracle(rows, [False] * 4, efforts,
+                                         tree.policy.bits, fn.kind)
+        assert tree.train_score == oracles.tree_score_oracle(
+            want, rows, [False] * 4, efforts, fn.kind)
+        if fn is POPT:
+            assert tree.train_score == 0.5
+
+
 def test_grow_returns_all_policies_in_order(twelve_rows):
     best, trees = grow(twelve_rows, depth=4, fn=DIS2HEAVEN)
     assert len(trees) == 16
@@ -258,6 +275,90 @@ def test_grow_invariant_under_row_order(twelve_rows, fn, order):
     assert shuffled.train_score == base.train_score
     assert [(n.range, n.exit_class, n.support) for n in shuffled.nodes] \
         == [(n.range, n.exit_class, n.support) for n in base.nodes]
+
+
+def _trie_data(seed, rows):
+    """Synthetic defect rows with what the shared search must get right:
+    injected missing cells, a constant column, and rare positives, so that
+    some row subsets searched deep in the trie hold no positives."""
+    rng = np.random.default_rng(seed)
+    raw = synth.make_corpus(names=("ant",), seed=seed, versions=1,
+                            rows=rows)["ant"][0]
+    keep = ("wmc", "cbo", "rfc", "lcom", "ce")
+    values = raw.values[:, [raw.attributes.index(a) for a in keep]].copy()
+    values[rng.random(values.shape) < 0.1] = np.nan
+    values = np.column_stack([values, np.full(rows, 7.0)])
+    return Dataset(name="trie", version="1", attributes=keep + ("const",),
+                   values=values, labels=raw.labels >= 3, effort=raw.effort,
+                   metadata={})
+
+
+def _searched_subset_without_positives(tree, data):
+    """True when rows left after some node (and searched at the next
+    level) include no positive."""
+    left = np.ones(len(data), dtype=bool)
+    for node in tree.nodes[:tree.depth - 1]:
+        left &= ~node.range.matches_array(data.column(node.range.attribute))
+        if left.any() and not data.labels[left].any():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
+@pytest.mark.parametrize("seed, n_rows", [(3, 40), (5, 80), (7, 120)])
+def test_grow_shared_search_matches_per_policy_builds(seed, n_rows, fn):
+    train = _trie_data(seed, n_rows)
+    rows = dataset_rows(train)
+    labels = train.labels.tolist()
+    efforts = train.effort.tolist()
+    assert np.isnan(train.values).any() and 0 < sum(labels) < n_rows
+    saw_no_positives = False
+    for depth in range(1, 6):
+        _, trees = grow(train, depth, fn)
+        assert trees == [build_tree(train, p, fn) for p in all_policies(depth)]
+        for tree in trees:
+            want = oracles.build_tree_oracle(rows, labels, efforts,
+                                             tree.policy.bits, fn.kind)
+            got_nodes = [{"attribute": n.range.attribute, "op": n.range.op,
+                          "cut": n.range.cut, "class": n.exit_class,
+                          "support": n.support} for n in tree.nodes]
+            assert got_nodes == want["nodes"], tree.policy_string
+            assert tree.leaf_class == want["leaf_class"]
+            assert tree.leaf_support == want["leaf_support"]
+            assert tree.train_score == oracles.tree_score_oracle(
+                want, rows, labels, efforts, fn.kind)
+            saw_no_positives |= _searched_subset_without_positives(tree, train)
+    assert saw_no_positives
+
+
+@pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
+def test_grow_searches_each_prefix_once(fn, monkeypatch):
+    counts = {"blocks": 0, "searches": 0, "bounds": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fft, "_candidates", counted("blocks", fft._candidates))
+    monkeypatch.setattr(fft._Subset, "_search",
+                        counted("searches", fft._Subset._search))
+    monkeypatch.setattr(fft, "popt_bounds",
+                        counted("bounds", metrics.popt_bounds))
+    raw = synth.make_corpus(names=("ant",), seed=7, versions=1, rows=300)
+    _, trees = grow(binarize(raw["ant"][0], LabelRule.bug_counts()), depth=4,
+                    fn=fn)
+    assert not any(t.truncated for t in trees)
+    assert counts["blocks"] == 15
+    assert counts["searches"] == 30
+    assert counts["bounds"] == (15 if fn is POPT else 0)
+
+
+def test_grow_rejects_depth_below_one(six_rows):
+    for depth in (0, -2):
+        with pytest.raises(TrainingError, match="depth"):
+            grow(six_rows, depth=depth)
 
 
 def test_grow_validates_input(six_rows):
@@ -462,6 +563,14 @@ def test_tree_from_dict_validation(eight_rows):
     mismatched = dict(payload, policy="11010")
     with pytest.raises(DatasetError, match="does not match depth"):
         tree_from_dict(mismatched)
+
+
+@pytest.mark.parametrize("leaf", [{}, {"class": True}, {"support": 3},
+                                  {"class": True, "support": "many"}, None])
+def test_tree_from_dict_rejects_bad_final_leaf(eight_rows, leaf):
+    tree = build_tree(eight_rows, ExitPolicy((True, True)), DIS2HEAVEN)
+    with pytest.raises(DatasetError, match="bad model payload"):
+        tree_from_dict(dict(tree_to_dict(tree), final_leaf=leaf))
 
 
 # ------------------------------------------------------------- multi-class

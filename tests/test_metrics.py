@@ -165,6 +165,38 @@ def test_popt_bounded_and_matches_oracle(pairs, rng):
     assert 0.0 <= got.value <= 1.0
 
 
+@pytest.mark.parametrize("defects, efforts, degenerate", [
+    (np.random.default_rng(1).poisson(0.7, 30).astype(float),
+     np.random.default_rng(2).integers(1, 60, 30).astype(float), False),
+    ([1.0, 0.0, 0.0, 2.0, 0.0, 1.0], [3.0, 3.0, 5.0, 8.0, 1.0, 2.0], False),
+    ([0.0] * 8, [4.0, 1.0, 9.0, 2.0, 2.0, 7.0, 3.0, 5.0], True),
+    ([1.0, 2.0, 3.0, 1.0], [2.0, 4.0, 6.0, 2.0], True),
+    # an infinite effort makes every curve area NaN, which clamps to 0
+    ([1.0, 0.0, 2.0, 0.0, 1.0], [3.0, np.inf, 5.0, 1.0, 2.0], False),
+], ids=["random", "small", "no-defects", "constant-density", "inf-effort"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_popt_batch_equals_popt_exactly(defects, efforts, degenerate):
+    rng = np.random.default_rng(5)
+    defects = np.asarray(defects)
+    efforts = np.asarray(efforts)
+    orders = np.array([rng.permutation(len(defects)) for _ in range(40)])
+    d, e = defects[orders], efforts[orders]
+    bounds = metrics.popt_bounds(defects, efforts)
+    assert (bounds is None) == degenerate
+    got = metrics.popt_values(d, e, bounds)
+    singles = [popt(d[k], e[k]) for k in range(len(orders))]
+    assert got.tolist() == [r.value for r in singles]
+    assert all(r.degenerate == degenerate for r in singles)
+    if degenerate:
+        assert got.tolist() == [0.5] * len(orders)
+    if np.isinf(efforts).any():
+        assert got.tolist() == [0.0] * len(orders)
+    # the bounds depend only on the multiset of rows, never on its order
+    for k in range(len(orders)):
+        again = metrics.popt_bounds(d[k], e[k])
+        assert again == bounds or np.array_equal(again, bounds, equal_nan=True)
+
+
 def test_popt_invariant_under_effort_rescaling(popt_fixture):
     defects, efforts = popt_fixture
     scaled = [e * 7.0 for e in efforts]

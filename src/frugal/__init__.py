@@ -1,28 +1,8 @@
-"""Fast-and-frugal tree classifiers with an effort-aware evaluation rig."""
+"""Fast-and-frugal tree classifiers with an effort-aware evaluation rig.
 
-from .baselines import (LogisticModel, NBModel, lr_predict, lr_predict_dataset,
-                        lr_probability, lr_score_dataset, lr_train, nb_posterior,
-                        nb_predict, nb_predict_dataset, nb_score_dataset,
-                        nb_train)
-from .dataset import Dataset, LabelRule, binarize, load_csv, merge, save_csv
-from .errors import (ConfigError, DatasetError, FrugalError, TrainingError,
-                     UnsupportedScoreError)
-from .fft import (ExitPolicy, FFTree, MultiClassFFT, Node, Range, all_policies,
-                  build_tree, discretize, grow, grow_multi, parse, predict,
-                  predict_dataset, predict_multi, rank_for_popt, render, route,
-                  route_dataset, score_range, tree_from_dict, tree_score,
-                  tree_to_dict)
-from .metrics import (Confusion, MannWhitneyResult, PoptResult, ScoreFunction,
-                      a12, differs, dis2heaven, effort_curve, far,
-                      mann_whitney, popt, recall, recall_at_20,
-                      score_function)
-from .operational import (AttributeChange, ChangeStats, change_frequency,
-                          project, top_changed)
-from .rig import (ComparisonRow, DeltaRow, EvalResult, RigConfig, RigResult,
-                  Split, attribute_set_deltas, compare, cross_val_plans,
-                  cross_val_splits, fit_learner, plan_fingerprint,
-                  policy_histogram, run, version_split, write_reports)
+Import from the submodules: ``frugal.dataset``, ``frugal.fft``,
+``frugal.metrics``, ``frugal.baselines``, ``frugal.operational``,
+``frugal.rig``, ``frugal.synth`` and ``frugal.cli``.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

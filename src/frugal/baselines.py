@@ -1,5 +1,12 @@
 """In-repo comparison learners: Gaussian Naive Bayes and a simple logistic
-regression, sharing the train/predict surface of the tree code."""
+regression, sharing the train/predict surface of the tree code.
+
+Each learner has one array scorer over a (rows x attributes) block; the
+``*_score_dataset`` functions call it on a dataset and the row functions
+(``nb_posterior``, ``lr_probability`` and their ``*_predict`` forms) call
+it on a single row.  Missing cells add nothing to a naive-bayes log joint
+and standardize to the attribute mean for logistic regression.
+"""
 
 from __future__ import annotations
 
@@ -63,32 +70,34 @@ def nb_train(train: Dataset) -> NBModel:
                    means=means, variances=variances)
 
 
-def _nb_log_joint(model: NBModel, values: np.ndarray) -> np.ndarray:
-    """Log prior + log likelihood per class for one row of attribute values."""
-    out = model.log_priors.copy()
-    for k in range(2):
-        if not np.isfinite(out[k]):
-            continue
-        for j, x in enumerate(values):
+def _nb_scores(model: NBModel, values: np.ndarray) -> np.ndarray:
+    """P(positive) for each row of a (rows x attributes) block.  A row's log
+    joint adds its observed attributes' terms to the log prior one column
+    at a time, so it scores the same alone or in any batch.
+    ``np.float_power`` squares with the C library's ``pow``, like scalar
+    ``**``; array ``**`` multiplies, which can round differently."""
+    log_vars = [[math.log(v) for v in row] for row in model.variances.tolist()]
+    joint = np.tile(model.log_priors, (len(values), 1))
+    for j, col in enumerate(values.T):
+        missing = np.isnan(col)
+        for k in range(2):
             mu = model.means[k, j]
-            if np.isnan(x) or np.isnan(mu):
+            if np.isnan(mu):
                 continue
             var = model.variances[k, j]
-            out[k] += -0.5 * (LOG_2PI + math.log(var)) - (x - mu) ** 2 / (2 * var)
-    return out
+            term = (-0.5 * (LOG_2PI + log_vars[k][j])
+                    - np.float_power(col - mu, 2.0) / (2 * var))
+            joint[:, k] += np.where(missing, 0.0, term)
+    scores = np.where(np.isfinite(joint[:, 1]), 1.0, 0.0)
+    both = np.isfinite(joint).all(axis=1)
+    weights = np.exp(joint[both] - joint[both].max(axis=1, keepdims=True))
+    scores[both] = weights[:, 1] / (weights[:, 0] + weights[:, 1])
+    return scores
 
 
 def nb_posterior(model: NBModel, row) -> float:
     """P(positive | row), with missing attributes skipped."""
-    values = _row_values(model.attributes, row)
-    joint = _nb_log_joint(model, values)
-    if not np.isfinite(joint[1]):
-        return 0.0
-    if not np.isfinite(joint[0]):
-        return 1.0
-    m = max(joint)
-    weights = np.exp(joint - m)
-    return float(weights[1] / weights.sum())
+    return float(_nb_scores(model, _row_values(model.attributes, row))[0])
 
 
 def nb_predict(model: NBModel, row) -> bool:
@@ -97,7 +106,7 @@ def nb_predict(model: NBModel, row) -> bool:
 
 def nb_score_dataset(model: NBModel, data: Dataset) -> np.ndarray:
     _check_schema(model.attributes, data)
-    return np.array([nb_posterior(model, data.row(i)) for i in range(len(data))])
+    return _nb_scores(model, data.values)
 
 
 def nb_predict_dataset(model: NBModel, data: Dataset) -> np.ndarray:
@@ -169,11 +178,15 @@ def lr_train(train: Dataset, epochs: int = 500,
                          bias=bias, feature_means=means, feature_stds=stds)
 
 
+def _lr_scores(model: LogisticModel, values: np.ndarray) -> np.ndarray:
+    """P(positive) for each row of a (rows x attributes) block."""
+    X = (values - model.feature_means) / model.feature_stds
+    X = np.where(np.isnan(X), 0.0, X)
+    return _sigmoid(X @ model.weights + model.bias)
+
+
 def lr_probability(model: LogisticModel, row) -> float:
-    values = _row_values(model.attributes, row)
-    x = (values - model.feature_means) / model.feature_stds
-    x = np.where(np.isnan(x), 0.0, x)
-    return float(_sigmoid(np.atleast_1d(x @ model.weights + model.bias))[0])
+    return float(_lr_scores(model, _row_values(model.attributes, row))[0])
 
 
 def lr_predict(model: LogisticModel, row) -> bool:
@@ -182,9 +195,7 @@ def lr_predict(model: LogisticModel, row) -> bool:
 
 def lr_score_dataset(model: LogisticModel, data: Dataset) -> np.ndarray:
     _check_schema(model.attributes, data)
-    X = (data.values - model.feature_means) / model.feature_stds
-    X = np.where(np.isnan(X), 0.0, X)
-    return _sigmoid(X @ model.weights + model.bias)
+    return _lr_scores(model, data.values)
 
 
 def lr_predict_dataset(model: LogisticModel, data: Dataset) -> np.ndarray:
@@ -192,11 +203,10 @@ def lr_predict_dataset(model: LogisticModel, data: Dataset) -> np.ndarray:
 
 
 def _row_values(attributes, row) -> np.ndarray:
+    """One row as a (1 x attributes) block; absent and None cells are NaN."""
     if hasattr(row, "get"):
-        return np.array([float(row.get(a, math.nan))
-                         if row.get(a, None) is not None else math.nan
-                         for a in attributes])
-    return np.asarray(row, dtype=float)
+        row = [row.get(a) for a in attributes]
+    return np.array(row, dtype=float, ndmin=2)
 
 
 def _check_schema(attributes, data: Dataset):

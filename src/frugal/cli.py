@@ -94,7 +94,12 @@ def _cmd_eval(args) -> int:
         if len(versions) != 1:
             raise ConfigError("--model evaluates exactly one test CSV")
         with open(args.model) as fh:
-            tree = tree_from_dict(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise DatasetError(
+                    f"{args.model}: not valid JSON ({exc})") from exc
+        tree = tree_from_dict(payload)
         train, test = None, versions[0]
         missing = [a for a in tree.attributes if a not in test.attributes]
         if missing:
@@ -167,6 +172,10 @@ def _cmd_eval(args) -> int:
 _CONFIG_KEYS = {"projects", "learners", "scores", "attribute_sets", "depth",
                 "mode", "bins", "repeats", "seed", "top_fraction", "label",
                 "effort", "positive_if", "exclude"}
+# RigConfig fields a config file may set, with their conversions.
+_CONFIG_TYPES = {"learners": tuple, "scores": tuple, "attribute_sets": tuple,
+                 "depth": int, "bins": int, "repeats": int, "seed": int,
+                 "mode": str, "top_fraction": float}
 
 
 def load_rig_config(path) -> tuple[rig.RigConfig, dict]:
@@ -174,37 +183,40 @@ def load_rig_config(path) -> tuple[rig.RigConfig, dict]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise ConfigError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    if "projects" not in raw or not raw["projects"]:
+    if not isinstance(raw.get("projects"), dict) or not raw["projects"]:
         raise ConfigError(f"{path}: config needs a non-empty 'projects' map")
 
-    kwargs = {}
-    for key in ("learners", "scores", "attribute_sets"):
-        if key in raw:
-            kwargs[key] = tuple(raw[key])
-    for key in ("depth", "bins", "repeats", "seed"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    if "mode" in raw:
-        kwargs["mode"] = raw["mode"]
-    if "top_fraction" in raw:
-        kwargs["top_fraction"] = float(raw["top_fraction"])
-    config = rig.RigConfig(**kwargs)
+    def value(key, kind, default=None):
+        if key not in raw:
+            return default
+        try:
+            return kind(raw[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{path}: bad {key!r} value {raw[key]!r} ({exc})") from exc
 
-    rule = parse_rule(raw.get("positive_if", ">0"))
-    exclude = tuple(raw.get("exclude", DEFAULT_EXCLUDE))
-    label = raw.get("label", "bug")
+    config = rig.RigConfig(**{key: value(key, kind)
+                              for key, kind in _CONFIG_TYPES.items()
+                              if key in raw})
+    rule = parse_rule(value("positive_if", str, ">0"))
+    exclude = value("exclude", tuple, DEFAULT_EXCLUDE)
+    label = value("label", str, "bug")
     effort = raw.get("effort")
     projects = {}
     for pname, paths in raw["projects"].items():
         if isinstance(paths, str):
             paths = [paths]
+        if not (isinstance(paths, list)
+                and all(isinstance(p, str) for p in paths)):
+            raise ConfigError(f"{path}: project {pname!r} needs a CSV path "
+                              f"or a list of them, got {paths!r}")
         resolved = [path.parent / p if not Path(p).is_absolute() else Path(p)
                     for p in paths]
         projects[pname] = _load_versions(resolved, label, effort, exclude,

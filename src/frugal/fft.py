@@ -53,10 +53,8 @@ class Range:
         return f"{self.attribute} {self.op} {_fmt(self.cut)}"
 
     def matches(self, value) -> bool:
-        """NaN (missing) never matches."""
-        if value is None or np.isnan(value):
-            return False
-        return value <= self.cut if self.op == "<=" else value > self.cut
+        """None and NaN (missing) never match."""
+        return bool(self.matches_array(np.array([value], dtype=float))[0])
 
     def matches_array(self, values: np.ndarray) -> np.ndarray:
         if self.op == "<=":
@@ -359,18 +357,32 @@ def _check_trainable(train: Dataset, fn: ScoreFunction):
             f"{train.name}: popt training needs an effort column")
 
 
+def _route(tree: FFTree, column, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(exit index, predicted class) of each of ``n`` rows, where
+    ``column(attribute)`` gives that attribute's values for the rows."""
+    exit_idx = np.full(n, len(tree.nodes), dtype=int)
+    classes = np.full(n, tree.leaf_class, dtype=bool)
+    undecided = np.ones(n, dtype=bool)
+    for i, node in enumerate(tree.nodes):
+        hit = undecided & node.range.matches_array(column(node.range.attribute))
+        exit_idx[hit] = i
+        classes[hit] = node.exit_class
+        undecided &= ~hit
+    return exit_idx, classes
+
+
 def route(tree: FFTree, row) -> tuple[int, bool, int]:
     """(exit index, class, training support) of the node a row exits at.
 
     ``row`` maps attribute names to values; missing attributes and NaN fall
     through.  The final leaf has exit index len(nodes).
     """
-    get = row.get if hasattr(row, "get") else lambda k, d=None: row[k]
-    for i, node in enumerate(tree.nodes):
-        value = get(node.range.attribute, None)
-        if value is not None and node.range.matches(value):
-            return i, node.exit_class, node.support
-    return len(tree.nodes), tree.leaf_class, tree.leaf_support
+    get = row.get if hasattr(row, "get") else row.__getitem__
+    exit_idx, classes = _route(
+        tree, lambda attr: np.array([get(attr)], dtype=float), 1)
+    i = int(exit_idx[0])
+    support = tree.nodes[i].support if i < len(tree.nodes) else tree.leaf_support
+    return i, bool(classes[0]), support
 
 
 def predict(tree: FFTree, row) -> bool:
@@ -380,16 +392,7 @@ def predict(tree: FFTree, row) -> bool:
 
 def route_dataset(tree: FFTree, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized routing: (exit index, predicted class) per row."""
-    n = len(data)
-    exit_idx = np.full(n, len(tree.nodes), dtype=int)
-    classes = np.full(n, tree.leaf_class, dtype=bool)
-    undecided = np.ones(n, dtype=bool)
-    for i, node in enumerate(tree.nodes):
-        hit = undecided & node.range.matches_array(data.column(node.range.attribute))
-        exit_idx[hit] = i
-        classes[hit] = node.exit_class
-        undecided &= ~hit
-    return exit_idx, classes
+    return _route(tree, data.column, len(data))
 
 
 def predict_dataset(tree: FFTree, data: Dataset) -> np.ndarray:
@@ -448,11 +451,7 @@ def predict_multi(model: MultiClassFFT, row):
                 in zip(model.classes, routed) if fired]
     pool = positive or [(cls, support) for cls, (_, _, support)
                         in zip(model.classes, routed)]
-    best_cls, best_support = pool[0]
-    for cls, support in pool[1:]:
-        if support > best_support:
-            best_cls, best_support = cls, support
-    return best_cls
+    return max(pool, key=lambda pair: pair[1])[0]   # first of equals wins
 
 
 # --- text and JSON forms --------------------------------------------------
@@ -518,10 +517,35 @@ def parse(text: str) -> FFTree:
         raise DatasetError("model text has no decision lines")
     if leaf_class is None:
         raise DatasetError("model text has no final else line")
-    if leaf_class == nodes[-1].exit_class:
-        raise DatasetError("final else must oppose the last exit")
-    return FFTree(policy=ExitPolicy(tuple(n.exit_class for n in nodes)),
+    digits = ExitPolicy(tuple(n.exit_class for n in nodes)).string
+    return FFTree(policy=_checked_policy(digits, len(nodes), nodes, leaf_class),
                   nodes=tuple(nodes), leaf_class=leaf_class, leaf_support=0)
+
+
+def _checked_policy(digits, depth, nodes, leaf_class: bool) -> ExitPolicy:
+    """The exit policy a model spells as ``digits``, checked against the
+    rest of the model; DatasetError names the first rule it breaks.
+
+    Trees that ran out of rows keep fewer nodes than their policy has
+    levels, so the leaf opposes the last node (or the first digit when
+    there are none), not necessarily the policy's final digit.
+    """
+    if not (isinstance(digits, str) and set(digits) <= {"0", "1"}):
+        raise DatasetError(f"policy {digits!r} must be a string of 0/1 digits")
+    if depth < 1 or len(digits) != depth + 1:
+        raise DatasetError(f"policy string {digits} does not match depth "
+                           f"{depth}")
+    if digits[-1] == digits[-2]:
+        raise DatasetError(f"policy {digits}: the final digit must oppose "
+                           "the last exit")
+    bits = tuple(ch == "1" for ch in digits[:-1])
+    if len(nodes) > depth or any(node.exit_class != bit
+                                 for node, bit in zip(nodes, bits)):
+        raise DatasetError(f"node exits {[n.exit_class for n in nodes]} do "
+                           f"not follow policy {digits}")
+    if leaf_class == (nodes[-1].exit_class if nodes else bits[0]):
+        raise DatasetError("final leaf must oppose the last exit")
+    return ExitPolicy(bits)
 
 
 def tree_to_dict(tree: FFTree) -> dict:
@@ -551,9 +575,7 @@ def tree_from_dict(payload: dict) -> FFTree:
         leaf_support = int(leaf["support"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"bad model payload: {exc}") from exc
-    if len(digits) != depth + 1:
-        raise DatasetError("policy string does not match depth")
-    policy = ExitPolicy(tuple(ch == "1" for ch in digits[:depth]))
+    policy = _checked_policy(digits, depth, nodes, leaf_class)
     return FFTree(policy=policy, nodes=nodes, leaf_class=leaf_class,
                   leaf_support=leaf_support,
                   train_score=payload.get("train_score"),

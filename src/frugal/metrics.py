@@ -98,35 +98,13 @@ SCORE_FUNCTIONS = {
 def score_function(kind: str) -> ScoreFunction:
     try:
         return SCORE_FUNCTIONS[kind]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnsupportedScoreError(f"unknown score function {kind!r}")
-
-
-class EffortCurvePoint(NamedTuple):
-    effort_fraction: float
-    defects_fraction: float
 
 
 class PoptResult(NamedTuple):
     value: float
     degenerate: bool = False
-
-
-def effort_curve(defects, efforts) -> list[EffortCurvePoint]:
-    """Cumulative lift curve for rows visited in the given order.
-
-    x = fraction of total effort spent, y = fraction of total defects found.
-    Starts at (0, 0) and ends at (1, 1).
-    """
-    defects = np.asarray(defects, dtype=float)
-    efforts = np.asarray(efforts, dtype=float)
-    total_d = defects.sum()
-    total_e = efforts.sum()
-    if total_d <= 0 or total_e <= 0:
-        raise UnsupportedScoreError("effort curve needs defects and effort")
-    xs = np.concatenate([[0.0], np.cumsum(efforts) / total_e])
-    ys = np.concatenate([[0.0], np.cumsum(defects) / total_d])
-    return [EffortCurvePoint(float(x), float(y)) for x, y in zip(xs, ys)]
 
 
 def _curve_area(defects, efforts):
@@ -240,20 +218,12 @@ def effort_order_from_scores(scores, efforts) -> np.ndarray:
 
 
 def _fractional_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; ties get the mean of the ranks they span."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    pos = 1
-    while i < len(sorted_vals):
-        j = i
-        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = pos + (j - i) / 2.0
-        pos += j - i + 1
-        i = j + 1
-    return ranks
+    """1-based ranks; ties get the mean of the ranks they span.  Each NaN
+    ranks alone, after every number."""
+    _, group, counts = np.unique(values, return_inverse=True,
+                                 return_counts=True, equal_nan=False)
+    first = np.cumsum(counts) - counts + 1
+    return (first + (counts - 1) / 2.0)[group]
 
 
 def a12(xs: Sequence[float], ys: Sequence[float]) -> float:

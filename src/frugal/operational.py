@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DatasetError
-from .metrics import SMALL_EFFECT, a12
+from .metrics import SMALL_EFFECT, a12, differs
 
 EPSILON = 1e-12
 
@@ -76,7 +76,7 @@ def change_frequency(version_sequences: list[list[Dataset]],
                 ys = _clean(new.column(attr))
                 if len(xs) == 0 or len(ys) == 0:
                     continue
-                if abs(a12(xs, ys) - 0.5) >= threshold:
+                if differs(xs, ys, threshold):
                     changed[attr] += 1
     stats = tuple(AttributeChange(attribute=a, changed=c, total=total)
                   for a, c in sorted(changed.items()))

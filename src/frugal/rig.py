@@ -16,7 +16,6 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -26,12 +25,31 @@ from .baselines import (lr_predict_dataset, lr_score_dataset, lr_train,
 from .dataset import Dataset, merge
 from .errors import (ConfigError, FrugalError, TrainingError,
                      UnsupportedScoreError)
-from .fft import grow, predict_dataset, rank_for_popt
+from .fft import FFTree, grow, predict_dataset, rank_for_popt
 from .metrics import (Confusion, ScoreFunction, dis2heaven,
                       effort_order_from_scores, mann_whitney, popt,
                       score_function)
 
-LEARNERS = ("fft", "nb", "sl")
+
+# name -> (train, predict, rank): train(data, score function, depth) gives
+# a model, predict(model, data) a class per row and rank(model, data) the
+# most-suspicious-first row order for Popt.  The lambdas look each function
+# up when called, so rebinding a module name (as a tracer does) reaches
+# the rig too.
+_LEARNERS = {
+    "fft": (lambda data, fn, depth: grow(data, depth=depth, fn=fn)[0],
+            lambda tree, data: predict_dataset(tree, data),
+            lambda tree, data: rank_for_popt(tree, data)),
+    "nb": (lambda data, fn, depth: nb_train(data),
+           lambda model, data: nb_predict_dataset(model, data),
+           lambda model, data: effort_order_from_scores(
+               nb_score_dataset(model, data), data.effort)),
+    "sl": (lambda data, fn, depth: lr_train(data),
+           lambda model, data: lr_predict_dataset(model, data),
+           lambda model, data: effort_order_from_scores(
+               lr_score_dataset(model, data), data.effort)),
+}
+LEARNERS = tuple(_LEARNERS)
 ATTRIBUTE_SETS = ("full", "top25")
 
 
@@ -104,11 +122,10 @@ class RigResult:
     fingerprints: dict[str, str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FittedLearner:
     name: str
-    predict: Callable[[Dataset], np.ndarray]
-    effort_order: Callable[[Dataset], np.ndarray]
+    model: object
     policy: str = ""
     n_nodes: int = 0
 
@@ -170,42 +187,29 @@ def plan_fingerprint(splits: list[Split]) -> str:
 
 def fit_learner(name: str, train: Dataset, fn: ScoreFunction,
                 depth: int = 4) -> FittedLearner:
-    if name == "fft":
-        best, _ = grow(train, depth=depth, fn=fn)
-        return FittedLearner(
-            name=name,
-            predict=lambda data: predict_dataset(best, data),
-            effort_order=lambda data: rank_for_popt(best, data),
-            policy=best.policy_string,
-            n_nodes=len(best.nodes))
-    if name == "nb":
-        model = nb_train(train)
-        return FittedLearner(
-            name=name,
-            predict=lambda data: nb_predict_dataset(model, data),
-            effort_order=lambda data: effort_order_from_scores(
-                nb_score_dataset(model, data), data.effort))
-    if name == "sl":
-        model = lr_train(train)
-        return FittedLearner(
-            name=name,
-            predict=lambda data: lr_predict_dataset(model, data),
-            effort_order=lambda data: effort_order_from_scores(
-                lr_score_dataset(model, data), data.effort))
-    raise ConfigError(f"unknown learner {name!r} (expected one of {LEARNERS})")
+    if name not in _LEARNERS:
+        raise ConfigError(
+            f"unknown learner {name!r} (expected one of {LEARNERS})")
+    fit, _, _ = _LEARNERS[name]
+    model = fit(train, fn, depth)
+    if isinstance(model, FFTree):
+        return FittedLearner(name, model, model.policy_string,
+                             len(model.nodes))
+    return FittedLearner(name, model)
 
 
 def evaluate(fitted: FittedLearner, test: Dataset,
              fn: ScoreFunction) -> tuple[float, bool]:
     """Score a fitted learner on held-out rows; returns (value, degenerate)."""
+    _, predict, rank = _LEARNERS[fitted.name]
     if fn.kind == "popt":
         if test.effort is None:
             raise UnsupportedScoreError(
                 f"{test.name}: popt scoring needs an effort column")
-        order = fitted.effort_order(test)
+        order = rank(fitted.model, test)
         res = popt(test.labels[order].astype(float), test.effort[order])
         return res.value, res.degenerate
-    predicted = fitted.predict(test)
+    predicted = predict(fitted.model, test)
     return dis2heaven(Confusion.from_predictions(predicted, test.labels)), False
 
 

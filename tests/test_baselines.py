@@ -1,6 +1,8 @@
 """Tests for the two in-repo baselines: Gaussian naive bayes and batch
 gradient-descent logistic regression."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from frugal.baselines import (logistic_gradient, logistic_loss, lr_predict,
                               lr_score_dataset, lr_train, nb_posterior,
                               nb_predict, nb_predict_dataset,
                               nb_score_dataset, nb_train, _standardize)
+from frugal import synth
+from frugal.dataset import LabelRule, binarize
 from frugal.errors import TrainingError
 
 import oracles
@@ -86,13 +90,24 @@ def test_nb_schema_mismatch(six_rows, eight_rows):
         nb_score_dataset(model, eight_rows)
 
 
+# SHA-256 of the synthetic set's posteriors as the earlier row-at-a-time
+# scorer gave them; squaring with array ``**`` instead of ``pow`` changes one.
+NB_SCORES_DIGEST = \
+    "024863470262c0f4553d2fd87d7c8466e485e14b6c9a060cae18dfb15c7c727f"
+
+
 def test_nb_dataset_scoring_matches_row_scoring(eight_rows):
-    model = nb_train(eight_rows)
-    scores = nb_score_dataset(model, eight_rows)
-    for i in range(len(eight_rows)):
-        assert scores[i] == nb_posterior(model, eight_rows.row(i))
-    assert nb_predict_dataset(model, eight_rows).tolist() \
-        == [s >= 0.5 for s in scores]
+    raw = synth.make_corpus(names=("ant",), seed=6, rows=200)["ant"]
+    versions = [binarize(v, LabelRule.bug_counts()) for v in raw[:2]]
+    for train, test in [(eight_rows, eight_rows), versions]:
+        model = nb_train(train)
+        scores = nb_score_dataset(model, test)
+        for i in range(len(test)):
+            assert scores[i] == nb_posterior(model, test.row(i))
+        assert nb_predict_dataset(model, test).tolist() \
+            == [s >= 0.5 for s in scores]
+    assert np.isnan(test.values).any()
+    assert hashlib.sha256(scores.tobytes()).hexdigest() == NB_SCORES_DIGEST
 
 
 # ------------------------------------------------------ logistic regression

@@ -213,6 +213,30 @@ def test_eval_model_with_empty_final_leaf_is_a_data_error(project_dir,
     assert len(err.splitlines()) == 1
 
 
+_NODE = PERFECT_MODEL["nodes"][0]
+
+
+@pytest.mark.parametrize("text", [
+    "{nope",
+    json.dumps(dict(PERFECT_MODEL, final_leaf={"class": True, "support": 4})),
+    json.dumps(dict(PERFECT_MODEL, policy="22")),
+    json.dumps(dict(PERFECT_MODEL, policy="01")),
+    json.dumps(dict(PERFECT_MODEL, policy="11")),
+    json.dumps(dict(PERFECT_MODEL, depth=0, policy="1", nodes=[])),
+    json.dumps(dict(PERFECT_MODEL, nodes=[_NODE, _NODE])),
+], ids=["not json", "leaf agrees with last exit", "digits not 0/1",
+        "node class disagrees with policy", "final digit agrees",
+        "depth 0", "more nodes than depth"])
+def test_eval_rejects_malformed_model_files(project_dir, tmp_path, capsys,
+                                            text):
+    _, paths = project_dir
+    model_path = tmp_path / "bad.json"
+    model_path.write_text(text)
+    assert main(["eval", str(paths["1.2"]), "--model", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_eval_model_against_mismatched_columns(project_dir, tmp_path, capsys):
     _, paths = project_dir
     model = dict(PERFECT_MODEL,
@@ -340,6 +364,25 @@ def test_rig_config_error_paths(project_dir, tmp_path, capsys):
     no_projects.write_text("{}")
     assert main(["rig", "--config", str(no_projects),
                  "--out-dir", str(tmp_dir / "x")]) == 5
+
+
+@pytest.mark.parametrize("override", [
+    {"depth": "four"},
+    {"learners": 5},
+    {"projects": {"alpha": 5}},
+    {"projects": {"alpha": [5]}},
+    {"projects": ["alpha-1.0.csv"]},
+    {"top_fraction": "most"},
+    {"exclude": 5},
+], ids=["depth four", "learners 5", "project entry 5", "project path 5",
+        "projects list", "top_fraction word", "exclude 5"])
+def test_rig_rejects_malformed_config_values(project_dir, capsys, override):
+    tmp_path, paths = project_dir
+    config = _write_rig_config(tmp_path, paths, **override)
+    assert main(["rig", "--config", str(config),
+                 "--out-dir", str(tmp_path / "x")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_rig_missing_csv_is_a_data_error(project_dir, capsys):

@@ -533,11 +533,21 @@ def test_parse_error_cases():
 # ------------------------------------------------------------- dict round trip
 
 def test_tree_dict_round_trip_through_json(eight_rows):
-    for fn in (DIS2HEAVEN, POPT):
-        _, trees = grow(eight_rows, depth=4, fn=fn)
-        for tree in trees:
-            payload = json.loads(json.dumps(tree_to_dict(tree)))
-            assert tree_from_dict(payload) == tree
+    train = _trie_data(3, 40)
+    blank = Dataset(name="blank", version="1", attributes=train.attributes,
+                    values=np.full(train.values.shape, np.nan),
+                    labels=train.labels, effort=train.effort, metadata={})
+    shapes = set()
+    for data, depths in [(eight_rows, [4]), (train, range(1, 6)),
+                         (blank, range(1, 6))]:
+        for fn in (DIS2HEAVEN, POPT):
+            for depth in depths:
+                for tree in grow(data, depth, fn)[1]:
+                    payload = json.loads(json.dumps(tree_to_dict(tree)))
+                    assert tree_from_dict(payload) == tree
+                    shapes.add("no nodes" if not tree.nodes else
+                               "truncated" if tree.truncated else "full")
+    assert shapes == {"no nodes", "truncated", "full"}
 
 
 def test_tree_dict_shape(eight_rows):
@@ -563,6 +573,11 @@ def test_tree_from_dict_validation(eight_rows):
     mismatched = dict(payload, policy="11010")
     with pytest.raises(DatasetError, match="does not match depth"):
         tree_from_dict(mismatched)
+    # rendered, this leaf reads "else true" after "then true": parse
+    # rejects that text, so the dict form must reject it too
+    agreeing = dict(payload, final_leaf={"class": True, "support": 0})
+    with pytest.raises(DatasetError, match="oppose the last exit"):
+        tree_from_dict(agreeing)
 
 
 @pytest.mark.parametrize("leaf", [{}, {"class": True}, {"support": 3},

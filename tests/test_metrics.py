@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frugal import metrics
 from frugal.errors import UnsupportedScoreError
-from frugal.metrics import (Confusion, a12, differs, dis2heaven, effort_curve,
+from frugal.metrics import (Confusion, a12, differs, dis2heaven,
                             effort_order_from_predictions,
                             effort_order_from_scores, far, mann_whitney, popt,
                             recall, recall_at_20, score_function)
@@ -204,25 +204,6 @@ def test_popt_invariant_under_effort_rescaling(popt_fixture):
         popt(defects, efforts).value, abs=1e-12)
 
 
-# ------------------------------------------------------------ effort curve
-
-def test_effort_curve_endpoints_and_monotonicity(popt_fixture):
-    defects, efforts = popt_fixture
-    curve = effort_curve(defects, efforts)
-    assert curve[0] == (0.0, 0.0)
-    assert curve[-1].effort_fraction == pytest.approx(1.0, abs=1e-12)
-    assert curve[-1].defects_fraction == pytest.approx(1.0, abs=1e-12)
-    xs = [p.effort_fraction for p in curve]
-    ys = [p.defects_fraction for p in curve]
-    assert xs == sorted(xs)
-    assert ys == sorted(ys)
-
-
-def test_effort_curve_needs_defects():
-    with pytest.raises(UnsupportedScoreError):
-        effort_curve([0, 0], [1, 2])
-
-
 def test_recall_at_20_by_hand():
     # total effort 100; the 20% budget covers only the first row (effort 20),
     # which holds one of the two defects
@@ -355,9 +336,29 @@ def test_mann_whitney_u_matches_pairwise_oracle(xs, ys):
     assert result.u + oracles.u_pairwise(ys, xs) == len(xs) * len(ys)
 
 
+# about 2000 values drawn from 40, so nearly every value is tied
+_MANY_TIES = np.random.default_rng(5).integers(0, 40, 2003).astype(float) / 4
+
+
 @settings(max_examples=60)
 @given(small, small)
+@example(_MANY_TIES[:1000].tolist(), _MANY_TIES[1000:].tolist())
 def test_fractional_ranks_match_oracle(xs, ys):
     pooled = xs + ys
     got = metrics._fractional_ranks(np.asarray(pooled))
     assert got.tolist() == oracles.ranks_of(pooled)
+
+
+def test_mann_whitney_matches_scipy_on_tied_samples():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        xs = rng.integers(0, 6, int(rng.integers(3, 30))).astype(float)
+        ys = rng.integers(0, 6, int(rng.integers(3, 30))).astype(float)
+        if len(np.unique(np.concatenate([xs, ys]))) < 2:
+            continue          # scipy gives NaN where every value ties
+        want = stats.mannwhitneyu(xs, ys, use_continuity=False,
+                                  method="asymptotic")
+        got = mann_whitney(xs, ys)
+        assert got.u == want.statistic
+        assert abs(got.p_value - want.pvalue) <= 1e-12

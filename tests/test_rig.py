@@ -1,12 +1,14 @@
 """Tests for the experiment rig: splits, runs, comparisons and reports."""
 
+import hashlib
 import json
 import random
 
 import numpy as np
 import pytest
 
-from frugal.dataset import Dataset
+from frugal import synth
+from frugal.dataset import LabelRule, binarize
 from frugal.errors import (ConfigError, TrainingError, UnsupportedScoreError)
 from frugal.metrics import DIS2HEAVEN, POPT
 from frugal.rig import (ComparisonRow, EvalResult, RigConfig, attribute_set_deltas,
@@ -434,3 +436,41 @@ def test_results_json_layout(tmp_path, corpus):
                         "split", "n_train", "n_test", "value", "degenerate",
                         "policy", "n_nodes"}
     assert "wall_time" not in json.dumps(payload)
+
+
+# Report digests recorded before the row APIs, NB scoring and ranks were
+# folded into the vectorized code; any change in trees, baseline scores,
+# rank statistics or report formatting shows up here.
+GOLDEN_REPORTS = {
+    "version": {
+        "results.csv": "9f12f141389c99e7aba8f1147f58cc8c2a6691cce618cbf86a579681da00da11",
+        "results.json": "99ad5dec08128402f03948817f0bc55e231015f291d79c3a144ca43092943919",
+        "policy_histogram.csv": "1917ad9b888bdd1021a4b8cdf0b5747ac4e25ef985abfab6386229dabfeea3cd",
+        "comparison.csv": "d9fd90a05c07a27ac2092ba13ce522781fabeac91ae5c8818e2ff7343e53e5e7",
+        "deltas.csv": "15a9ca498ee0569180f5667088460c9d9a8041cd82d4e5117228b389e6536377",
+    },
+    "cv": {
+        "results.csv": "871ac0e1bb7ed482dcabf9c04d71dac51d9bfc4f30d2cc6f017c45bfca22eac0",
+        "results.json": "ca69f272db42ace590e508dd0f5d43b9688e5f2553e76e985974048b87d40b3b",
+        "policy_histogram.csv": "063cdae47eca291092265bd56da6ca8fae67ccc05af9cb5ca4cb5d8f16b70f3d",
+        "comparison.csv": "26b3348f37acd00c4c3300f5d88c9b8cf9e92ac50d9224e39fd243d4ddc91287",
+        "deltas.csv": "e86e31fe79f16fea1323ffd04e1dadc1fd44f67bfb88f4144130099fcc67e8d1",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_REPORTS))
+def test_report_bytes_match_golden_digests(tmp_path, mode):
+    rule = LabelRule.bug_counts()
+    if mode == "version":
+        raw = synth.make_corpus(names=("ant", "beam"), seed=3, rows=60)
+        config = RigConfig(attribute_sets=("full", "top25"))
+    else:
+        raw = synth.make_corpus(names=("ant",), seed=5, rows=60)
+        config = RigConfig(mode="cv", bins=5, repeats=2, seed=4)
+    projects = {name: [binarize(v, rule) for v in versions]
+                for name, versions in raw.items()}
+    paths = write_reports(run(projects, config), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in paths.values()}
+    assert digests == GOLDEN_REPORTS[mode]

@@ -20,6 +20,9 @@ from .errors import TrainingError
 
 VARIANCE_FLOOR = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
+# lr_train's full-batch gradient descent.
+EPOCHS = 500
+LEARNING_RATE = 0.1
 
 
 @dataclass(frozen=True)
@@ -154,8 +157,7 @@ def _standardize(values: np.ndarray):
     return np.where(np.isnan(X), 0.0, X), means, stds
 
 
-def lr_train(train: Dataset, epochs: int = 500,
-             learning_rate: float = 0.1) -> LogisticModel:
+def lr_train(train: Dataset) -> LogisticModel:
     """Full-batch gradient descent from zero weights on standardized
     features; deterministic, no regularization.  Missing cells standardize
     to 0 (the attribute mean)."""
@@ -170,10 +172,10 @@ def lr_train(train: Dataset, epochs: int = 500,
     X, means, stds = _standardize(train.values)
     weights = np.zeros(X.shape[1])
     bias = 0.0
-    for _ in range(epochs):
+    for _ in range(EPOCHS):
         gw, gb = logistic_gradient(weights, bias, X, y)
-        weights -= learning_rate * gw
-        bias -= learning_rate * gb
+        weights -= LEARNING_RATE * gw
+        bias -= LEARNING_RATE * gb
     return LogisticModel(attributes=train.attributes, weights=weights,
                          bias=bias, feature_means=means, feature_stds=stds)
 

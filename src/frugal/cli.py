@@ -6,8 +6,10 @@ Subcommands:
   rig         run a full experiment from a JSON config and write report files
   changefreq  attribute change frequencies across version sequences
 
-Exit codes: 0 ok, 2 input/parse problem, 3 training precondition,
-4 unsupported score function, 5 bad configuration.
+``eval`` trains through ``rig.version_split`` and ``rig.top_changed_split``,
+as a version-mode rig cell does.  Exit codes, carried by each FrugalError
+subclass as ``exit_code``: 0 ok, 2 input/parse problem or unreadable file,
+3 training precondition, 4 unsupported score function, 5 bad configuration.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 from . import operational, rig
 from .dataset import DEFAULT_EXCLUDE, Dataset, LabelRule, binarize, load_csv, merge
-from .errors import (ConfigError, DatasetError, TrainingError,
+from .errors import (ConfigError, DatasetError, FrugalError,
                      UnsupportedScoreError)
 from .fft import (grow, predict_dataset, rank_for_popt, render,
                   tree_from_dict, tree_to_dict)
@@ -57,6 +59,13 @@ def _split_exclude(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _args_versions(args) -> list[Dataset]:
+    """The CSVs named on a ``fit`` or ``eval`` command line, binarized."""
+    rule = parse_rule(args.positive_if)
+    return _load_versions(args.csv, args.label, args.effort,
+                          _split_exclude(args.exclude), rule)
+
+
 def _write_or_print(text: str, out: str | None):
     if out is None:
         print(text)
@@ -65,10 +74,7 @@ def _write_or_print(text: str, out: str | None):
 
 
 def _cmd_fit(args) -> int:
-    rule = parse_rule(args.positive_if)
-    versions = _load_versions(args.csv, args.label, args.effort,
-                              _split_exclude(args.exclude), rule)
-    train = versions[0] if len(versions) == 1 else merge(versions)
+    train = merge(_args_versions(args))
     fn = score_function(args.score)
     best, _ = grow(train, depth=args.depth, fn=fn)
     model_json = json.dumps(tree_to_dict(best), indent=2, sort_keys=True)
@@ -85,11 +91,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    rule = parse_rule(args.positive_if)
-    exclude = _split_exclude(args.exclude)
+    versions = _args_versions(args)
     fn = score_function(args.score)
-    versions = _load_versions(args.csv, args.label, args.effort, exclude, rule)
-
     if args.model is not None:
         if len(versions) != 1:
             raise ConfigError("--model evaluates exactly one test CSV")
@@ -106,22 +109,10 @@ def _cmd_eval(args) -> int:
             raise DatasetError(f"{test.name}: model needs attributes "
                                f"{missing} that the test data lacks")
     else:
-        if len(versions) < 2:
-            raise ConfigError("eval needs at least two CSVs "
-                              "(older train versions, then the test version)")
-        train_versions, test = versions[:-1], versions[-1]
+        split = rig.version_split(versions)
         if args.top_changed is not None:
-            if len(train_versions) < 2:
-                raise ConfigError("--top-changed needs at least two "
-                                  "training CSVs")
-            attrs = operational.top_changed(train_versions[-2],
-                                            train_versions[-1],
-                                            fraction=args.top_changed)
-            train_versions = [operational.project(v, attrs)
-                              for v in train_versions]
-            test = operational.project(test, attrs)
-        train = (train_versions[0] if len(train_versions) == 1
-                 else merge(train_versions))
+            split = rig.top_changed_split(split, args.top_changed)
+        train, test = split.train, split.test
         tree = grow(train, depth=args.depth, fn=fn)[0]
 
     predicted = predict_dataset(tree, test)
@@ -169,13 +160,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_CONFIG_KEYS = {"projects", "learners", "scores", "attribute_sets", "depth",
-                "mode", "bins", "repeats", "seed", "top_fraction", "label",
-                "effort", "positive_if", "exclude"}
-# RigConfig fields a config file may set, with their conversions.
-_CONFIG_TYPES = {"learners": tuple, "scores": tuple, "attribute_sets": tuple,
-                 "depth": int, "bins": int, "repeats": int, "seed": int,
-                 "mode": str, "top_fraction": float}
+# Every RigConfig field may be set; the type of its default converts the
+# value.  The other keys say how to load the projects' CSVs.
+_CONFIG_TYPES = {f.name: type(f.default)
+                 for f in dataclasses.fields(rig.RigConfig)}
+_CONFIG_KEYS = {*_CONFIG_TYPES, "projects", "label", "effort", "positive_if",
+                "exclude"}
 
 
 def load_rig_config(path) -> tuple[rig.RigConfig, dict]:
@@ -198,7 +188,7 @@ def load_rig_config(path) -> tuple[rig.RigConfig, dict]:
             return default
         try:
             return kind(raw[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(
                 f"{path}: bad {key!r} value {raw[key]!r} ({exc})") from exc
 
@@ -355,21 +345,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DatasetError as e:
+    except (FrugalError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except TrainingError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except UnsupportedScoreError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return getattr(e, "exit_code", 2)    # OSError: unreadable input
 
 
 if __name__ == "__main__":

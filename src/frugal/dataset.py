@@ -153,6 +153,13 @@ def _parse_cell(text: str, path, line_no: int, column: str) -> float:
             f"cell {text!r} is neither numeric nor a missing marker")
 
 
+def _csv_rows(fh, path):
+    try:
+        yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc
+
+
 def load_csv(path, label_column: str, effort_column: str | None = None,
              exclude=DEFAULT_EXCLUDE, name: str | None = None,
              version: str = "") -> Dataset:
@@ -167,13 +174,13 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DatasetError(f"{path}: empty file, no header row")
-        for needed in filter(None, (label_column, effort_column)):
-            if needed not in header:
+        for needed in (label_column, effort_column):
+            if needed is not None and needed not in header:
                 raise DatasetError(f"{path}: no column named {needed!r}")
 
         label_idx = header.index(label_column)

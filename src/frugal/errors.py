@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each subclass carries the
+exit code that ``frugal`` ends with when the error escapes a subcommand."""
 
 
 class FrugalError(Exception):
@@ -7,15 +8,19 @@ class FrugalError(Exception):
 
 class DatasetError(FrugalError):
     """Malformed input data: parse failures, schema mismatches, bad values."""
+    exit_code = 2
 
 
 class TrainingError(FrugalError):
     """A learner's training preconditions were not met."""
+    exit_code = 3
 
 
 class UnsupportedScoreError(FrugalError):
     """The requested score function cannot be computed on this data."""
+    exit_code = 4
 
 
 class ConfigError(FrugalError):
     """Invalid experiment or CLI configuration."""
+    exit_code = 5

@@ -149,13 +149,14 @@ def discretize(data: Dataset, attribute: str, subset=None) -> list[Range]:
 
     Recomputed at every tree level since the surviving rows shrink.  Returns
     the pair {attr <= median, attr > median}, or nothing when every value is
-    missing.  Even-length medians take the mean of the two middle values.
+    missing or the median is infinite.  Even-length medians take the mean
+    of the two middle values.
     """
     col = data.column(attribute)
     if subset is not None:
         col = col[subset]
     cut = float(_medians(col[:, None])[0])
-    if np.isnan(cut):
+    if not np.isfinite(cut):
         return []
     return [Range(attribute, "<=", cut), Range(attribute, ">", cut)]
 
@@ -183,15 +184,16 @@ _POPT_BATCH_CELLS = 4096
 
 
 def _candidates(data: Dataset, rows: np.ndarray):
-    """Every attribute's median split over ``rows``: the ranges that match
-    at least one row, their (rows x ranges) match block and match counts.
-    Ranges are ordered by attribute, ``<=`` before ``>``."""
+    """Every attribute's median split over ``rows``: the ranges with a
+    finite cut that match at least one row, their (rows x ranges) match
+    block and match counts.  Ranges are ordered by attribute, ``<=`` before
+    ``>``."""
     block = data.values[rows]
     cuts = _medians(block)
     match = np.stack([block <= cuts, block > cuts], axis=2).reshape(
         len(block), -1)
     n_match = np.count_nonzero(match, axis=0)
-    keep = np.flatnonzero(n_match)
+    keep = np.flatnonzero(n_match * np.repeat(np.isfinite(cuts), 2))
     cut_values = cuts.tolist()
     ranges = [Range(data.attributes[c // 2], ("<=", ">")[c % 2],
                     cut_values[c // 2]) for c in keep.tolist()]
@@ -562,18 +564,25 @@ def tree_to_dict(tree: FFTree) -> dict:
     }
 
 
+def _exit_class(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"class {value!r} is not a JSON boolean")
+    return value
+
+
 def tree_from_dict(payload: dict) -> FFTree:
     try:
         depth = int(payload["depth"])
         digits = payload["policy"]
         nodes = tuple(
             Node(range=Range(d["attribute"], d["op"], float(d["cut"])),
-                 exit_class=bool(d["class"]), support=int(d["support"]))
+                 exit_class=_exit_class(d["class"]),
+                 support=int(d["support"]))
             for d in payload["nodes"])
         leaf = payload["final_leaf"]
-        leaf_class = bool(leaf["class"])
+        leaf_class = _exit_class(leaf["class"])
         leaf_support = int(leaf["support"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"bad model payload: {exc}") from exc
     policy = _checked_policy(digits, depth, nodes, leaf_class)
     return FFTree(policy=policy, nodes=nodes, leaf_class=leaf_class,

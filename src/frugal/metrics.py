@@ -18,6 +18,10 @@ from .errors import UnsupportedScoreError
 
 # |A12 - 0.5| at or beyond this counts as more than a small effect.
 SMALL_EFFECT = 0.06
+# recall_at_20's share of the total effort.
+EFFORT_BUDGET = 0.2
+# mann_whitney calls two samples different below this p-value.
+ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -43,19 +47,18 @@ class Confusion:
                    fn=int(np.sum(~predicted & actual)))
 
 
-def recall(c: Confusion, undefined: float = 1.0) -> float:
-    """True-positive rate; ``undefined`` is returned when there are no
-    actual positives (default 1.0: nothing to find, nothing missed)."""
+def recall(c: Confusion) -> float:
+    """True-positive rate; 1.0 when there are no actual positives (nothing
+    to find, nothing missed)."""
     if c.tp + c.fn == 0:
-        return undefined
+        return 1.0
     return c.tp / (c.tp + c.fn)
 
 
-def far(c: Confusion, undefined: float = 0.0) -> float:
-    """False-alarm rate; ``undefined`` is returned when there are no
-    actual negatives."""
+def far(c: Confusion) -> float:
+    """False-alarm rate; 0.0 when there are no actual negatives."""
     if c.fp + c.tn == 0:
-        return undefined
+        return 0.0
     return c.fp / (c.fp + c.tn)
 
 
@@ -186,15 +189,15 @@ def popt(defects, efforts) -> PoptResult:
     return PoptResult(float(popt_values(defects, efforts, bounds)))
 
 
-def recall_at_20(defects, efforts, budget: float = 0.2) -> float:
-    """Fraction of all defects inside the ranking's first ``budget`` of
-    cumulative effort.  Zero when the data holds no defects."""
+def recall_at_20(defects, efforts) -> float:
+    """Fraction of all defects inside the ranking's first ``EFFORT_BUDGET``
+    of cumulative effort.  Zero when the data holds no defects."""
     defects = np.asarray(defects, dtype=float)
     efforts = np.asarray(efforts, dtype=float)
     total_d = defects.sum()
     if total_d <= 0 or len(defects) == 0:
         return 0.0
-    frontier = budget * efforts.sum() + 1e-12
+    frontier = EFFORT_BUDGET * efforts.sum() + 1e-12
     within = np.cumsum(efforts) <= frontier
     return float(defects[within].sum() / total_d)
 
@@ -251,9 +254,10 @@ class MannWhitneyResult(NamedTuple):
     different: bool
 
 
-def mann_whitney(xs, ys, alpha: float = 0.05) -> MannWhitneyResult:
+def mann_whitney(xs, ys) -> MannWhitneyResult:
     """Two-sided Mann-Whitney rank-sum test, normal approximation with tie
-    correction.  ``u`` is the U statistic of the first sample."""
+    correction.  ``u`` is the U statistic of the first sample; the samples
+    differ when ``p_value < ALPHA``."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     n1, n2 = len(xs), len(ys)
@@ -271,4 +275,4 @@ def mann_whitney(xs, ys, alpha: float = 0.05) -> MannWhitneyResult:
     sd = math.sqrt(correction * n1 * n2 * (n + 1) / 12.0)
     z = (u1 - n1 * n2 / 2.0) / sd
     p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
-    return MannWhitneyResult(u=float(u1), p_value=p, different=p < alpha)
+    return MannWhitneyResult(u=float(u1), p_value=p, different=p < ALPHA)

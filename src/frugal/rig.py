@@ -14,7 +14,7 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +87,8 @@ class RigConfig:
             raise ConfigError("cross-validation needs bins >= 2, repeats >= 1")
         if not 0.0 < self.top_fraction <= 1.0:
             raise ConfigError("top_fraction must be in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 @dataclass
@@ -134,11 +136,22 @@ def version_split(versions: list[Dataset]) -> Split:
     """Train on all versions but the newest, test on the newest."""
     if len(versions) < 2:
         raise ConfigError("a version-ordered split needs at least two versions")
-    train = versions[0] if len(versions) == 2 else merge(versions[:-1])
     test = versions[-1]
-    label = f"version:{test.version or test.name}"
-    return Split(label=label, train=train, test=test,
+    return Split(label=f"version:{test.version or test.name}",
+                 train=merge(versions[:-1]), test=test,
                  train_versions=tuple(versions[:-1]))
+
+
+def top_changed_split(split: Split, fraction: float) -> Split:
+    """The split restricted to the ``fraction`` of attributes whose
+    distributions moved most between its two newest training versions."""
+    if split.train_versions is None or len(split.train_versions) < 2:
+        raise ConfigError(f"{split.train.name}: top-changed attribute "
+                          "filtering needs at least two training versions")
+    old, new = split.train_versions[-2], split.train_versions[-1]
+    attrs = operational.top_changed(old, new, fraction=fraction)
+    return replace(split, train=operational.project(split.train, attrs),
+                   test=operational.project(split.test, attrs))
 
 
 def cross_val_plans(n: int, bins: int = 10, repeats: int = 5,
@@ -213,25 +226,11 @@ def evaluate(fitted: FittedLearner, test: Dataset,
     return dis2heaven(Confusion.from_predictions(predicted, test.labels)), False
 
 
-def _splits_for(name: str, versions: list[Dataset],
-                config: RigConfig) -> list[Split]:
+def _splits_for(versions: list[Dataset], config: RigConfig) -> list[Split]:
     if config.mode == "version":
         return [version_split(versions)]
-    data = versions[0] if len(versions) == 1 else merge(versions)
-    return cross_val_splits(data, config.bins, config.repeats, config.seed)
-
-
-def _apply_attribute_set(name: str, split: Split, attr_set: str,
-                         config: RigConfig) -> tuple[Dataset, Dataset]:
-    if attr_set == "full":
-        return split.train, split.test
-    if split.train_versions is None or len(split.train_versions) < 2:
-        raise ConfigError(f"{name}: top25 filtering needs at least two "
-                          "training versions")
-    old, new = split.train_versions[-2], split.train_versions[-1]
-    attrs = operational.top_changed(old, new, fraction=config.top_fraction)
-    return (operational.project(split.train, attrs),
-            operational.project(split.test, attrs))
+    return cross_val_splits(merge(versions), config.bins, config.repeats,
+                            config.seed)
 
 
 def run(projects: dict[str, list[Dataset]],
@@ -251,12 +250,13 @@ def run(projects: dict[str, list[Dataset]],
             if not v.binary:
                 raise TrainingError(
                     f"{pname}: labels must be binarized before the rig runs")
-        splits = _splits_for(pname, versions, config)
+        splits = _splits_for(versions, config)
         fingerprints[pname] = plan_fingerprint(splits)
         for split in splits:
             for attr_set in config.attribute_sets:
-                train, test = _apply_attribute_set(pname, split, attr_set,
-                                                   config)
+                cell = (split if attr_set == "full"
+                        else top_changed_split(split, config.top_fraction))
+                train, test = cell.train, cell.test
                 for kind in config.scores:
                     fn = score_function(kind)
                     for learner in config.learners:
@@ -406,11 +406,7 @@ def _result_key(r: EvalResult):
 
 
 def _result_row(r: EvalResult) -> dict:
-    return {"project": r.project, "learner": r.learner, "score": r.score,
-            "attribute_set": r.attribute_set, "split": r.split,
-            "n_train": r.n_train, "n_test": r.n_test, "value": r.value,
-            "degenerate": r.degenerate, "policy": r.policy,
-            "n_nodes": r.n_nodes}
+    return {f: getattr(r, f) for f in _RESULT_FIELDS}
 
 
 def _atomic_write(path, text: str):

@@ -1,12 +1,14 @@
 """End-to-end tests for the command-line front end (exit codes, files,
 report shapes)."""
 
+import hashlib
 import json
 
 import pytest
 
+from frugal import rig, synth
 from frugal.cli import main, parse_rule
-from frugal.dataset import LabelRule
+from frugal.dataset import LabelRule, binarize, save_csv
 from frugal.errors import ConfigError
 from frugal.fft import tree_from_dict
 
@@ -117,6 +119,19 @@ def test_fit_headerless_csv_is_a_data_error(tmp_path, capsys):
     assert main(["fit", str(path)]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b"wmc,bug\n1,0\n\x80,1\n",
+    b"wmc,bug\n1,0\n" + b"9" * 131073 + b",1\n",
+], ids=["not utf-8", "cell past the csv field limit"])
+def test_fit_unreadable_csv_is_a_data_error(tmp_path, capsys, content):
+    path = tmp_path / "garbled.csv"
+    path.write_bytes(content)
+    assert main(["fit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_fit_missing_file(capsys):
     assert main(["fit", "/nonexistent/nope.csv"]) == 2
 
@@ -160,6 +175,63 @@ def test_eval_trains_on_older_versions(project_dir, capsys):
     assert "test: alpha-1.2 (8 rows)" in out
     assert "confusion:" in out and "dis2heaven:" in out
     assert "popt:" in out and "recall_at_20:" in out
+
+
+# SHA-256 of `eval`'s stdout when it trains on three seeded synth versions
+# and tests on a fourth, recorded before `eval` trained through the rig's
+# version split and top-changed projection.
+GOLDEN_EVAL = {
+    "d2h-text-full": "522133d2ef3ebe10faf75973eb2b304eecfcf16f3752a8000dbaac7ce913c791",
+    "d2h-text-top": "4620c70ab2c2ae4597c73a1c3271c9d8ea1fda89f2b56895e7252574a0407213",
+    "d2h-json-full": "fd7eed61be06e07def12c991806380e37e9f0e7f21ebf607a3c9fa301399d3b5",
+    "d2h-json-top": "0b0895df8d3c8dd60bd41a8a4973af2c145c18e4c69b7497d624d2c40e853fbd",
+    "popt-text-full": "4fcfc45bb6ac5c260c7f439d1c4bacaf462c84639ede837677c246466f0a6160",
+    "popt-text-top": "6bd716636bba25402c4f1605d8ac2bfc0046f6285e1fe1b875c74b36212fc643",
+    "popt-json-full": "ba69998d737aeef0f31949fc4c5131c74163cd96de8e1edf12d073bc039ad379",
+    "popt-json-top": "a6f0d2724391f72455ab0403e9eedba3ff62fbd41894f58597430aa0810deab7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EVAL))
+def test_eval_output_matches_golden_digests(tmp_path, capsys, case):
+    score, fmt, attrs = case.split("-")
+    paths = []
+    for ds in synth.make_corpus(names=("ant",), seed=7, versions=4,
+                                rows=70)["ant"]:
+        path = tmp_path / f"{ds.name}.csv"
+        save_csv(ds, path, effort_column="effort")
+        paths.append(str(path))
+    argv = ["eval", *paths, "--effort", "effort", "--score", score,
+            "--format", fmt]
+    if attrs == "top":
+        argv += ["--top-changed", "0.25"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EVAL[case]
+
+
+@pytest.mark.parametrize("score", ["d2h", "popt"])
+def test_eval_matches_a_version_mode_rig_cell(tmp_path, capsys, score):
+    raw = synth.make_corpus(names=("ant",), seed=5, versions=3, rows=60)
+    paths = []
+    for ds in raw["ant"]:
+        path = tmp_path / f"{ds.name}.csv"
+        save_csv(ds, path, effort_column="effort")
+        paths.append(str(path))
+    projects = {"ant": [binarize(v, LabelRule.bug_counts())
+                        for v in raw["ant"]]}
+    cells = rig.run(projects, rig.RigConfig(
+        learners=("fft",), scores=(score,),
+        attribute_sets=("full", "top25"))).results
+    for cell in cells:
+        top = ["--top-changed", "0.25"] if cell.attribute_set == "top25" else []
+        assert main(["eval", *paths, "--effort", "effort", "--score",
+                     score, "--format", "json", *top]) == 0
+        report = json.loads(capsys.readouterr().out)
+        key = "dis2heaven" if score == "d2h" else "popt"
+        assert (report["policy"], report["nodes"], report[key]) \
+            == (cell.policy, cell.n_nodes, cell.value)
+        assert report["train"]["rows"] == cell.n_train
 
 
 def test_eval_json_report_is_internally_consistent(project_dir, tmp_path):
@@ -224,9 +296,13 @@ _NODE = PERFECT_MODEL["nodes"][0]
     json.dumps(dict(PERFECT_MODEL, policy="11")),
     json.dumps(dict(PERFECT_MODEL, depth=0, policy="1", nodes=[])),
     json.dumps(dict(PERFECT_MODEL, nodes=[_NODE, _NODE])),
+    json.dumps(dict(PERFECT_MODEL, nodes=[dict(_NODE, **{"class": "false"})])),
+    json.dumps(dict(PERFECT_MODEL, final_leaf={"class": 0, "support": 4})),
+    json.dumps(dict(PERFECT_MODEL, depth=1e999)),
 ], ids=["not json", "leaf agrees with last exit", "digits not 0/1",
         "node class disagrees with policy", "final digit agrees",
-        "depth 0", "more nodes than depth"])
+        "depth 0", "more nodes than depth", "node class a string",
+        "leaf class a number", "depth infinite"])
 def test_eval_rejects_malformed_model_files(project_dir, tmp_path, capsys,
                                             text):
     _, paths = project_dir
@@ -340,6 +416,16 @@ def test_rig_seed_override_changes_cv_plans(project_dir, capsys):
     assert fp_a != fp_b
 
 
+def test_rig_seed_override_must_be_non_negative(project_dir, capsys):
+    tmp_path, paths = project_dir
+    config = _write_rig_config(tmp_path, paths, mode="cv", bins=4, repeats=1)
+    assert main(["rig", "--config", str(config), "--out-dir",
+                 str(tmp_path / "x"), "--seed", "-1"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_rig_config_error_paths(project_dir, tmp_path, capsys):
     tmp_dir, paths = project_dir
     bad_learner = _write_rig_config(tmp_dir, paths, learners=["svm"])
@@ -374,8 +460,12 @@ def test_rig_config_error_paths(project_dir, tmp_path, capsys):
     {"projects": ["alpha-1.0.csv"]},
     {"top_fraction": "most"},
     {"exclude": 5},
+    {"bins": 1e999},
+    {"depth": 1e999},
+    {"seed": -1, "mode": "cv"},
 ], ids=["depth four", "learners 5", "project entry 5", "project path 5",
-        "projects list", "top_fraction word", "exclude 5"])
+        "projects list", "top_fraction word", "exclude 5", "bins infinite",
+        "depth infinite", "negative seed"])
 def test_rig_rejects_malformed_config_values(project_dir, capsys, override):
     tmp_path, paths = project_dir
     config = _write_rig_config(tmp_path, paths, **override)

@@ -64,6 +64,8 @@ def test_load_csv_missing_file():
 def test_load_csv_missing_label_column(toy_csv):
     with pytest.raises(DatasetError, match="no column named 'defects'"):
         load_csv(toy_csv, label_column="defects")
+    with pytest.raises(DatasetError, match="no column named ''"):
+        load_csv(toy_csv, label_column="")
 
 
 def test_load_csv_missing_effort_column(toy_csv):

@@ -98,6 +98,20 @@ def test_discretize_skips_missing_and_can_vanish(eight_rows):
     assert discretize(blank, "m") == []
 
 
+def test_infinite_medians_give_no_cut():
+    inf = float("inf")
+    ds = make_dataset(("m", "n"),
+                      [[-inf, 1], [-inf, 2], [-inf, 3], [4, 4], [inf, 5],
+                       [inf, 6]],
+                      labels=[True, True, False, False, True, False],
+                      effort=[1, 2, 3, 4, 5, 6])
+    assert discretize(ds, "m", subset=np.array([0, 1, 3])) == []
+    for depth in (1, 2, 3):
+        for fn in (DIS2HEAVEN, POPT):
+            for tree in grow(ds, depth=depth, fn=fn)[1]:
+                assert all(np.isfinite(n.range.cut) for n in tree.nodes)
+
+
 def test_discretize_constant_column():
     ds = make_dataset(("c",), [[4], [4], [4]], labels=[True, False, True])
     lo, hi = discretize(ds, "c")
@@ -581,7 +595,9 @@ def test_tree_from_dict_validation(eight_rows):
 
 
 @pytest.mark.parametrize("leaf", [{}, {"class": True}, {"support": 3},
-                                  {"class": True, "support": "many"}, None])
+                                  {"class": True, "support": "many"}, None,
+                                  {"class": "false", "support": 3},
+                                  {"class": 1, "support": 3}])
 def test_tree_from_dict_rejects_bad_final_leaf(eight_rows, leaf):
     tree = build_tree(eight_rows, ExitPolicy((True, True)), DIS2HEAVEN)
     with pytest.raises(DatasetError, match="bad model payload"):

@@ -49,10 +49,8 @@ def test_recall_and_far_simple_ratios():
 def test_recall_and_far_undefined_defaults():
     no_pos = Confusion(tp=0, fp=2, tn=3, fn=0)
     assert recall(no_pos) == 1.0
-    assert recall(no_pos, undefined=0.0) == 0.0
     no_neg = Confusion(tp=2, fp=0, tn=0, fn=1)
     assert far(no_neg) == 0.0
-    assert far(no_neg, undefined=1.0) == 1.0
 
 
 def test_dis2heaven_corners_and_midpoint():

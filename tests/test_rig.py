@@ -63,6 +63,8 @@ def test_config_numeric_bounds():
         RigConfig(top_fraction=0.0)
     with pytest.raises(ConfigError, match="top_fraction"):
         RigConfig(top_fraction=1.5)
+    with pytest.raises(ConfigError, match="seed"):
+        RigConfig(seed=-1)
 
 
 # ------------------------------------------------------------ version_split

@@ -126,12 +126,10 @@ class LogisticModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
+    overflows; one exp and one division over the whole array."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def logistic_loss(weights: np.ndarray, bias: float, X: np.ndarray,

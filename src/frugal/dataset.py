@@ -167,7 +167,8 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
 
     The first row is the header.  Columns named in ``exclude`` are kept as
     row metadata; every other non-label, non-effort column must be numeric
-    ("?" or an empty cell marks a missing value).
+    ("?", an empty cell or ``nan`` marks a missing value).  An infinite cell
+    in any attribute, label or effort column is an error.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -198,7 +199,7 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
             dupes = sorted({a for a in attributes if attributes.count(a) > 1})
             raise DatasetError(f"{path}: duplicate attribute columns {dupes}")
 
-        rows, labels, efforts = [], [], []
+        rows, labels, efforts, blank_lines = [], [], [], []
         metadata: dict[str, list[str]] = {}
         meta_keys = []
         seen: dict[str, int] = {}
@@ -214,6 +215,7 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
 
         for line_no, cells in enumerate(reader, start=2):
             if not cells or all(c.strip() == "" for c in cells):
+                blank_lines.append(line_no)
                 continue
             if len(cells) != len(header):
                 raise DatasetError(
@@ -236,13 +238,33 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
                 metadata[key].append(cells[j].strip())
 
     n = len(rows)
+    values = np.array(rows, dtype=float).reshape(n, len(attributes))
+    del rows    # the bulk of a load's memory; the checks below need none of it
+    label_values = np.array(labels, dtype=float)
+    effort = np.array(efforts, dtype=float) if effort_idx is not None else None
+    if (np.isinf(values).any() or np.isinf(label_values).any()
+            or (effort is not None and np.isinf(effort).any())):
+        parsed = {j: values[:, k] for k, j in enumerate(attr_cols)}
+        parsed[label_idx] = label_values
+        if effort is not None:
+            parsed[effort_idx] = effort
+        in_file_order = sorted(parsed)
+        table = np.column_stack([parsed[j] for j in in_file_order])
+        i, k = divmod(int(np.flatnonzero(np.isinf(table))[0]), table.shape[1])
+        line_no = i + 2
+        for blank in blank_lines:   # each skipped line before row i shifts it
+            line_no += blank <= line_no
+        raise DatasetError(
+            f"{path}: line {line_no}, column "
+            f"{header[in_file_order[k]]!r}: cell value "
+            f"{float(table[i, k])!r} is not finite")
     return Dataset(
         name=name if name is not None else str(path),
         version=version,
         attributes=tuple(attributes),
-        values=np.array(rows, dtype=float).reshape(n, len(attributes)),
-        labels=np.array(labels, dtype=float),
-        effort=np.array(efforts, dtype=float) if effort_idx is not None else None,
+        values=values,
+        labels=label_values,
+        effort=effort,
         metadata=metadata)
 
 

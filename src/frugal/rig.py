@@ -1,6 +1,10 @@
 """Experiment rig: version-ordered and repeated cross-validation runs over
 the tree, naive-bayes, and logistic learners.
 
+Within one (split, attribute set) cell, a learner whose training ignores
+the score function (``nb``, ``sl``) is fitted once and evaluated under every
+score; ``fft`` selects its tree by the score, so it is grown once per score.
+
 Results are plain dataclasses; the report writers emit byte-identical files
 for identical inputs and seeds (wall-clock timings stay in memory only).
 """
@@ -16,6 +20,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,29 +30,41 @@ from .baselines import (lr_predict_dataset, lr_score_dataset, lr_train,
 from .dataset import Dataset, merge
 from .errors import (ConfigError, FrugalError, TrainingError,
                      UnsupportedScoreError)
-from .fft import FFTree, grow, predict_dataset, rank_for_popt
+from .fft import MAX_DEPTH, FFTree, grow, predict_dataset, rank_for_popt
 from .metrics import (Confusion, ScoreFunction, dis2heaven,
                       effort_order_from_scores, mann_whitney, popt,
                       score_function)
 
 
-# name -> (train, predict, rank): train(data, score function, depth) gives
-# a model, predict(model, data) a class per row and rank(model, data) the
-# most-suspicious-first row order for Popt.  The lambdas look each function
-# up when called, so rebinding a module name (as a tracer does) reaches
-# the rig too.
+class _Learner(NamedTuple):
+    """train(data, score function, depth) gives a model, predict(model,
+    data) a class per row and rank(model, data) the most-suspicious-first
+    row order for Popt.  ``reads_score`` is False when train ignores the
+    score function; ``run`` then fits the learner once per cell and
+    evaluates that model under every score."""
+    train: Callable
+    predict: Callable
+    rank: Callable
+    reads_score: bool
+
+
+# The lambdas look each function up when called, so rebinding a module
+# name (as a tracer does) reaches the rig too.
 _LEARNERS = {
-    "fft": (lambda data, fn, depth: grow(data, depth=depth, fn=fn)[0],
-            lambda tree, data: predict_dataset(tree, data),
-            lambda tree, data: rank_for_popt(tree, data)),
-    "nb": (lambda data, fn, depth: nb_train(data),
-           lambda model, data: nb_predict_dataset(model, data),
-           lambda model, data: effort_order_from_scores(
-               nb_score_dataset(model, data), data.effort)),
-    "sl": (lambda data, fn, depth: lr_train(data),
-           lambda model, data: lr_predict_dataset(model, data),
-           lambda model, data: effort_order_from_scores(
-               lr_score_dataset(model, data), data.effort)),
+    "fft": _Learner(lambda data, fn, depth: grow(data, depth=depth, fn=fn)[0],
+                    lambda tree, data: predict_dataset(tree, data),
+                    lambda tree, data: rank_for_popt(tree, data),
+                    reads_score=True),
+    "nb": _Learner(lambda data, fn, depth: nb_train(data),
+                   lambda model, data: nb_predict_dataset(model, data),
+                   lambda model, data: effort_order_from_scores(
+                       nb_score_dataset(model, data), data.effort),
+                   reads_score=False),
+    "sl": _Learner(lambda data, fn, depth: lr_train(data),
+                   lambda model, data: lr_predict_dataset(model, data),
+                   lambda model, data: effort_order_from_scores(
+                       lr_score_dataset(model, data), data.effort),
+                   reads_score=False),
 }
 LEARNERS = tuple(_LEARNERS)
 ATTRIBUTE_SETS = ("full", "top25")
@@ -81,8 +98,8 @@ class RigConfig:
         if self.mode == "cv" and "top25" in self.attribute_sets:
             raise ConfigError("top25 attribute filtering needs version "
                               "history; it cannot run under cross-validation")
-        if self.depth < 1:
-            raise ConfigError("depth must be at least 1")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ConfigError(f"depth must be between 1 and {MAX_DEPTH}")
         if self.bins < 2 or self.repeats < 1:
             raise ConfigError("cross-validation needs bins >= 2, repeats >= 1")
         if not 0.0 < self.top_fraction <= 1.0:
@@ -114,7 +131,9 @@ class EvalResult:
     degenerate: bool = False
     policy: str = ""
     n_nodes: int = 0
-    wall_time: float = 0.0         # never serialized
+    # Never serialized.  A fit reused across scores is timed with the
+    # first score's result; the later scores time evaluation alone.
+    wall_time: float = 0.0
 
 
 @dataclass
@@ -203,8 +222,7 @@ def fit_learner(name: str, train: Dataset, fn: ScoreFunction,
     if name not in _LEARNERS:
         raise ConfigError(
             f"unknown learner {name!r} (expected one of {LEARNERS})")
-    fit, _, _ = _LEARNERS[name]
-    model = fit(train, fn, depth)
+    model = _LEARNERS[name].train(train, fn, depth)
     if isinstance(model, FFTree):
         return FittedLearner(name, model, model.policy_string,
                              len(model.nodes))
@@ -214,15 +232,15 @@ def fit_learner(name: str, train: Dataset, fn: ScoreFunction,
 def evaluate(fitted: FittedLearner, test: Dataset,
              fn: ScoreFunction) -> tuple[float, bool]:
     """Score a fitted learner on held-out rows; returns (value, degenerate)."""
-    _, predict, rank = _LEARNERS[fitted.name]
+    learner = _LEARNERS[fitted.name]
     if fn.kind == "popt":
         if test.effort is None:
             raise UnsupportedScoreError(
                 f"{test.name}: popt scoring needs an effort column")
-        order = rank(fitted.model, test)
+        order = learner.rank(fitted.model, test)
         res = popt(test.labels[order].astype(float), test.effort[order])
         return res.value, res.degenerate
-    predicted = predict(fitted.model, test)
+    predicted = learner.predict(fitted.model, test)
     return dis2heaven(Confusion.from_predictions(predicted, test.labels)), False
 
 
@@ -257,13 +275,18 @@ def run(projects: dict[str, list[Dataset]],
                 cell = (split if attr_set == "full"
                         else top_changed_split(split, config.top_fraction))
                 train, test = cell.train, cell.test
+                shared: dict[str, FittedLearner] = {}
                 for kind in config.scores:
                     fn = score_function(kind)
                     for learner in config.learners:
                         t0 = time.perf_counter()
                         try:
-                            fitted = fit_learner(learner, train, fn,
-                                                 config.depth)
+                            fitted = shared.get(learner)
+                            if fitted is None:
+                                fitted = fit_learner(learner, train, fn,
+                                                     config.depth)
+                                if not _LEARNERS[learner].reads_score:
+                                    shared[learner] = fitted
                             value, degenerate = evaluate(fitted, test, fn)
                         except FrugalError as exc:
                             raise type(exc)(

@@ -3,10 +3,15 @@
 Everything here is plain Python (lists, dicts, Fraction-free float math) so
 that agreement with the numpy-based package code is meaningful.  The tree
 oracle enumerates every (attribute, cut, polarity) candidate at every level
-and every exit policy outright.
+and every exit policy outright.  The one numpy function, ``masked_sigmoid``,
+is a bit-level reference: it is the formula ``baselines._sigmoid`` must
+reproduce exactly, and Python's ``math.exp`` may round differently from
+numpy's.
 """
 
 import math
+
+import numpy as np
 
 
 # --- confusion-matrix metrics ----------------------------------------------
@@ -316,3 +321,14 @@ def finite_difference_gradient(loss, weights, bias, eps=1e-6):
     gb = (loss(list(weights), bias + eps)
           - loss(list(weights), bias - eps)) / (2 * eps)
     return gw, gb
+
+
+def masked_sigmoid(z):
+    """The logistic function split on the sign of z by boolean masks:
+    1 / (1 + e^-z) where z >= 0, e^z / (1 + e^z) elsewhere."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

@@ -10,7 +10,8 @@ from frugal.baselines import (logistic_gradient, logistic_loss, lr_predict,
                               lr_predict_dataset, lr_probability,
                               lr_score_dataset, lr_train, nb_posterior,
                               nb_predict, nb_predict_dataset,
-                              nb_score_dataset, nb_train, _standardize)
+                              nb_score_dataset, nb_train, _sigmoid,
+                              _standardize)
 from frugal import synth
 from frugal.dataset import LabelRule, binarize
 from frugal.errors import TrainingError
@@ -162,6 +163,24 @@ def test_lr_missing_cells_standardize_to_zero(five_rows_lr):
     # a fully missing row sits at the feature means: probability sigmoid(bias)
     p = lr_probability(model, {"u": None, "v": None})
     assert p == pytest.approx(1.0 / (1.0 + np.exp(-model.bias)), abs=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 108, 1320])
+def test_sigmoid_is_bit_identical_to_the_masked_formula(size):
+    rng = np.random.default_rng(size)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, 1e3, -1e3, 745.2,
+                         -745.2, 800.0, -800.0, 5e-324, -5e-324])
+    for scale in (1.0, 30.0, 1e3):
+        z = rng.uniform(-scale, scale, size)
+        z[:min(size, len(specials))] = specials[:size]
+        got, want = _sigmoid(z), oracles.masked_sigmoid(z)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_sigmoid_keeps_nan():
+    out = _sigmoid(np.array([np.nan, 0.0, -np.nan]))
+    assert np.isnan(out[0]) and out[1] == 0.5 and np.isnan(out[2])
 
 
 def test_lr_training_is_deterministic(five_rows_lr):

@@ -122,7 +122,10 @@ def test_fit_headerless_csv_is_a_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("content", [
     b"wmc,bug\n1,0\n\x80,1\n",
     b"wmc,bug\n1,0\n" + b"9" * 131073 + b",1\n",
-], ids=["not utf-8", "cell past the csv field limit"])
+    b"wmc,bug\n1,0\n2,1\ninf,1\n",
+    b"wmc,bug\n1,0\n2,1e999\n",
+], ids=["not utf-8", "cell past the csv field limit", "infinite attribute",
+        "infinite label"])
 def test_fit_unreadable_csv_is_a_data_error(tmp_path, capsys, content):
     path = tmp_path / "garbled.csv"
     path.write_bytes(content)
@@ -160,6 +163,18 @@ def test_depth_below_one_is_a_training_error(project_dir, command, capsys):
     assert main([command, *csvs, "--depth", "0"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "depth" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_depth_above_the_cap_is_a_training_error(project_dir, command,
+                                                 capsys):
+    _, paths = project_dir
+    csvs = [str(paths["1.0"])] + ([str(paths["1.1"])] if command == "eval"
+                                  else [])
+    assert main([command, *csvs, "--depth", "13"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "between 1 and 12" in err
     assert len(err.splitlines()) == 1
 
 
@@ -463,9 +478,10 @@ def test_rig_config_error_paths(project_dir, tmp_path, capsys):
     {"bins": 1e999},
     {"depth": 1e999},
     {"seed": -1, "mode": "cv"},
+    {"depth": 13},
 ], ids=["depth four", "learners 5", "project entry 5", "project path 5",
         "projects list", "top_fraction word", "exclude 5", "bins infinite",
-        "depth infinite", "negative seed"])
+        "depth infinite", "negative seed", "depth above the cap"])
 def test_rig_rejects_malformed_config_values(project_dir, capsys, override):
     tmp_path, paths = project_dir
     config = _write_rig_config(tmp_path, paths, **override)

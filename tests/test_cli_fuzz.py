@@ -33,9 +33,13 @@ _CSV_TOKENS = [b",", b"\n", b'"', b"?", b"", b"nan", b"inf", b"-1e999", b"x",
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
                   st.sampled_from([math.inf, -math.inf, math.nan, 2.5,
                                    "four", "", "3", [], [1], {}, {"a": 1}]))
-# grow enumerates 2^depth policies, so depths stay small; bins and repeats
-# stay small to keep the cross-validation loops short.
-_DEPTH = st.one_of(st.integers(-2, 5), st.floats(-10, 5.9), _JUNK)
+# grow enumerates 2^depth policies, so the depths that train stay small;
+# 13 and 10**6 lie above fft.MAX_DEPTH and must be refused before any
+# training.  Bins and repeats stay small to keep the cross-validation loops
+# short.
+_ABOVE_CAP = st.sampled_from([13, 10 ** 6])
+_DEPTH = st.one_of(st.integers(-2, 5), st.floats(-10, 5.9), _ABOVE_CAP, _JUNK)
+_DEPTH_FLAG = st.one_of(st.integers(-1, 5), _ABOVE_CAP)
 _CONFIG_VALUES = {
     "projects": st.one_of(_JUNK, st.dictionaries(
         st.sampled_from(["alpha", "beta"]),
@@ -150,7 +154,7 @@ def _invocation(draw, command):
         st.lists(st.sampled_from(_CSV_NAMES * 3 + ["ghost.csv"]), min_size=1,
                  max_size=4)))
     paths = [f"{{dir}}/{name}" for name in csvs]
-    depth = [f"--depth={draw(st.integers(-1, 5))}"]
+    depth = [f"--depth={draw(_DEPTH_FLAG)}"]
     if command == "fit":
         argv = ["fit", *paths, *draw(_DATA_FLAGS), *depth]
     elif command == "eval":

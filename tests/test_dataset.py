@@ -124,6 +124,31 @@ def test_load_csv_rejects_nonpositive_or_missing_effort(tmp_path, cell):
         load_csv(path, label_column="bug", effort_column="loc")
 
 
+@pytest.mark.parametrize("text, line, column, cell", [
+    ("wmc,loc,bug\n1,5,0\n2,5,1\ninf,5,0\n", 4, "wmc", "inf"),
+    ("wmc,loc,bug\n1,5,0\n2,5,-inf\n", 3, "bug", "-inf"),
+    ("wmc,loc,bug\n1,5,0\n2,1e999,1\n", 3, "loc", "inf"),
+    ("wmc,loc,bug\n1,5,0\n2,5,inf\n-inf,5,0\n", 3, "bug", "inf"),
+    ("wmc,cbo,loc,bug\nnan,5,5,0\n?,1e999,5,inf\n", 3, "cbo", "inf"),
+    ("wmc,loc,bug\n\n1,5,0\n\n\n2,5,0\n3,inf,1\n", 7, "loc", "inf"),
+], ids=["attribute", "label", "effort", "first line wins",
+        "first column wins", "blank lines counted"])
+def test_load_csv_rejects_infinite_cells(tmp_path, text, line, column, cell):
+    path = tmp_path / "inf.csv"
+    path.write_text(text)
+    with pytest.raises(DatasetError, match=rf"inf\.csv: line {line}, "
+                       rf"column '{column}': cell value {cell} is not finite"):
+        load_csv(path, label_column="bug", effort_column="loc")
+
+
+def test_load_csv_nan_cell_stays_missing(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("wmc,cbo,bug\nnan,2,0\n3,NaN,1\n")
+    ds = load_csv(path, label_column="bug")
+    assert np.isnan(ds.values[0, 0]) and np.isnan(ds.values[1, 1])
+    assert ds.values[0, 1] == 2.0 and ds.values[1, 0] == 3.0
+
+
 def test_load_csv_custom_exclude(tmp_path):
     path = tmp_path / "cust.csv"
     path.write_text("id,wmc,bug\nr1,4,0\n")

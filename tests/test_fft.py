@@ -375,6 +375,13 @@ def test_grow_rejects_depth_below_one(six_rows):
             grow(six_rows, depth=depth)
 
 
+def test_grow_rejects_depth_above_the_cap(six_rows):
+    assert fft.MAX_DEPTH == 12
+    for depth in (fft.MAX_DEPTH + 1, 10 ** 6):
+        with pytest.raises(TrainingError, match="between 1 and 12"):
+            grow(six_rows, depth=depth)
+
+
 def test_grow_validates_input(six_rows):
     raw = make_dataset(("a",), [[1], [2]], labels=[0, 2], binary=False)
     with pytest.raises(TrainingError, match="binarized"):

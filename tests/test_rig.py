@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from frugal import synth
+from frugal import rig as rig_module, synth
 from frugal.dataset import LabelRule, binarize
 from frugal.errors import (ConfigError, TrainingError, UnsupportedScoreError)
 from frugal.metrics import DIS2HEAVEN, POPT
@@ -55,6 +55,9 @@ def test_config_rejects_top25_under_cross_validation():
 def test_config_numeric_bounds():
     with pytest.raises(ConfigError, match="depth"):
         RigConfig(depth=0)
+    with pytest.raises(ConfigError, match="between 1 and 12"):
+        RigConfig(depth=13)
+    RigConfig(depth=12)   # the cap itself is allowed
     with pytest.raises(ConfigError, match="bins"):
         RigConfig(bins=1)
     with pytest.raises(ConfigError, match="repeats"):
@@ -224,6 +227,38 @@ def test_run_cv_mode_counts_and_reproducibility(corpus):
                                     scores=("d2h",), bins=5, repeats=2,
                                     seed=12))
     assert bumped.fingerprints != one.fingerprints
+
+
+def test_run_fits_score_blind_learners_once_per_cell(corpus, monkeypatch):
+    calls = {}
+    for name in ("grow", "nb_train", "lr_train"):
+        def counted(*args, _name=name, _fn=getattr(rig_module, name),
+                    **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(rig_module, name, counted)
+    config = RigConfig(scores=("d2h", "popt"),
+                       attribute_sets=("full", "top25"))
+    result = run({"ant": corpus["ant"]}, config)
+    # 1 split x 2 attribute sets = 2 cells; fft is grown once per score
+    assert calls == {"grow": 4, "nb_train": 2, "lr_train": 2}
+    assert len(result.results) == 12
+    assert [(r.attribute_set, r.score, r.learner)
+            for r in result.results] == [
+        (a, s, l) for a in ("full", "top25")
+        for s in ("dis2heaven", "popt") for l in ("fft", "nb", "sl")]
+
+
+def test_run_reports_a_failing_shared_fit_under_the_first_score():
+    one_class = [
+        make_dataset(("m",), [[1], [2], [3], [4]],
+                     labels=[True, True, True, True], name="p",
+                     version=str(v), effort=[1, 2, 3, 4])
+        for v in (1, 2)]
+    config = RigConfig(learners=("sl",), scores=("popt", "d2h"))
+    with pytest.raises(TrainingError,
+                       match=r"\[p/sl/popt/full/version:2\] .*both classes"):
+        run({"p": one_class}, config)
 
 
 def test_run_requires_binary_labels(corpus):

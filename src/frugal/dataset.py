@@ -4,6 +4,12 @@ A :class:`Dataset` is an immutable named table of numeric attribute columns,
 one label column (raw counts/days before binarization, booleans after) and an
 optional per-row effort column (e.g. lines of code).  Missing numeric cells
 are stored as NaN; downstream code treats NaN as "never matches".
+
+``load_csv`` reads a file in chunks of rows and parses each chunk column by
+column.  A numeric cell is whatever Python's ``float()`` accepts, after
+stripping the whitespace around it, or a missing marker (``?`` or empty).
+A file that breaks a rule is read again row by row, so that the error names
+the first bad line and column.
 """
 
 from __future__ import annotations
@@ -11,12 +17,19 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
 from .errors import DatasetError
 
 MISSING_MARKERS = ("", "?")
+# A bare marker cell is read as float("nan").
+_MISSING = dict.fromkeys(MISSING_MARKERS, "nan")
+# Rows parsed per chunk.  Every cell string of a chunk is alive while its
+# columns are parsed, so the chunk bounds the memory a load needs on top of
+# its result.
+_CHUNK_ROWS = 4096
 
 # Columns that identify rows (class name, version string) rather than measure
 # them.  Matched by header name, so duplicated headers are covered too.
@@ -153,11 +166,106 @@ def _parse_cell(text: str, path, line_no: int, column: str) -> float:
             f"cell {text!r} is neither numeric nor a missing marker")
 
 
+def _floats(cells, n: int) -> np.ndarray:
+    return np.fromiter(map(float, map(_MISSING.get, cells, cells)), float,
+                       count=n)
+
+
+def _parse_column(cells, n: int) -> np.ndarray | None:
+    """``_parse_cell`` over a column, or None when a cell is neither a
+    number nor a missing marker.  ``float()`` ignores the whitespace around
+    a number itself, so cells are stripped only when a padded marker (or a
+    bad cell) makes the first pass fail."""
+    try:
+        return _floats(cells, n)
+    except ValueError:
+        try:
+            return _floats([c.strip() for c in cells], n)
+        except ValueError:
+            return None
+
+
 def _csv_rows(fh, path):
     try:
         yield from csv.reader(fh)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc
+
+
+def _parse_rows(reader, width: int, numeric: list[int], effort: bool,
+                meta_cols: list[int]):
+    """Parse the data rows a chunk at a time, column by column.
+
+    Gives a (rows, len(numeric)) float table of the ``numeric`` columns and
+    the stripped ``meta_cols`` cells, or None when the file breaks a rule:
+    a read error, a ragged row, a cell that is no number, an effort (the
+    last numeric column, when ``effort``) that is not > 0, or an infinite
+    cell.  Blank rows are skipped.
+    """
+    blocks = [np.empty((0, len(numeric)))]
+    meta = [[] for _ in meta_cols]
+    chunks = iter(lambda: list(islice(reader, _CHUNK_ROWS)), [])
+    try:
+        for chunk in chunks:
+            rows = [cells for cells in chunk if any(map(str.strip, cells))]
+            if not rows:
+                continue
+            if set(map(len, rows)) != {width}:
+                return None
+            n = len(rows)
+            cols = list(zip(*rows))
+            del chunk, rows     # the column tuples hold the same cells
+            parsed = [_parse_column(cols[j], n) for j in numeric]
+            if any(col is None for col in parsed):
+                return None
+            blocks.append(np.column_stack(parsed))
+            for out, j in zip(meta, meta_cols):
+                out.extend(map(str.strip, cols[j]))
+    except DatasetError:    # unreadable bytes; the row scan reports them
+        return None
+    table = np.concatenate(blocks)
+    if np.isinf(table).any() or (effort and not (table[:, -1] > 0).all()):
+        return None
+    return table, meta
+
+
+def _raise_first_error(fh, path, header, numeric: list[int],
+                       effort_idx: int | None):
+    """Read ``fh`` again and raise the error that a cell-by-cell load meets
+    first: a read error, a ragged row, a bad cell (attributes, then label,
+    then effort, as ``numeric`` lists them) or a bad effort, in row order;
+    failing those, the first infinite cell in file order."""
+    try:
+        fh.seek(0)
+    except OSError as exc:    # a pipe: its rows are gone
+        raise DatasetError(f"{path}: malformed rows in a stream that "
+                           f"cannot be re-read to locate them") from exc
+    reader = _csv_rows(fh, path)
+    next(reader)    # the header
+    first_inf = None
+    for line_no, cells in enumerate(reader, start=2):
+        if not any(map(str.strip, cells)):
+            continue
+        if len(cells) != len(header):
+            raise DatasetError(
+                f"{path}: line {line_no} has {len(cells)} cells, "
+                f"header has {len(header)}")
+        row = {j: _parse_cell(cells[j], path, line_no, header[j])
+               for j in numeric}
+        if effort_idx is not None and not row[effort_idx] > 0:
+            raise DatasetError(
+                f"{path}: line {line_no}, column {header[effort_idx]!r}: "
+                f"effort must be a positive number, got "
+                f"{cells[effort_idx].strip()!r}")
+        if first_inf is None:
+            first_inf = next(((line_no, j, row[j]) for j in sorted(row)
+                              if math.isinf(row[j])), None)
+    if first_inf is None:
+        raise RuntimeError(f"{path}: the column parse rejected rows that "
+                           f"the row scan accepts")
+    line_no, j, x = first_inf
+    raise DatasetError(f"{path}: line {line_no}, column {header[j]!r}: "
+                       f"cell value {x!r} is not finite")
 
 
 def load_csv(path, label_column: str, effort_column: str | None = None,
@@ -168,7 +276,8 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
     The first row is the header.  Columns named in ``exclude`` are kept as
     row metadata; every other non-label, non-effort column must be numeric
     ("?", an empty cell or ``nan`` marks a missing value).  An infinite cell
-    in any attribute, label or effort column is an error.
+    in any attribute, label or effort column is an error, and so is a label
+    or effort name that heads more than one column.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -198,9 +307,11 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
         if len(set(attributes)) != len(attributes):
             dupes = sorted({a for a in attributes if attributes.count(a) > 1})
             raise DatasetError(f"{path}: duplicate attribute columns {dupes}")
+        for needed in (label_column, effort_column):
+            if header.count(needed) > 1:
+                raise DatasetError(f"{path}: {header.count(needed)} columns "
+                                   f"are named {needed!r}")
 
-        rows, labels, efforts, blank_lines = [], [], [], []
-        metadata: dict[str, list[str]] = {}
         meta_keys = []
         seen: dict[str, int] = {}
         for j in meta_cols:
@@ -211,61 +322,25 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
             else:
                 seen[key] = 1
             meta_keys.append(key)
-            metadata[key] = []
 
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells or all(c.strip() == "" for c in cells):
-                blank_lines.append(line_no)
-                continue
-            if len(cells) != len(header):
-                raise DatasetError(
-                    f"{path}: line {line_no} has {len(cells)} cells, "
-                    f"header has {len(header)}")
-            rows.append([_parse_cell(cells[j], path, line_no, header[j])
-                         for j in attr_cols])
-            labels.append(_parse_cell(cells[label_idx], path, line_no,
-                                      label_column))
-            if effort_idx is not None:
-                eff = _parse_cell(cells[effort_idx], path, line_no,
-                                  effort_column)
-                if math.isnan(eff) or eff <= 0:
-                    raise DatasetError(
-                        f"{path}: line {line_no}, column {effort_column!r}: "
-                        f"effort must be a positive number, got "
-                        f"{cells[effort_idx].strip()!r}")
-                efforts.append(eff)
-            for key, j in zip(meta_keys, meta_cols):
-                metadata[key].append(cells[j].strip())
+        numeric = attr_cols + [label_idx]
+        if effort_idx is not None:
+            numeric.append(effort_idx)
+        parsed = _parse_rows(reader, len(header), numeric,
+                             effort_idx is not None, meta_cols)
+        if parsed is None:
+            _raise_first_error(fh, path, header, numeric, effort_idx)
 
-    n = len(rows)
-    values = np.array(rows, dtype=float).reshape(n, len(attributes))
-    del rows    # the bulk of a load's memory; the checks below need none of it
-    label_values = np.array(labels, dtype=float)
-    effort = np.array(efforts, dtype=float) if effort_idx is not None else None
-    if (np.isinf(values).any() or np.isinf(label_values).any()
-            or (effort is not None and np.isinf(effort).any())):
-        parsed = {j: values[:, k] for k, j in enumerate(attr_cols)}
-        parsed[label_idx] = label_values
-        if effort is not None:
-            parsed[effort_idx] = effort
-        in_file_order = sorted(parsed)
-        table = np.column_stack([parsed[j] for j in in_file_order])
-        i, k = divmod(int(np.flatnonzero(np.isinf(table))[0]), table.shape[1])
-        line_no = i + 2
-        for blank in blank_lines:   # each skipped line before row i shifts it
-            line_no += blank <= line_no
-        raise DatasetError(
-            f"{path}: line {line_no}, column "
-            f"{header[in_file_order[k]]!r}: cell value "
-            f"{float(table[i, k])!r} is not finite")
+    table, meta = parsed
+    n_attr = len(attr_cols)
     return Dataset(
         name=name if name is not None else str(path),
         version=version,
         attributes=tuple(attributes),
-        values=values,
-        labels=label_values,
-        effort=effort,
-        metadata=metadata)
+        values=table[:, :n_attr].copy(),
+        labels=table[:, n_attr].copy(),
+        effort=table[:, n_attr + 1].copy() if effort_idx is not None else None,
+        metadata=dict(zip(meta_keys, meta)))
 
 
 def _format_cell(x: float) -> str:

@@ -93,6 +93,12 @@ class RigConfig:
                                   f"(expected one of {ATTRIBUTE_SETS})")
         for kind in self.scores:
             score_function(kind)   # raises UnsupportedScoreError
+        # compare() would pool a repeated name's results as one sample.
+        for key in ("learners", "scores", "attribute_sets"):
+            names = getattr(self, key)
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise ConfigError(f"{key} lists {repeated} more than once")
         if self.mode not in ("version", "cv"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "cv" and "top25" in self.attribute_sets:

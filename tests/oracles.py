@@ -7,11 +7,19 @@ and every exit policy outright.  The one numpy function, ``masked_sigmoid``,
 is a bit-level reference: it is the formula ``baselines._sigmoid`` must
 reproduce exactly, and Python's ``math.exp`` may round differently from
 numpy's.
+
+``load_csv_oracle`` is the cell-by-cell CSV loader that
+``dataset.load_csv`` replaced: one ``float()`` call per cell, rows checked
+in file order.
 """
 
+import csv
 import math
 
 import numpy as np
+
+from frugal.dataset import DEFAULT_EXCLUDE, MISSING_MARKERS, Dataset
+from frugal.errors import DatasetError
 
 
 # --- confusion-matrix metrics ----------------------------------------------
@@ -332,3 +340,134 @@ def masked_sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# --- CSV ingestion -----------------------------------------------------------
+
+def _parse_cell_oracle(text: str, path, line_no: int, column: str) -> float:
+    text = text.strip()
+    if text in MISSING_MARKERS:
+        return math.nan
+    try:
+        return float(text)
+    except ValueError:
+        raise DatasetError(
+            f"{path}: line {line_no}, column {column!r}: "
+            f"cell {text!r} is neither numeric nor a missing marker")
+
+
+def _csv_rows_oracle(fh, path):
+    try:
+        yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc
+
+
+def load_csv_oracle(path, label_column: str,
+                    effort_column: str | None = None,
+                    exclude=DEFAULT_EXCLUDE, name: str | None = None,
+                    version: str = "") -> Dataset:
+    """Load one CSV into a Dataset.
+
+    The first row is the header.  Columns named in ``exclude`` are kept as
+    row metadata; every other non-label, non-effort column must be numeric
+    ("?", an empty cell or ``nan`` marks a missing value).  An infinite cell
+    in any attribute, label or effort column is an error.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = _csv_rows_oracle(fh, path)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DatasetError(f"{path}: empty file, no header row")
+        for needed in (label_column, effort_column):
+            if needed is not None and needed not in header:
+                raise DatasetError(f"{path}: no column named {needed!r}")
+
+        label_idx = header.index(label_column)
+        effort_idx = header.index(effort_column) if effort_column else None
+        meta_cols, attr_cols = [], []
+        for j, col in enumerate(header):
+            if j == label_idx or j == effort_idx:
+                continue
+            if col in exclude:
+                meta_cols.append(j)
+            else:
+                attr_cols.append(j)
+        attributes = [header[j] for j in attr_cols]
+        if len(set(attributes)) != len(attributes):
+            dupes = sorted({a for a in attributes if attributes.count(a) > 1})
+            raise DatasetError(f"{path}: duplicate attribute columns {dupes}")
+
+        rows, labels, efforts, blank_lines = [], [], [], []
+        metadata: dict[str, list[str]] = {}
+        meta_keys = []
+        seen: dict[str, int] = {}
+        for j in meta_cols:
+            key = header[j]
+            if key in seen:
+                seen[key] += 1
+                key = f"{key}.{seen[header[j]] - 1}"
+            else:
+                seen[key] = 1
+            meta_keys.append(key)
+            metadata[key] = []
+
+        for line_no, cells in enumerate(reader, start=2):
+            if not cells or all(c.strip() == "" for c in cells):
+                blank_lines.append(line_no)
+                continue
+            if len(cells) != len(header):
+                raise DatasetError(
+                    f"{path}: line {line_no} has {len(cells)} cells, "
+                    f"header has {len(header)}")
+            rows.append([_parse_cell_oracle(cells[j], path, line_no,
+                                            header[j])
+                         for j in attr_cols])
+            labels.append(_parse_cell_oracle(cells[label_idx], path, line_no,
+                                             label_column))
+            if effort_idx is not None:
+                eff = _parse_cell_oracle(cells[effort_idx], path, line_no,
+                                         effort_column)
+                if math.isnan(eff) or eff <= 0:
+                    raise DatasetError(
+                        f"{path}: line {line_no}, column {effort_column!r}: "
+                        f"effort must be a positive number, got "
+                        f"{cells[effort_idx].strip()!r}")
+                efforts.append(eff)
+            for key, j in zip(meta_keys, meta_cols):
+                metadata[key].append(cells[j].strip())
+
+    n = len(rows)
+    values = np.array(rows, dtype=float).reshape(n, len(attributes))
+    del rows    # the bulk of a load's memory; the checks below need none of it
+    label_values = np.array(labels, dtype=float)
+    effort = np.array(efforts, dtype=float) if effort_idx is not None else None
+    if (np.isinf(values).any() or np.isinf(label_values).any()
+            or (effort is not None and np.isinf(effort).any())):
+        parsed = {j: values[:, k] for k, j in enumerate(attr_cols)}
+        parsed[label_idx] = label_values
+        if effort is not None:
+            parsed[effort_idx] = effort
+        in_file_order = sorted(parsed)
+        table = np.column_stack([parsed[j] for j in in_file_order])
+        i, k = divmod(int(np.flatnonzero(np.isinf(table))[0]), table.shape[1])
+        line_no = i + 2
+        for blank in blank_lines:   # each skipped line before row i shifts it
+            line_no += blank <= line_no
+        raise DatasetError(
+            f"{path}: line {line_no}, column "
+            f"{header[in_file_order[k]]!r}: cell value "
+            f"{float(table[i, k])!r} is not finite")
+    return Dataset(
+        name=name if name is not None else str(path),
+        version=version,
+        attributes=tuple(attributes),
+        values=values,
+        labels=label_values,
+        effort=effort,
+        metadata=metadata)

@@ -124,8 +124,9 @@ def test_fit_headerless_csv_is_a_data_error(tmp_path, capsys):
     b"wmc,bug\n1,0\n" + b"9" * 131073 + b",1\n",
     b"wmc,bug\n1,0\n2,1\ninf,1\n",
     b"wmc,bug\n1,0\n2,1e999\n",
+    b"wmc,bug,bug\n1,0,0\n2,1,1\n",
 ], ids=["not utf-8", "cell past the csv field limit", "infinite attribute",
-        "infinite label"])
+        "infinite label", "repeated label column"])
 def test_fit_unreadable_csv_is_a_data_error(tmp_path, capsys, content):
     path = tmp_path / "garbled.csv"
     path.write_bytes(content)
@@ -479,9 +480,11 @@ def test_rig_config_error_paths(project_dir, tmp_path, capsys):
     {"depth": 1e999},
     {"seed": -1, "mode": "cv"},
     {"depth": 13},
+    {"learners": ["fft", "nb", "nb"]},
 ], ids=["depth four", "learners 5", "project entry 5", "project path 5",
         "projects list", "top_fraction word", "exclude 5", "bins infinite",
-        "depth infinite", "negative seed", "depth above the cap"])
+        "depth infinite", "negative seed", "depth above the cap",
+        "repeated learner"])
 def test_rig_rejects_malformed_config_values(project_dir, capsys, override):
     tmp_path, paths = project_dir
     config = _write_rig_config(tmp_path, paths, **override)

@@ -24,11 +24,12 @@ _VERSIONS = [
 ]
 _CSV_NAMES = [f"v{k}.csv" for k in range(len(_VERSIONS))]
 
-# Spliced into CSV text: separators, quotes, missing markers, non-numbers,
-# bytes that are not UTF-8 and a cell past the csv module's 131072-character
-# field limit.
-_CSV_TOKENS = [b",", b"\n", b'"', b"?", b"", b"nan", b"inf", b"-1e999", b"x",
-               b"\xff", b"\xc3", b"wmc", b"bug", b"1" * 131073]
+# Spliced into CSV text: separators, line ends, quotes, missing markers (bare
+# and padded), non-numbers, a number with an underscore, bytes that are not
+# UTF-8 and a cell past the csv module's 131072-character field limit.
+_CSV_TOKENS = [b",", b"\n", b"\r\n", b'"', b"?", b" ? ", b"", b"nan", b"inf",
+               b"-1e999", b"1_0", b"x", b"\xff", b"\xc3", b"wmc", b"bug",
+               b"1" * 131073]
 
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
                   st.sampled_from([math.inf, -math.inf, math.nan, 2.5,

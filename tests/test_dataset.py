@@ -1,17 +1,21 @@
 """Tests for CSV ingestion, label rules, merging and round-trips."""
 
 import os
+import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frugal import dataset
 from frugal.dataset import (Dataset, LabelRule, binarize, load_csv, merge,
                             save_csv)
 from frugal.errors import DatasetError
 
 from conftest import make_dataset
+from oracles import load_csv_oracle
 
 
 # ---------------------------------------------------------------- load_csv
@@ -116,6 +120,19 @@ def test_load_csv_duplicate_attribute_columns(tmp_path):
         load_csv(path, label_column="bug")
 
 
+@pytest.mark.parametrize("text, effort, column", [
+    ("a,bug,bug\n1,0,0\n", None, "bug"),
+    ("bug,a,bug\n0,1,0\n", None, "bug"),
+    ("a,loc,bug,loc\n1,5,0,5\n", "loc", "loc"),
+], ids=["label", "label first", "effort"])
+def test_load_csv_rejects_a_repeated_label_or_effort_column(tmp_path, text,
+                                                            effort, column):
+    path = tmp_path / "rep.csv"
+    path.write_text(text)
+    with pytest.raises(DatasetError, match=rf"2 columns are named '{column}'"):
+        load_csv(path, label_column="bug", effort_column=effort)
+
+
 @pytest.mark.parametrize("cell", ["0", "-3", "?"])
 def test_load_csv_rejects_nonpositive_or_missing_effort(tmp_path, cell):
     path = tmp_path / "eff.csv"
@@ -147,6 +164,145 @@ def test_load_csv_nan_cell_stays_missing(tmp_path):
     ds = load_csv(path, label_column="bug")
     assert np.isnan(ds.values[0, 0]) and np.isnan(ds.values[1, 1])
     assert ds.values[0, 1] == 2.0 and ds.values[1, 0] == 3.0
+
+
+def _load_both(path, effort_column):
+    """What load_csv and the cell-by-cell oracle give: a Dataset or the
+    message of the DatasetError raised."""
+    out = []
+    for load in (load_csv, load_csv_oracle):
+        try:
+            out.append(load(path, label_column="bug",
+                            effort_column=effort_column))
+        except DatasetError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _assert_same_load(new, old):
+    if isinstance(old, str):
+        assert new == old
+        return
+    assert not isinstance(new, str), new
+    assert new.attributes == old.attributes
+    assert new.values.tobytes() == old.values.tobytes()
+    assert new.values.shape == old.values.shape
+    assert new.labels.tobytes() == old.labels.tobytes()
+    assert (new.effort is None) == (old.effort is None)
+    if old.effort is not None:
+        assert new.effort.tobytes() == old.effort.tobytes()
+    assert new.metadata == old.metadata
+
+
+_EFFORTS = [b"7", b"2.5e-3", b"1E5", b" 3 ", b"1_0", b"+.5", b'" 4 "']
+_NUMBERS = _EFFORTS + [b"-1", b"0", b"nan", b"NaN", b"-nan"]
+_MISSING_CELLS = [b"?", b" ? ", b"", b"  ", b"\t"]
+_INFINITE = [b"inf", b"-Infinity", b"1e999"]
+_BAD_CELLS = [b"x", b"1.2.3", b"1__0", b'"1,5"', b'"a,b"', b"\xff"]
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV bytes with a label column ``bug`` and maybe an effort column
+    ``loc``, attribute and (maybe repeated) metadata columns in any order,
+    and blank lines.  A third of the files are clean and load.  In the
+    others any cell may be infinite and any effort not positive; in half
+    of those, any cell may also be no number and any row ragged."""
+    effort = draw(st.sampled_from([None, "loc"]))
+    attrs = draw(st.lists(st.sampled_from(["wmc", "cbo", "rfc"]), unique=True,
+                          max_size=3))
+    meta = draw(st.lists(st.sampled_from(["name", "version"]), max_size=3))
+    header = draw(st.permutations(attrs + meta + ["bug"]
+                                  + ([effort] if effort else [])))
+    mode = draw(st.sampled_from(["clean", "values", "any"]))
+
+    def cell(column):
+        pool = _EFFORTS if column == effort else _NUMBERS + _MISSING_CELLS
+        if mode != "clean":
+            pool = (3 * pool + _NUMBERS + _MISSING_CELLS + _INFINITE
+                    + _BAD_CELLS * (mode == "any"))
+        return st.sampled_from(pool)
+
+    row = st.tuples(*map(cell, header)).map(b",".join)
+    blank = st.sampled_from([b"", b"   ", b",,", b", ,"])
+    ragged = st.lists(st.sampled_from(_NUMBERS), max_size=len(header) + 1)
+    lines = st.one_of(row, row, row, blank,
+                      *[ragged.map(b",".join)] * (mode == "any"))
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    body = [",".join(header).encode()] + draw(st.lists(
+        lines, min_size=draw(st.sampled_from([0, 6])), max_size=12))
+    return end.join(body) + end * draw(st.booleans()), effort
+
+
+@pytest.mark.parametrize("chunk_rows", [3, dataset._CHUNK_ROWS])
+@settings(max_examples=150, deadline=None)
+@given(_csv_files())
+def test_load_csv_matches_the_cell_by_cell_oracle(chunk_rows, drawn):
+    content, effort = drawn
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.csv")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        with mock.patch.object(dataset, "_CHUNK_ROWS", chunk_rows):
+            new, old = _load_both(path, effort)
+    _assert_same_load(new, old)
+
+
+# Lines 2-10 fill three 3-row chunks exactly, with blank lines 4, 6 and 7
+# in the first two; a bad line 11 starts the fourth chunk.
+_CHUNKED = "wmc,loc,bug\n1,5,0\n2,5,1\n\n3,5,0\n\n\n4,5,1\n5,5,0\n6,5,1\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("7,5,x\n", r"line 11, column 'bug': cell 'x' is neither"),
+    ("7,5\n", r"line 11 has 2 cells, header has 3"),
+    ("7,inf,0\n", r"line 11, column 'loc': cell value inf is not finite"),
+], ids=["bad cell", "ragged row", "infinite cell"])
+def test_load_csv_error_lines_across_chunks(tmp_path, monkeypatch, bad,
+                                           message):
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 3)
+    path = tmp_path / "chunks.csv"
+    path.write_text(_CHUNKED + bad + "8,5,0\n")
+    new, old = _load_both(path, "loc")
+    assert new == old
+    assert re.search(message, new)
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("wmc,loc,bug\n1,5,0\n2,?,1\n3,5,0\n", 3),
+    (_CHUNKED, 6),
+    ("wmc,loc,bug\n", 0),
+    ("wmc,loc,bug\n\n , \n,,\n", 0),
+], ids=["one whole chunk", "rows a multiple of the chunk", "no rows",
+        "only blank rows"])
+def test_load_csv_chunk_boundaries(tmp_path, monkeypatch, text, rows):
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 3)
+    path = tmp_path / "chunks.csv"
+    path.write_text(text)
+    new, old = _load_both(path, None)
+    assert not isinstance(new, str), new
+    assert len(new) == rows and new.values.shape == (rows, 2)
+    _assert_same_load(new, old)
+
+
+def _pipe(text: str) -> int:
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write(text)
+    return read_end
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_csv_from_a_pipe():
+    good, bad = _pipe("wmc,bug\n1,0\n2,1\n"), _pipe("wmc,bug\n1,0\nx,1\n")
+    try:
+        assert len(load_csv(f"/dev/fd/{good}", label_column="bug")) == 2
+        with pytest.raises(DatasetError, match=r"^/dev/fd/\d+: malformed "
+                           r"rows in a stream that cannot be re-read"):
+            load_csv(f"/dev/fd/{bad}", label_column="bug")
+    finally:
+        os.close(good)
+        os.close(bad)
 
 
 def test_load_csv_custom_exclude(tmp_path):

@@ -46,6 +46,15 @@ def test_config_rejects_unknown_names():
         RigConfig(mode="bootstrap")
 
 
+def test_config_rejects_repeated_names():
+    with pytest.raises(ConfigError, match=r"learners lists \['nb'\]"):
+        RigConfig(learners=("fft", "nb", "nb"))
+    with pytest.raises(ConfigError, match=r"scores lists \['d2h'\]"):
+        RigConfig(scores=("d2h", "popt", "d2h"))
+    with pytest.raises(ConfigError, match=r"attribute_sets lists \['full'\]"):
+        RigConfig(attribute_sets=("full", "full"))
+
+
 def test_config_rejects_top25_under_cross_validation():
     with pytest.raises(ConfigError, match="top25.*cannot run under cross"):
         RigConfig(mode="cv", attribute_sets=("full", "top25"))

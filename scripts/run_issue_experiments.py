@@ -11,24 +11,19 @@ Thresholds whose minority class is thinner than one row per bin are
 skipped — a 10-bin split cannot keep both classes in every training fold.
 
 With --csv the table comes from disk (raw days in --label); otherwise a
-seeded synthetic table stands in.  --multiclass adds a one-vs-rest demo
-that buckets the same issues into four lifetime bands.
+seeded synthetic table stands in.
 """
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from frugal import rig, synth
 from frugal.cli import parse_rule
 from frugal.dataset import binarize, load_csv
-from frugal.fft import grow_multi, predict_multi, render
-from frugal.metrics import score_function
 
 THRESHOLDS = (">365", "<180", "<90", "<30", "<14", "<7", "<1")
-LIFETIME_BANDS = (7.0, 30.0, 90.0)     # multi-class edges, in days
 
 
 def _slug(rule_text: str) -> str:
@@ -66,29 +61,6 @@ def run_threshold(raw, rule_text, args):
     return medians
 
 
-def multiclass_demo(raw, args):
-    """Bucket lifetimes into bands and train one tree per band."""
-    classes = np.digitize(raw.labels, LIFETIME_BANDS).astype(float)
-    banded = replace(raw, labels=classes)
-    order = np.random.default_rng(args.seed).permutation(len(banded))
-    cut = (2 * len(banded)) // 3
-    train = banded.subset(order[:cut])
-    test = banded.subset(order[cut:])
-
-    model = grow_multi(train, depth=args.depth, fn=score_function("d2h"))
-    hits = sum(1 for i in range(len(test))
-               if predict_multi(model, test.row(i)) == test.labels[i])
-    print(f"\nlifetime bands (edges {LIFETIME_BANDS}): "
-          f"{hits}/{len(test)} test rows in the right band")
-    names = ["<= 7d", "8-30d", "31-90d", "> 90d"]
-    for cls, tree in zip(model.classes, model.trees):
-        share = int((train.labels == cls).sum())
-        print(f"\nband {names[int(cls)]} ({share} training rows), "
-              f"policy {tree.policy_string}:")
-        for line in render(tree).splitlines():
-            print(f"  {line}")
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--csv", default=None,
@@ -103,8 +75,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--rows", type=int, default=400,
                     help="synthetic table size when no --csv is given")
-    ap.add_argument("--multiclass", action="store_true",
-                    help="also train the one-vs-rest lifetime-band demo")
     args = ap.parse_args(argv)
 
     if args.csv:
@@ -117,9 +87,6 @@ def main(argv=None) -> int:
     for rule_text in THRESHOLDS:
         run_threshold(raw, rule_text, args)
     print(f"reports under {args.out_dir}/")
-
-    if args.multiclass:
-        multiclass_demo(raw, args)
     return 0
 
 

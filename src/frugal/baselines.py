@@ -1,11 +1,10 @@
 """In-repo comparison learners: Gaussian Naive Bayes and a simple logistic
 regression, sharing the train/predict surface of the tree code.
 
-Each learner has one array scorer over a (rows x attributes) block; the
-``*_score_dataset`` functions call it on a dataset and the row functions
-(``nb_posterior``, ``lr_probability`` and their ``*_predict`` forms) call
-it on a single row.  Missing cells add nothing to a naive-bayes log joint
-and standardize to the attribute mean for logistic regression.
+Each learner has one array scorer over a (rows x attributes) block, which
+its ``*_score_dataset`` function calls on a dataset.  Missing cells add
+nothing to a naive-bayes log joint and standardize to the attribute mean
+for logistic regression.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ class NBModel:
     means: np.ndarray         # shape (2, n_attrs)
     variances: np.ndarray     # shape (2, n_attrs), floored
 
-    @property
-    def classes(self) -> tuple[bool, bool]:
-        return (False, True)
-
 
 def nb_train(train: Dataset) -> NBModel:
     """Fit Gaussian likelihoods per class and attribute.
@@ -73,15 +68,16 @@ def nb_train(train: Dataset) -> NBModel:
                    means=means, variances=variances)
 
 
-def _nb_scores(model: NBModel, values: np.ndarray) -> np.ndarray:
-    """P(positive) for each row of a (rows x attributes) block.  A row's log
-    joint adds its observed attributes' terms to the log prior one column
-    at a time, so it scores the same alone or in any batch.
-    ``np.float_power`` squares with the C library's ``pow``, like scalar
-    ``**``; array ``**`` multiplies, which can round differently."""
+def nb_score_dataset(model: NBModel, data: Dataset) -> np.ndarray:
+    """P(positive) for each row.  A row's log joint adds its observed
+    attributes' terms to the log prior one column at a time, so it scores
+    the same alone or in any batch.  ``np.float_power`` squares with the C
+    library's ``pow``, like scalar ``**``; array ``**`` multiplies, which
+    can round differently."""
+    _check_schema(model.attributes, data)
     log_vars = [[math.log(v) for v in row] for row in model.variances.tolist()]
-    joint = np.tile(model.log_priors, (len(values), 1))
-    for j, col in enumerate(values.T):
+    joint = np.tile(model.log_priors, (len(data), 1))
+    for j, col in enumerate(data.values.T):
         missing = np.isnan(col)
         for k in range(2):
             mu = model.means[k, j]
@@ -96,20 +92,6 @@ def _nb_scores(model: NBModel, values: np.ndarray) -> np.ndarray:
     weights = np.exp(joint[both] - joint[both].max(axis=1, keepdims=True))
     scores[both] = weights[:, 1] / (weights[:, 0] + weights[:, 1])
     return scores
-
-
-def nb_posterior(model: NBModel, row) -> float:
-    """P(positive | row), with missing attributes skipped."""
-    return float(_nb_scores(model, _row_values(model.attributes, row))[0])
-
-
-def nb_predict(model: NBModel, row) -> bool:
-    return nb_posterior(model, row) >= 0.5
-
-
-def nb_score_dataset(model: NBModel, data: Dataset) -> np.ndarray:
-    _check_schema(model.attributes, data)
-    return _nb_scores(model, data.values)
 
 
 def nb_predict_dataset(model: NBModel, data: Dataset) -> np.ndarray:
@@ -178,35 +160,16 @@ def lr_train(train: Dataset) -> LogisticModel:
                          bias=bias, feature_means=means, feature_stds=stds)
 
 
-def _lr_scores(model: LogisticModel, values: np.ndarray) -> np.ndarray:
-    """P(positive) for each row of a (rows x attributes) block."""
-    X = (values - model.feature_means) / model.feature_stds
+def lr_score_dataset(model: LogisticModel, data: Dataset) -> np.ndarray:
+    """P(positive) for each row; missing cells standardize to 0."""
+    _check_schema(model.attributes, data)
+    X = (data.values - model.feature_means) / model.feature_stds
     X = np.where(np.isnan(X), 0.0, X)
     return _sigmoid(X @ model.weights + model.bias)
 
 
-def lr_probability(model: LogisticModel, row) -> float:
-    return float(_lr_scores(model, _row_values(model.attributes, row))[0])
-
-
-def lr_predict(model: LogisticModel, row) -> bool:
-    return lr_probability(model, row) >= 0.5
-
-
-def lr_score_dataset(model: LogisticModel, data: Dataset) -> np.ndarray:
-    _check_schema(model.attributes, data)
-    return _lr_scores(model, data.values)
-
-
 def lr_predict_dataset(model: LogisticModel, data: Dataset) -> np.ndarray:
     return lr_score_dataset(model, data) >= 0.5
-
-
-def _row_values(attributes, row) -> np.ndarray:
-    """One row as a (1 x attributes) block; absent and None cells are NaN."""
-    if hasattr(row, "get"):
-        row = [row.get(a) for a in attributes]
-    return np.array(row, dtype=float, ndmin=2)
 
 
 def _check_schema(attributes, data: Dataset):

@@ -68,12 +68,6 @@ class LabelRule:
         return cls(kind="days-threshold", threshold_days=threshold,
                    direction=direction)
 
-    def describe(self) -> str:
-        if self.kind == "bug-count-positive":
-            return ">0"
-        op = "<" if self.direction == "less-than" else ">"
-        return f"{op}{self.threshold_days:g}"
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -140,10 +134,6 @@ class Dataset:
         except ValueError:
             raise DatasetError(f"{self.name}: no attribute {attribute!r}")
         return self.values[:, j]
-
-    def row(self, i: int) -> dict:
-        """Row as an attribute -> value mapping (NaN kept as-is)."""
-        return dict(zip(self.attributes, self.values[i]))
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
@@ -378,13 +368,20 @@ def save_csv(ds: Dataset, path, label_column: str = "bug",
 
 
 def binarize(ds: Dataset, rule: LabelRule) -> Dataset:
-    """Apply a label rule, turning raw numeric labels into booleans."""
+    """Apply a label rule, turning raw numeric labels into booleans.
+
+    A missing label is rejected naming its data row: data rows count from
+    1 after the header and skip blank lines, so data row N is row index
+    N - 1 of the dataset, not line N of the file.
+    """
     if ds.binary:
         raise DatasetError(f"{ds.name}: labels are already binary")
     raw = ds.labels
     if np.isnan(raw).any():
         bad = int(np.flatnonzero(np.isnan(raw))[0])
-        raise DatasetError(f"{ds.name}: row {bad + 1} has a missing label")
+        raise DatasetError(
+            f"{ds.name}: data row {bad + 1} has a missing label (data rows "
+            "count from 1 after the header and skip blank lines)")
     if rule.kind == "bug-count-positive":
         flags = raw > 0
     elif rule.direction == "less-than":

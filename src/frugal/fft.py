@@ -58,11 +58,9 @@ class Range:
     def display(self) -> str:
         return f"{self.attribute} {self.op} {_fmt(self.cut)}"
 
-    def matches(self, value) -> bool:
-        """None and NaN (missing) never match."""
-        return bool(self.matches_array(np.array([value], dtype=float))[0])
-
     def matches_array(self, values: np.ndarray) -> np.ndarray:
+        """Mask of the values the range matches; NaN (missing) never
+        matches."""
         if self.op == "<=":
             return values <= self.cut
         return values > self.cut
@@ -366,42 +364,21 @@ def _check_trainable(train: Dataset, fn: ScoreFunction):
             f"{train.name}: popt training needs an effort column")
 
 
-def _route(tree: FFTree, column, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(exit index, predicted class) of each of ``n`` rows, where
-    ``column(attribute)`` gives that attribute's values for the rows."""
+def route_dataset(tree: FFTree, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(exit index, predicted class) per row: each row exits at the first
+    node whose range it matches, else at the final leaf, whose exit index
+    is len(nodes).  Missing values match no range."""
+    n = len(data)
     exit_idx = np.full(n, len(tree.nodes), dtype=int)
     classes = np.full(n, tree.leaf_class, dtype=bool)
     undecided = np.ones(n, dtype=bool)
     for i, node in enumerate(tree.nodes):
-        hit = undecided & node.range.matches_array(column(node.range.attribute))
+        hit = undecided & node.range.matches_array(
+            data.column(node.range.attribute))
         exit_idx[hit] = i
         classes[hit] = node.exit_class
         undecided &= ~hit
     return exit_idx, classes
-
-
-def route(tree: FFTree, row) -> tuple[int, bool, int]:
-    """(exit index, class, training support) of the node a row exits at.
-
-    ``row`` maps attribute names to values; missing attributes and NaN fall
-    through.  The final leaf has exit index len(nodes).
-    """
-    get = row.get if hasattr(row, "get") else row.__getitem__
-    exit_idx, classes = _route(
-        tree, lambda attr: np.array([get(attr)], dtype=float), 1)
-    i = int(exit_idx[0])
-    support = tree.nodes[i].support if i < len(tree.nodes) else tree.leaf_support
-    return i, bool(classes[0]), support
-
-
-def predict(tree: FFTree, row) -> bool:
-    """Class of the first matching node, else the final leaf class."""
-    return route(tree, row)[1]
-
-
-def route_dataset(tree: FFTree, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized routing: (exit index, predicted class) per row."""
-    return _route(tree, data.column, len(data))
 
 
 def predict_dataset(tree: FFTree, data: Dataset) -> np.ndarray:
@@ -423,44 +400,6 @@ def rank_for_popt(tree: FFTree, data: Dataset) -> np.ndarray:
     within = np.where(classes, exit_idx, -exit_idx)
     idx = np.arange(len(data))
     return np.lexsort((idx, data.effort, within, bucket))
-
-
-# --- multi-class wrapper -------------------------------------------------
-
-@dataclass(frozen=True)
-class MultiClassFFT:
-    """One-vs-rest tree per class; class order is the tie-break order."""
-
-    classes: tuple
-    trees: tuple[FFTree, ...]
-
-
-def grow_multi(train: Dataset, depth: int = 4,
-               fn: ScoreFunction = DIS2HEAVEN, classes=None) -> MultiClassFFT:
-    """Train one tree per class value over the same rows."""
-    if train.binary:
-        raise TrainingError("grow_multi expects raw (multi-valued) labels")
-    if classes is None:
-        classes = [float(c) for c in np.unique(train.labels)]
-    trees = []
-    for cls in classes:
-        view = replace(train, labels=(train.labels == cls))
-        trees.append(grow(view, depth, fn)[0])
-    return MultiClassFFT(classes=tuple(classes), trees=tuple(trees))
-
-
-def predict_multi(model: MultiClassFFT, row):
-    """Class whose positively firing tree exited with the most training
-    support; if no tree fires positive, the largest triggering support
-    overall.  Ties keep the earliest class in ``model.classes``."""
-    if not model.trees:
-        raise TrainingError("empty multi-class model")
-    routed = [route(tree, row) for tree in model.trees]
-    positive = [(cls, support) for cls, (_, fired, support)
-                in zip(model.classes, routed) if fired]
-    pool = positive or [(cls, support) for cls, (_, _, support)
-                        in zip(model.classes, routed)]
-    return max(pool, key=lambda pair: pair[1])[0]   # first of equals wins
 
 
 # --- text and JSON forms --------------------------------------------------
@@ -511,11 +450,11 @@ def parse(text: str) -> FFTree:
                     f"model text line {no}: expected "
                     f"{'if' if no == 1 else 'else if'}")
             try:
-                cut_value = float(cut)
-            except ValueError:
-                raise DatasetError(f"model text line {no}: bad number {cut!r}")
-            nodes.append(Node(range=Range(attr, op, cut_value),
-                              exit_class=cls == "true", support=0))
+                rng = Range(attr, op, float(cut))
+            except ValueError as exc:
+                raise DatasetError(
+                    f"model text line {no}: bad number {cut!r} ({exc})")
+            nodes.append(Node(range=rng, exit_class=cls == "true", support=0))
             continue
         m = _LEAF_RE.match(line)
         if m:

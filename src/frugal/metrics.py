@@ -31,10 +31,6 @@ class Confusion:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
     @classmethod
     def from_predictions(cls, predicted, actual) -> "Confusion":
         predicted = np.asarray(predicted, dtype=bool)

@@ -38,12 +38,6 @@ class ChangeStats:
     total: int
     changes: tuple[AttributeChange, ...]
 
-    def percent(self, attribute: str) -> float:
-        for c in self.changes:
-            if c.attribute == attribute:
-                return c.percent
-        raise DatasetError(f"no attribute {attribute!r} in change stats")
-
 
 def _clean(col: np.ndarray) -> np.ndarray:
     return col[~np.isnan(col)]

@@ -22,6 +22,12 @@ def make_dataset(attributes, rows, labels, effort=None, name="toy",
                    metadata={})
 
 
+def one_row(attributes, row):
+    """An attribute->value dict (None missing) as a one-row dataset."""
+    return make_dataset(attributes, [[row[a] for a in attributes]],
+                        labels=[False])
+
+
 def dataset_rows(ds):
     """Dataset -> oracle form: list of attribute->value dicts, None missing."""
     out = []

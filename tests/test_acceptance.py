@@ -18,14 +18,14 @@ import pytest
 
 from frugal import rig, synth
 from frugal.baselines import (_standardize, logistic_gradient, logistic_loss,
-                              nb_posterior, nb_train)
+                              nb_score_dataset, nb_train)
 from frugal.dataset import LabelRule, binarize, load_csv
 from frugal.fft import grow, parse, render
 from frugal.metrics import (Confusion, a12, dis2heaven, mann_whitney, popt,
                             score_function)
 
 import oracles
-from conftest import dataset_rows
+from conftest import dataset_rows, one_row
 
 D2H = score_function("d2h")
 POPT = score_function("popt")
@@ -280,7 +280,8 @@ def test_8_baseline_numerics(five_rows_lr, eight_rows):
         held_out = {"x": 2.5, "y": 33.0, "z": None}
         for row in train_rows + [held_out]:
             want = oracles.nb_posterior_oracle(train_rows, train_labels, row)
-            assert abs(nb_posterior(model, row) - want) <= 1e-9
+            got = nb_score_dataset(model, one_row(eight_rows.attributes, row))
+            assert abs(got[0] - want) <= 1e-9
 
 
 def test_9_rank_statistics_match_exhaustive_pairwise():

@@ -6,18 +6,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from frugal.baselines import (logistic_gradient, logistic_loss, lr_predict,
-                              lr_predict_dataset, lr_probability,
-                              lr_score_dataset, lr_train, nb_posterior,
-                              nb_predict, nb_predict_dataset,
-                              nb_score_dataset, nb_train, _sigmoid,
-                              _standardize)
+from frugal.baselines import (logistic_gradient, logistic_loss,
+                              lr_predict_dataset, lr_score_dataset, lr_train,
+                              nb_predict_dataset, nb_score_dataset, nb_train,
+                              _sigmoid, _standardize)
 from frugal import synth
 from frugal.dataset import LabelRule, binarize
 from frugal.errors import TrainingError
 
 import oracles
-from conftest import dataset_rows, make_dataset
+from conftest import dataset_rows, make_dataset, one_row
 
 
 # ------------------------------------------------------------- naive bayes
@@ -26,12 +24,11 @@ def test_nb_posteriors_match_hand_computed_densities(eight_rows):
     model = nb_train(eight_rows)
     rows = dataset_rows(eight_rows)
     labels = eight_rows.labels.tolist()
-    for row in rows:
-        want = oracles.nb_posterior_oracle(rows, labels, row)
-        assert nb_posterior(model, row) == pytest.approx(want, abs=1e-9)
     held_out = {"x": 2.5, "y": 33.0, "z": None}
-    assert nb_posterior(model, held_out) == pytest.approx(
-        oracles.nb_posterior_oracle(rows, labels, held_out), abs=1e-9)
+    for row in rows + [held_out]:
+        want = oracles.nb_posterior_oracle(rows, labels, row)
+        got = nb_score_dataset(model, one_row(eight_rows.attributes, row))[0]
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_nb_separated_clusters_are_classified(six_rows):
@@ -43,10 +40,11 @@ def test_nb_separated_clusters_are_classified(six_rows):
 def test_nb_single_class_training():
     pos = make_dataset(("a",), [[1], [2], [3]], labels=[True, True, True])
     model = nb_train(pos)
-    assert nb_posterior(model, {"a": 2.0}) == 1.0
-    assert nb_predict(model, {"a": 99.0})
+    assert nb_score_dataset(model, one_row(("a",), {"a": 2.0}))[0] == 1.0
+    assert nb_predict_dataset(model, one_row(("a",), {"a": 99.0}))[0]
     neg = make_dataset(("a",), [[1], [2], [3]], labels=[False, False, False])
-    assert nb_posterior(nb_train(neg), {"a": 2.0}) == 0.0
+    assert nb_score_dataset(nb_train(neg), one_row(("a",), {"a": 2.0}))[0] \
+        == 0.0
 
 
 def test_nb_constant_column_survives_variance_floor():
@@ -54,8 +52,8 @@ def test_nb_constant_column_survives_variance_floor():
                       labels=[True, True, False, False])
     model = nb_train(ds)
     assert model.variances.min() >= 1e-6
-    assert nb_predict(model, {"c": 7.0, "x": 1.5})
-    assert not nb_predict(model, {"c": 7.0, "x": 8.5})
+    probe = make_dataset(("c", "x"), [[7, 1.5], [7, 8.5]], labels=[True, False])
+    assert nb_predict_dataset(model, probe).tolist() == [True, False]
 
 
 def test_nb_ignores_missing_cells_per_class(eight_rows):
@@ -70,9 +68,9 @@ def test_nb_posterior_invariant_to_row_order(eight_rows):
     model = nb_train(eight_rows)
     shuffled = nb_train(eight_rows.subset([5, 2, 7, 0, 3, 6, 1, 4]))
     for i in range(len(eight_rows)):
-        row = eight_rows.row(i)
-        assert nb_posterior(shuffled, row) == pytest.approx(
-            nb_posterior(model, row), abs=1e-12)
+        row = eight_rows.subset([i])
+        assert nb_score_dataset(shuffled, row)[0] == pytest.approx(
+            nb_score_dataset(model, row)[0], abs=1e-12)
 
 
 def test_nb_validation(toy_csv):
@@ -104,7 +102,7 @@ def test_nb_dataset_scoring_matches_row_scoring(eight_rows):
         model = nb_train(train)
         scores = nb_score_dataset(model, test)
         for i in range(len(test)):
-            assert scores[i] == nb_posterior(model, test.row(i))
+            assert scores[i] == nb_score_dataset(model, test.subset([i]))[0]
         assert nb_predict_dataset(model, test).tolist() \
             == [s >= 0.5 for s in scores]
     assert np.isnan(test.values).any()
@@ -140,9 +138,10 @@ def test_lr_uninformative_features_fall_back_to_base_rate():
     ds = make_dataset(("a",), [[3], [3], [3]], labels=[True, True, False])
     model = lr_train(ds)
     assert model.weights.tolist() == [0.0]      # zero column after scaling
-    p = lr_probability(model, {"a": 3.0})
-    assert p == pytest.approx(2.0 / 3.0, abs=1e-3)
-    assert lr_predict(model, {"a": 3.0})
+    probe = one_row(("a",), {"a": 3.0})
+    assert lr_score_dataset(model, probe)[0] == pytest.approx(2.0 / 3.0,
+                                                              abs=1e-3)
+    assert lr_predict_dataset(model, probe)[0]
 
 
 def test_lr_invariant_to_power_of_two_feature_scaling(five_rows_lr):
@@ -152,16 +151,14 @@ def test_lr_invariant_to_power_of_two_feature_scaling(five_rows_lr):
         labels=five_rows_lr.labels.tolist())
     scaled = lr_train(scaled_ds)
     for i in range(len(five_rows_lr)):
-        row = five_rows_lr.row(i)
-        scaled_row = {k: v * 4.0 for k, v in row.items()}
-        assert lr_probability(scaled, scaled_row) \
-            == lr_probability(base, row)
+        assert lr_score_dataset(scaled, scaled_ds.subset([i]))[0] \
+            == lr_score_dataset(base, five_rows_lr.subset([i]))[0]
 
 
 def test_lr_missing_cells_standardize_to_zero(five_rows_lr):
     model = lr_train(five_rows_lr)
     # a fully missing row sits at the feature means: probability sigmoid(bias)
-    p = lr_probability(model, {"u": None, "v": None})
+    p = lr_score_dataset(model, one_row(("u", "v"), {"u": None, "v": None}))[0]
     assert p == pytest.approx(1.0 / (1.0 + np.exp(-model.bias)), abs=1e-12)
 
 
@@ -214,4 +211,4 @@ def test_lr_dataset_scoring_matches_row_scoring(five_rows_lr):
     scores = lr_score_dataset(model, five_rows_lr)
     for i in range(len(five_rows_lr)):
         assert scores[i] == pytest.approx(
-            lr_probability(model, five_rows_lr.row(i)), abs=1e-12)
+            lr_score_dataset(model, five_rows_lr.subset([i]))[0], abs=1e-12)

@@ -136,6 +136,17 @@ def test_fit_unreadable_csv_is_a_data_error(tmp_path, capsys, content):
     assert len(err.splitlines()) == 1
 
 
+def test_fit_missing_label_names_its_data_row(tmp_path, capsys):
+    # the "?" sits on file line 4: data rows skip the header and the blank
+    path = tmp_path / "misslabel.csv"
+    path.write_text("wmc,bug\n1,0\n\n2,?\n3,1\n")
+    assert main(["fit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: misslabel: data row 2 has a missing label (data "
+                   "rows count from 1 after the header and skip blank "
+                   "lines)\n")
+
+
 def test_fit_missing_file(capsys):
     assert main(["fit", "/nonexistent/nope.csv"]) == 2
 

@@ -315,12 +315,6 @@ def test_load_csv_custom_exclude(tmp_path):
 
 # --------------------------------------------------------------- LabelRule
 
-def test_label_rule_describe_forms():
-    assert LabelRule.bug_counts().describe() == ">0"
-    assert LabelRule.days("less-than", 30).describe() == "<30"
-    assert LabelRule.days("greater-than", 365).describe() == ">365"
-
-
 def test_label_rule_validation():
     with pytest.raises(DatasetError, match="unknown label rule kind"):
         LabelRule(kind="quantile")
@@ -355,7 +349,7 @@ def test_binarize_twice_is_rejected(toy_csv):
 
 def test_binarize_rejects_missing_label():
     raw = make_dataset(("a",), [[1], [2]], labels=[1.0, np.nan], binary=False)
-    with pytest.raises(DatasetError, match="row 2 has a missing label"):
+    with pytest.raises(DatasetError, match="data row 2 has a missing label"):
         binarize(raw, LabelRule.bug_counts())
 
 
@@ -388,7 +382,6 @@ def test_dataset_column_row_subset(six_rows):
     assert six_rows.column("a").tolist() == [1, 2, 3, 4, 5, 6]
     with pytest.raises(DatasetError, match="no attribute 'zzz'"):
         six_rows.column("zzz")
-    assert six_rows.row(1) == {"a": 2.0, "b": 1.0}
     sub = six_rows.subset([5, 0])
     assert sub.column("a").tolist() == [6.0, 1.0]
     assert sub.labels.tolist() == [False, True]

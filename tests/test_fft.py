@@ -10,31 +10,24 @@ from frugal import fft, metrics, synth
 from frugal.dataset import Dataset, LabelRule, binarize
 from frugal.errors import DatasetError, TrainingError, UnsupportedScoreError
 from frugal.fft import (ExitPolicy, FFTree, Node, Range, all_policies,
-                        build_tree, discretize, grow, grow_multi, parse,
-                        predict, predict_dataset, predict_multi,
-                        rank_for_popt, render, route, route_dataset,
-                        score_range, tree_from_dict, tree_score, tree_to_dict)
+                        build_tree, discretize, grow, parse, predict_dataset,
+                        rank_for_popt, render, route_dataset, score_range,
+                        tree_from_dict, tree_score, tree_to_dict)
 from frugal.metrics import DIS2HEAVEN, POPT
 
 import oracles
-from conftest import dataset_rows, make_dataset
+from conftest import dataset_rows, make_dataset, one_row
 
 
 # ------------------------------------------------------------------- Range
 
 def test_range_matching_boundaries():
-    le = Range("a", "<=", 3.5)
-    assert le.matches(3.5)
-    assert not le.matches(3.5000001)
-    gt = Range("a", ">", 3.5)
-    assert not gt.matches(3.5)
-    assert gt.matches(3.5000001)
+    edge = np.array([3.5, 3.5000001])
+    assert Range("a", "<=", 3.5).matches_array(edge).tolist() == [True, False]
+    assert Range("a", ">", 3.5).matches_array(edge).tolist() == [False, True]
 
 
 def test_range_never_matches_missing():
-    for rng in (Range("a", "<=", 3.5), Range("a", ">", 3.5)):
-        assert not rng.matches(None)
-        assert not rng.matches(float("nan"))
     arr = np.array([1.0, np.nan, 9.0])
     assert Range("a", "<=", 5.0).matches_array(arr).tolist() == [True, False,
                                                                  False]
@@ -397,24 +390,33 @@ def test_grow_validates_input(six_rows):
 
 # --------------------------------------------------------- routing/predict
 
+def _exit(tree, row):
+    """(exit index, class, training support) of a one-row dataset."""
+    exit_idx, classes = route_dataset(tree, row)
+    i = int(exit_idx[0])
+    support = tree.nodes[i].support if i < len(tree.nodes) else tree.leaf_support
+    return i, bool(classes[0]), support
+
+
 def test_route_first_match_wins_and_leaf_fallback(eight_rows):
     tree = build_tree(eight_rows, ExitPolicy((False, True, True, True)),
                       DIS2HEAVEN)
     # row 1 (x=2, y=40): y > 32.5 fires at level 0
-    assert route(tree, eight_rows.row(1)) == (0, False, 4)
+    assert _exit(tree, eight_rows.subset([1])) == (0, False, 4)
     # row 0 (x=1, y=10): falls to level 1, x <= 4
-    assert route(tree, eight_rows.row(0)) == (1, True, 2)
+    assert _exit(tree, eight_rows.subset([0])) == (1, True, 2)
     # a row nothing matches lands on the final leaf
-    assert route(tree, {"x": 99.0, "y": 0.0, "z": 0.0}) == (4, False, 0)
+    nowhere = one_row(eight_rows.attributes, {"x": 99.0, "y": 0.0, "z": 0.0})
+    assert _exit(tree, nowhere) == (4, False, 0)
 
 
 def test_route_treats_missing_as_no_match(eight_rows):
     tree = build_tree(eight_rows, ExitPolicy((False, True, True, True)),
                       DIS2HEAVEN)
-    all_missing = {"x": None, "y": float("nan"), "z": None}
-    idx, cls, support = route(tree, all_missing)
-    assert (idx, cls) == (len(tree.nodes), tree.leaf_class)
-    assert predict(tree, all_missing) is tree.leaf_class
+    all_missing = one_row(eight_rows.attributes,
+                          {"x": None, "y": float("nan"), "z": None})
+    assert _exit(tree, all_missing)[:2] == (len(tree.nodes), tree.leaf_class)
+    assert predict_dataset(tree, all_missing).tolist() == [tree.leaf_class]
 
 
 @pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
@@ -430,8 +432,8 @@ def test_routing_matches_oracle_row_by_row(eight_rows, fn):
         for i, row in enumerate(rows):
             want_idx, want_cls = oracles.route_oracle(oracle_tree, row)
             assert (exit_idx[i], classes[i]) == (want_idx, want_cls)
-            assert route(tree, row)[:2] == (want_idx, want_cls)
-            assert predict(tree, row) == want_cls
+            assert _exit(tree, eight_rows.subset([i]))[:2] \
+                == (want_idx, want_cls)
         assert predict_dataset(tree, eight_rows).tolist() == classes.tolist()
 
 
@@ -547,8 +549,26 @@ def test_parse_error_cases():
         parse("else true")
     with pytest.raises(DatasetError, match="bad number"):
         parse("if a <= 1.2.3 then true\nelse false")
+    with pytest.raises(DatasetError, match="line 1: bad number '1e999'.*finite"):
+        parse("if a <= 1e999 then true\nelse false")
     with pytest.raises(DatasetError, match="oppose"):
         parse("if a <= 1 then true\nelse true")
+
+
+@pytest.mark.parametrize("text, node, leaf_class", [
+    ("if a <= 1e999 then true\nelse false", {"cut": 1e999}, False),
+    ("if a <= 1 then true\nelse true", {}, True),
+    ("if a < 1 then true\nelse false", {"op": "<"}, False),
+], ids=["infinite cut", "agreeing leaf", "bad op"])
+def test_text_and_dict_loaders_reject_the_same_trees(text, node, leaf_class):
+    payload = {"depth": 1, "policy": "10",
+               "nodes": [{"attribute": "a", "op": "<=", "cut": 1.0,
+                          "class": True, "support": 0, **node}],
+               "final_leaf": {"class": leaf_class, "support": 0}}
+    with pytest.raises(DatasetError):
+        parse(text)
+    with pytest.raises(DatasetError):
+        tree_from_dict(payload)
 
 
 # ------------------------------------------------------------- dict round trip
@@ -609,59 +629,3 @@ def test_tree_from_dict_rejects_bad_final_leaf(eight_rows, leaf):
     tree = build_tree(eight_rows, ExitPolicy((True, True)), DIS2HEAVEN)
     with pytest.raises(DatasetError, match="bad model payload"):
         tree_from_dict(dict(tree_to_dict(tree), final_leaf=leaf))
-
-
-# ------------------------------------------------------------- multi-class
-
-def test_grow_multi_recovers_indicator_classes():
-    ds = make_dataset(
-        ("c0", "c1"),
-        [[1, 0], [1, 0], [0, 1], [0, 1], [0, 0], [0, 0]],
-        labels=[0, 0, 1, 1, 2, 2],
-        binary=False)
-    model = grow_multi(ds, depth=2)
-    assert model.classes == (0.0, 1.0, 2.0)
-    preds = [predict_multi(model, ds.row(i)) for i in range(len(ds))]
-    assert preds == ds.labels.tolist()
-
-
-def test_grow_multi_honors_explicit_class_order():
-    ds = make_dataset(("c0",), [[1], [1], [0], [0]],
-                      labels=[0, 0, 1, 1], binary=False)
-    model = grow_multi(ds, depth=1, classes=[1.0, 0.0])
-    assert model.classes == (1.0, 0.0)
-
-
-def test_grow_multi_rejects_binary_labels(six_rows):
-    with pytest.raises(TrainingError, match="raw"):
-        grow_multi(six_rows)
-
-
-def test_predict_multi_prefers_positive_firings():
-    from frugal.fft import MultiClassFFT
-    quiet = FFTree(policy=ExitPolicy((True,)),
-                   nodes=(Node(Range("x", "<=", 0.0), True, 2),),
-                   leaf_class=False, leaf_support=100)
-    eager = FFTree(policy=ExitPolicy((True,)),
-                   nodes=(Node(Range("x", ">", 0.0), True, 5),),
-                   leaf_class=False, leaf_support=3)
-    model = MultiClassFFT(classes=(0.0, 1.0), trees=(quiet, eager))
-    # only the second tree fires positively, despite lower leaf support
-    assert predict_multi(model, {"x": 4.0}) == 1.0
-
-
-def test_predict_multi_support_and_order_tie_breaks():
-    from frugal.fft import MultiClassFFT
-    miss = FFTree(policy=ExitPolicy((True,)),
-                  nodes=(Node(Range("x", "<=", 0.0), True, 1),),
-                  leaf_class=False, leaf_support=7)
-    miss_big = FFTree(policy=ExitPolicy((True,)),
-                      nodes=(Node(Range("x", "<=", 0.0), True, 1),),
-                      leaf_class=False, leaf_support=9)
-    model = MultiClassFFT(classes=(0.0, 1.0), trees=(miss, miss_big))
-    # nothing fires positive: fall back to the largest triggering support
-    assert predict_multi(model, {"x": 4.0}) == 1.0
-    tied = MultiClassFFT(classes=(3.0, 5.0), trees=(miss_big, miss_big))
-    assert predict_multi(tied, {"x": 4.0}) == 3.0   # earliest class wins ties
-    with pytest.raises(TrainingError, match="empty"):
-        predict_multi(MultiClassFFT(classes=(), trees=()), {"x": 1.0})

@@ -22,7 +22,6 @@ def test_confusion_counts_by_hand():
     c = Confusion.from_predictions(predicted=[True, True, False, False],
                                    actual=[True, False, False, True])
     assert (c.tp, c.fp, c.tn, c.fn) == (1, 1, 1, 1)
-    assert c.total == 4
 
 
 @settings(max_examples=80)

@@ -70,7 +70,7 @@ def print_head_to_head(results, learners, projects):
     values = {(r.project, r.learner, r.score): r.value
               for r in results if r.attribute_set == "full"}
     for fn in (score_function("d2h"), score_function("popt")):
-        arrow = "lower" if fn.kind == "dis2heaven" else "higher"
+        arrow = "higher" if fn.higher_is_better else "lower"
         print(f"\n{fn.kind} ({arrow} is better), full attributes:")
         for other in learners:
             if other == "fft":

@@ -160,9 +160,19 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _names(value) -> tuple[str, ...]:
+    # tuple() alone would split a JSON string into its characters
+    if not (isinstance(value, list) and all(isinstance(v, str)
+                                            for v in value)):
+        raise TypeError("expected a JSON list of strings")
+    return tuple(value)
+
+
 # Every RigConfig field may be set; the type of its default converts the
-# value.  The other keys say how to load the projects' CSVs.
-_CONFIG_TYPES = {f.name: type(f.default)
+# value, and a tuple field takes a list of names.  The other keys say how
+# to load the projects' CSVs.
+_CONFIG_TYPES = {f.name: _names if isinstance(f.default, tuple)
+                 else type(f.default)
                  for f in dataclasses.fields(rig.RigConfig)}
 _CONFIG_KEYS = {*_CONFIG_TYPES, "projects", "label", "effort", "positive_if",
                 "exclude"}
@@ -196,7 +206,7 @@ def load_rig_config(path) -> tuple[rig.RigConfig, dict]:
                               for key, kind in _CONFIG_TYPES.items()
                               if key in raw})
     rule = parse_rule(value("positive_if", str, ">0"))
-    exclude = value("exclude", tuple, DEFAULT_EXCLUDE)
+    exclude = value("exclude", _names, DEFAULT_EXCLUDE)
     label = value("label", str, "bug")
     effort = raw.get("effort")
     projects = {}

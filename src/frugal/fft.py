@@ -16,7 +16,6 @@ subsets, instead of d searches for each of the 2^d policies.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -313,7 +312,7 @@ def _build(root: _Subset, policy: ExitPolicy) -> FFTree:
 
 
 def _root(train: Dataset, fn: ScoreFunction) -> _Subset:
-    _check_trainable(train, fn)
+    _check_trainable(train)
     return _Subset(train, fn, np.arange(len(train)))
 
 
@@ -351,7 +350,7 @@ def grow(train: Dataset, depth: int = 4,
     return best, trees
 
 
-def _check_trainable(train: Dataset, fn: ScoreFunction):
+def _check_trainable(train: Dataset):
     if not train.binary:
         raise TrainingError(f"{train.name}: labels must be binarized first")
     if len(train) < 2:
@@ -359,9 +358,6 @@ def _check_trainable(train: Dataset, fn: ScoreFunction):
                             f"got {len(train)}")
     if len(train.attributes) < 1:
         raise TrainingError(f"{train.name}: need at least one attribute")
-    if fn.kind == "popt" and train.effort is None:
-        raise UnsupportedScoreError(
-            f"{train.name}: popt training needs an effort column")
 
 
 def route_dataset(tree: FFTree, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -425,77 +421,6 @@ def render(tree: FFTree) -> str:
     return "\n".join(lines)
 
 
-_NODE_RE = re.compile(
-    r"^(if|else if)\s+(\S+)\s*(<=|>)\s*([-+eE0-9.]+)\s+then\s+(true|false)$")
-_LEAF_RE = re.compile(r"^else\s+(true|false)$")
-
-
-def parse(text: str) -> FFTree:
-    """Read a rendered tree back (supports are unknown, stored as 0).
-
-    Raises DatasetError naming the offending line on malformed input.
-    """
-    nodes = []
-    leaf_class = None
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    for no, line in enumerate(lines, start=1):
-        if leaf_class is not None:
-            raise DatasetError(f"model text line {no}: content after final else")
-        m = _NODE_RE.match(line)
-        if m:
-            head, attr, op, cut, cls = m.groups()
-            if (head == "if") != (no == 1):
-                raise DatasetError(
-                    f"model text line {no}: expected "
-                    f"{'if' if no == 1 else 'else if'}")
-            try:
-                rng = Range(attr, op, float(cut))
-            except ValueError as exc:
-                raise DatasetError(
-                    f"model text line {no}: bad number {cut!r} ({exc})")
-            nodes.append(Node(range=rng, exit_class=cls == "true", support=0))
-            continue
-        m = _LEAF_RE.match(line)
-        if m:
-            leaf_class = m.group(1) == "true"
-            continue
-        raise DatasetError(f"model text line {no}: cannot parse {line!r}")
-    if not nodes:
-        raise DatasetError("model text has no decision lines")
-    if leaf_class is None:
-        raise DatasetError("model text has no final else line")
-    digits = ExitPolicy(tuple(n.exit_class for n in nodes)).string
-    return FFTree(policy=_checked_policy(digits, len(nodes), nodes, leaf_class),
-                  nodes=tuple(nodes), leaf_class=leaf_class, leaf_support=0)
-
-
-def _checked_policy(digits, depth, nodes, leaf_class: bool) -> ExitPolicy:
-    """The exit policy a model spells as ``digits``, checked against the
-    rest of the model; DatasetError names the first rule it breaks.
-
-    Trees that ran out of rows keep fewer nodes than their policy has
-    levels, so the leaf opposes the last node (or the first digit when
-    there are none), not necessarily the policy's final digit.
-    """
-    if not (isinstance(digits, str) and set(digits) <= {"0", "1"}):
-        raise DatasetError(f"policy {digits!r} must be a string of 0/1 digits")
-    if depth < 1 or len(digits) != depth + 1:
-        raise DatasetError(f"policy string {digits} does not match depth "
-                           f"{depth}")
-    if digits[-1] == digits[-2]:
-        raise DatasetError(f"policy {digits}: the final digit must oppose "
-                           "the last exit")
-    bits = tuple(ch == "1" for ch in digits[:-1])
-    if len(nodes) > depth or any(node.exit_class != bit
-                                 for node, bit in zip(nodes, bits)):
-        raise DatasetError(f"node exits {[n.exit_class for n in nodes]} do "
-                           f"not follow policy {digits}")
-    if leaf_class == (nodes[-1].exit_class if nodes else bits[0]):
-        raise DatasetError("final leaf must oppose the last exit")
-    return ExitPolicy(bits)
-
-
 def tree_to_dict(tree: FFTree) -> dict:
     return {
         "depth": tree.depth,
@@ -517,6 +442,13 @@ def _exit_class(value) -> bool:
 
 
 def tree_from_dict(payload: dict) -> FFTree:
+    """The tree a model JSON payload describes; DatasetError names the
+    first rule it breaks.
+
+    Trees that ran out of rows keep fewer nodes than their policy has
+    levels, so the leaf opposes the last node (or the first digit when
+    there are none), not necessarily the policy's final digit.
+    """
     try:
         depth = int(payload["depth"])
         digits = payload["policy"]
@@ -530,8 +462,22 @@ def tree_from_dict(payload: dict) -> FFTree:
         leaf_support = int(leaf["support"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"bad model payload: {exc}") from exc
-    policy = _checked_policy(digits, depth, nodes, leaf_class)
-    return FFTree(policy=policy, nodes=nodes, leaf_class=leaf_class,
+    if not (isinstance(digits, str) and set(digits) <= {"0", "1"}):
+        raise DatasetError(f"policy {digits!r} must be a string of 0/1 digits")
+    if depth < 1 or len(digits) != depth + 1:
+        raise DatasetError(f"policy string {digits} does not match depth "
+                           f"{depth}")
+    if digits[-1] == digits[-2]:
+        raise DatasetError(f"policy {digits}: the final digit must oppose "
+                           "the last exit")
+    bits = tuple(ch == "1" for ch in digits[:-1])
+    if len(nodes) > depth or any(node.exit_class != bit
+                                 for node, bit in zip(nodes, bits)):
+        raise DatasetError(f"node exits {[n.exit_class for n in nodes]} do "
+                           f"not follow policy {digits}")
+    if leaf_class == (nodes[-1].exit_class if nodes else bits[0]):
+        raise DatasetError("final leaf must oppose the last exit")
+    return FFTree(policy=ExitPolicy(bits), nodes=nodes, leaf_class=leaf_class,
                   leaf_support=leaf_support,
                   train_score=payload.get("train_score"),
                   score_kind=payload.get("score"))

@@ -18,7 +18,7 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -413,11 +413,9 @@ def attribute_set_deltas(results: list[EvalResult]) -> list[DeltaRow]:
         key = (r.project, r.learner, r.score, r.split)
         if key not in full:
             continue
-        if r.score == "popt":
-            delta = full[key] - r.value
-        else:
-            delta = r.value - full[key]
-        paired.setdefault(key[:3], []).append(delta)
+        sort_key = score_function(r.score).sort_key
+        paired.setdefault(key[:3], []).append(
+            sort_key(r.value) - sort_key(full[key]))
     return [DeltaRow(project, learner, score,
                      float(np.median(deltas)), len(deltas))
             for (project, learner, score), deltas in sorted(paired.items())]
@@ -445,15 +443,6 @@ def _atomic_write(path, text: str):
     os.replace(tmp, path)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -462,12 +451,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_results_csv(results: list[EvalResult], path):
-    rows = []
-    for r in sorted(results, key=_result_key):
-        row = _result_row(r)
-        rows.append([_cell(row[f]) for f in _RESULT_FIELDS])
-    _atomic_write(path, _csv_text(_RESULT_FIELDS, rows))
+def _write_csv(path, header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    _atomic_write(path, buf.getvalue())
 
 
 def write_results_json(rig_result: RigResult, path):
@@ -482,29 +471,6 @@ def write_results_json(rig_result: RigResult, path):
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_policy_histogram_csv(results: list[EvalResult], path):
-    rows = [[score, attr_set, policy, str(count)]
-            for score, attr_set, policy, count in policy_histogram(results)]
-    _atomic_write(path, _csv_text(("score", "attribute_set", "policy",
-                                   "count"), rows))
-
-
-def write_comparison_csv(results: list[EvalResult], path):
-    header = ("project", "score", "attribute_set", "learner", "n", "wins",
-              "losses", "verdict")
-    rows = [[r.project, r.score, r.attribute_set, r.learner, str(r.n),
-             str(r.wins), str(r.losses), r.verdict]
-            for r in compare(results)]
-    _atomic_write(path, _csv_text(header, rows))
-
-
-def write_deltas_csv(results: list[EvalResult], path):
-    header = ("project", "learner", "score", "delta", "n")
-    rows = [[r.project, r.learner, r.score, repr(r.delta), str(r.n)]
-            for r in attribute_set_deltas(results)]
-    _atomic_write(path, _csv_text(header, rows))
-
-
 def write_reports(rig_result: RigResult, out_dir) -> dict[str, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -515,9 +481,16 @@ def write_reports(rig_result: RigResult, out_dir) -> dict[str, Path]:
         "comparison": out_dir / "comparison.csv",
         "deltas": out_dir / "deltas.csv",
     }
-    write_results_csv(rig_result.results, paths["results_csv"])
+    results = rig_result.results
+    ordered = sorted(results, key=_result_key)
+    _write_csv(paths["results_csv"], _RESULT_FIELDS,
+               (_result_row(r).values() for r in ordered))
     write_results_json(rig_result, paths["results_json"])
-    write_policy_histogram_csv(rig_result.results, paths["policy_histogram"])
-    write_comparison_csv(rig_result.results, paths["comparison"])
-    write_deltas_csv(rig_result.results, paths["deltas"])
+    _write_csv(paths["policy_histogram"],
+               ("score", "attribute_set", "policy", "count"),
+               policy_histogram(results))
+    _write_csv(paths["comparison"], [f.name for f in fields(ComparisonRow)],
+               map(astuple, compare(results)))
+    _write_csv(paths["deltas"], [f.name for f in fields(DeltaRow)],
+               map(astuple, attribute_set_deltas(results)))
     return paths

@@ -8,6 +8,7 @@ corpus and report as skipped with the reason.
 """
 
 import contextlib
+import json
 import os
 import time
 from pathlib import Path
@@ -20,7 +21,7 @@ from frugal import rig, synth
 from frugal.baselines import (_standardize, logistic_gradient, logistic_loss,
                               nb_score_dataset, nb_train)
 from frugal.dataset import LabelRule, binarize, load_csv
-from frugal.fft import grow, parse, render
+from frugal.fft import grow, render, tree_from_dict, tree_to_dict
 from frugal.metrics import (Confusion, a12, dis2heaven, mann_whitney, popt,
                             score_function)
 
@@ -136,7 +137,7 @@ def test_2_metric_identities(six_rows, eight_rows, twelve_rows, popt_fixture):
 
 
 def test_3_trees_stay_short_and_round_trip(eight_rows, twelve_rows, corpus):
-    with verdict(3, "depth-4 trees render in <= 5 lines; text round-trips",
+    with verdict(3, "depth-4 trees render in <= 5 lines; JSON round-trips",
                  "exact, < 1 s"):
         t0 = time.perf_counter()
         pool = []
@@ -146,9 +147,9 @@ def test_3_trees_stay_short_and_round_trip(eight_rows, twelve_rows, corpus):
         pool += grow(corpus["ant"][0], depth=4, fn=D2H)[1]
         assert len(pool) == 64
         for tree in pool:
-            text = render(tree)
-            assert len(text.splitlines()) <= 5
-            assert render(parse(text)) == text
+            assert len(render(tree).splitlines()) <= 5
+            payload = json.loads(json.dumps(tree_to_dict(tree)))
+            assert tree_from_dict(payload) == tree
         assert time.perf_counter() - t0 < 1.0
 
 

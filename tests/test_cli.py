@@ -8,9 +8,9 @@ import pytest
 
 from frugal import rig, synth
 from frugal.cli import main, parse_rule
-from frugal.dataset import LabelRule, binarize, save_csv
+from frugal.dataset import LabelRule, binarize, load_csv, save_csv
 from frugal.errors import ConfigError
-from frugal.fft import tree_from_dict
+from frugal.fft import grow, render, tree_from_dict
 
 import oracles
 
@@ -301,6 +301,25 @@ def test_eval_with_saved_perfect_model(project_dir, tmp_path):
     assert "train" not in report
 
 
+def test_saved_model_keeps_attribute_names_with_hash_and_space(tmp_path,
+                                                               capsys):
+    rows = [(1, 1, 0), (2, 2, 0), (3, 1, 0), (2, 3, 0), (8, 1, 1),
+            (9, 2, 1), (1, 8, 1), (2, 9, 1), (3, 2, 0), (1, 3, 0)]
+    path = tmp_path / "odd.csv"
+    path.write_text("a#b,x y,bug\n"
+                    + "".join(f"{a},{x},{bug}\n" for a, x, bug in rows))
+    model_path = tmp_path / "model.json"
+    assert main(["fit", str(path), "--depth", "2", "--format", "json",
+                 "--out", str(model_path)]) == 0
+    fitted = grow(binarize(load_csv(path, "bug"), LabelRule.bug_counts()),
+                  depth=2)[0]
+    assert fitted.attributes == ("a#b", "x y")
+    assert tree_from_dict(json.loads(model_path.read_text())) == fitted
+    capsys.readouterr()
+    assert main(["eval", str(path), "--model", str(model_path)]) == 0
+    assert capsys.readouterr().out.endswith(render(fitted) + "\n")
+
+
 def test_eval_model_with_empty_final_leaf_is_a_data_error(project_dir,
                                                          tmp_path, capsys):
     _, paths = project_dir
@@ -492,10 +511,16 @@ def test_rig_config_error_paths(project_dir, tmp_path, capsys):
     {"seed": -1, "mode": "cv"},
     {"depth": 13},
     {"learners": ["fft", "nb", "nb"]},
+    {"exclude": "name"},
+    {"scores": "d2h"},
+    {"learners": "nb"},
+    {"attribute_sets": "full"},
+    {"exclude": ["name", 5]},
 ], ids=["depth four", "learners 5", "project entry 5", "project path 5",
         "projects list", "top_fraction word", "exclude 5", "bins infinite",
         "depth infinite", "negative seed", "depth above the cap",
-        "repeated learner"])
+        "repeated learner", "exclude string", "scores string",
+        "learners string", "attribute_sets string", "exclude list with 5"])
 def test_rig_rejects_malformed_config_values(project_dir, capsys, override):
     tmp_path, paths = project_dir
     config = _write_rig_config(tmp_path, paths, **override)
@@ -503,6 +528,10 @@ def test_rig_rejects_malformed_config_values(project_dir, capsys, override):
                  "--out-dir", str(tmp_path / "x")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    # a list key's message names the key, not one character of a string
+    list_keys = {"learners", "scores", "attribute_sets", "exclude"}
+    for key in list_keys & set(override):
+        assert key in err
 
 
 def test_rig_missing_csv_is_a_data_error(project_dir, capsys):

@@ -10,7 +10,7 @@ from frugal import fft, metrics, synth
 from frugal.dataset import Dataset, LabelRule, binarize
 from frugal.errors import DatasetError, TrainingError, UnsupportedScoreError
 from frugal.fft import (ExitPolicy, FFTree, Node, Range, all_policies,
-                        build_tree, discretize, grow, parse, predict_dataset,
+                        build_tree, discretize, grow, predict_dataset,
                         rank_for_popt, render, route_dataset, score_range,
                         tree_from_dict, tree_score, tree_to_dict)
 from frugal.metrics import DIS2HEAVEN, POPT
@@ -516,57 +516,19 @@ def test_render_depth_four_stays_within_five_lines(twelve_rows):
         assert len(render(tree).splitlines()) <= 5
 
 
-def test_parse_render_round_trip(twelve_rows):
-    _, trees = grow(twelve_rows, depth=4, fn=DIS2HEAVEN)
-    for tree in trees:
-        text = render(tree)
-        back = parse(text)
-        assert render(back) == text
-        assert [(n.range, n.exit_class) for n in back.nodes] \
-            == [(n.range, n.exit_class) for n in tree.nodes]
-        assert back.leaf_class == tree.leaf_class
-
-
-def test_parse_ignores_comments_and_blank_lines():
-    tree = parse("# header note\n\nif a <= 1 then true  # inline\n\nelse false\n")
-    assert len(tree.nodes) == 1
-    assert tree.nodes[0].range == Range("a", "<=", 1.0)
-    assert tree.leaf_class is False
-
-
-def test_parse_error_cases():
-    with pytest.raises(DatasetError, match="line 1"):
-        parse("banana\nelse true")
-    with pytest.raises(DatasetError, match="line 1: expected if"):
-        parse("else if a <= 1 then true\nelse false")
-    with pytest.raises(DatasetError, match="line 2: expected else if"):
-        parse("if a <= 1 then true\nif b > 2 then false\nelse true")
-    with pytest.raises(DatasetError, match="after final else"):
-        parse("if a <= 1 then true\nelse false\nif b > 2 then true")
-    with pytest.raises(DatasetError, match="no final else"):
-        parse("if a <= 1 then true")
-    with pytest.raises(DatasetError, match="no decision lines"):
-        parse("else true")
-    with pytest.raises(DatasetError, match="bad number"):
-        parse("if a <= 1.2.3 then true\nelse false")
-    with pytest.raises(DatasetError, match="line 1: bad number '1e999'.*finite"):
-        parse("if a <= 1e999 then true\nelse false")
-    with pytest.raises(DatasetError, match="oppose"):
-        parse("if a <= 1 then true\nelse true")
-
-
-@pytest.mark.parametrize("text, node, leaf_class", [
-    ("if a <= 1e999 then true\nelse false", {"cut": 1e999}, False),
-    ("if a <= 1 then true\nelse true", {}, True),
-    ("if a < 1 then true\nelse false", {"op": "<"}, False),
+@pytest.mark.parametrize("node, leaf_class", [
+    ({"cut": 1e999}, False),
+    ({}, True),
+    ({"op": "<"}, False),
 ], ids=["infinite cut", "agreeing leaf", "bad op"])
-def test_text_and_dict_loaders_reject_the_same_trees(text, node, leaf_class):
+def test_text_and_dict_loaders_reject_the_same_trees(node, leaf_class):
+    # JSON is the one model load path, so it alone must refuse the trees
+    # no rendered text may show: an infinite cut, a final leaf that agrees
+    # with the last exit, an op other than <= and >
     payload = {"depth": 1, "policy": "10",
                "nodes": [{"attribute": "a", "op": "<=", "cut": 1.0,
                           "class": True, "support": 0, **node}],
                "final_leaf": {"class": leaf_class, "support": 0}}
-    with pytest.raises(DatasetError):
-        parse(text)
     with pytest.raises(DatasetError):
         tree_from_dict(payload)
 
@@ -614,8 +576,7 @@ def test_tree_from_dict_validation(eight_rows):
     mismatched = dict(payload, policy="11010")
     with pytest.raises(DatasetError, match="does not match depth"):
         tree_from_dict(mismatched)
-    # rendered, this leaf reads "else true" after "then true": parse
-    # rejects that text, so the dict form must reject it too
+    # rendered, this leaf would read "else true" after "then true"
     agreeing = dict(payload, final_leaf={"class": True, "support": 0})
     with pytest.raises(DatasetError, match="oppose the last exit"):
         tree_from_dict(agreeing)

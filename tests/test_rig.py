@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from frugal.metrics import DIS2HEAVEN, POPT
 from frugal.rig import (ComparisonRow, EvalResult, RigConfig, attribute_set_deltas,
                         compare, cross_val_plans, cross_val_splits, evaluate,
                         fit_learner, plan_fingerprint, policy_histogram, run,
-                        version_split, write_reports, write_results_csv)
+                        version_split, write_reports)
 
 from conftest import make_dataset
 
@@ -455,14 +456,13 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, corpus):
 
 def test_results_csv_is_order_insensitive_and_hides_timing(tmp_path, corpus):
     rig = run({"ant": corpus["ant"]}, RigConfig(learners=("fft", "sl")))
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    write_results_csv(rig.results, a)
     shuffled = list(rig.results)
     random.Random(0).shuffle(shuffled)
-    write_results_csv(shuffled, b)
-    assert a.read_bytes() == b.read_bytes()
-    text = a.read_text()
+    a = write_reports(rig, tmp_path / "a")
+    b = write_reports(replace(rig, results=shuffled), tmp_path / "b")
+    for key in a:
+        assert a[key].read_bytes() == b[key].read_bytes(), key
+    text = a["results_csv"].read_text()
     assert text.splitlines()[0] == ("project,learner,score,attribute_set,"
                                     "split,n_train,n_test,value,degenerate,"
                                     "policy,n_nodes")

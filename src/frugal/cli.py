@@ -15,7 +15,9 @@ subclass as ``exit_code``: 0 ok, 2 input/parse problem or unreadable file,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import re
 import sys
@@ -168,11 +170,30 @@ def _names(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-# Every RigConfig field may be set; the type of its default converts the
-# value, and a tuple field takes a list of names.  The other keys say how
-# to load the projects' CSVs.
-_CONFIG_TYPES = {f.name: _names if isinstance(f.default, tuple)
-                 else type(f.default)
+def _integer(value) -> int:
+    # int() would round 4.7 down and read true as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected a JSON integer")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a JSON number")
+    return float(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a JSON string")
+    return value
+
+
+# Every RigConfig field may be set, and the type of its default says which
+# JSON type the value must have.  The other keys say how to load the
+# projects' CSVs.
+_CONFIG_TYPES = {f.name: {int: _integer, float: _number, str: _string,
+                          tuple: _names}[type(f.default)]
                  for f in dataclasses.fields(rig.RigConfig)}
 _CONFIG_KEYS = {*_CONFIG_TYPES, "projects", "label", "effort", "positive_if",
                 "exclude"}
@@ -198,17 +219,17 @@ def load_rig_config(path) -> tuple[rig.RigConfig, dict]:
             return default
         try:
             return kind(raw[key])
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, OverflowError) as exc:
             raise ConfigError(
                 f"{path}: bad {key!r} value {raw[key]!r} ({exc})") from exc
 
     config = rig.RigConfig(**{key: value(key, kind)
                               for key, kind in _CONFIG_TYPES.items()
                               if key in raw})
-    rule = parse_rule(value("positive_if", str, ">0"))
+    rule = parse_rule(value("positive_if", _string, ">0"))
     exclude = value("exclude", _names, DEFAULT_EXCLUDE)
-    label = value("label", str, "bug")
-    effort = raw.get("effort")
+    label = value("label", _string, "bug")
+    effort = None if raw.get("effort") is None else value("effort", _string)
     projects = {}
     for pname, paths in raw["projects"].items():
         if isinstance(paths, str):
@@ -260,10 +281,12 @@ def _cmd_changefreq(args) -> int:
                         args.out)
         return 0
     if args.format == "csv":
-        lines = ["attribute,changed,total,percent"]
-        lines += [f"{c.attribute},{c.changed},{c.total},{c.percent:.1f}"
-                  for c in stats.changes]
-        _write_or_print("\n".join(lines), args.out)
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["attribute", "changed", "total", "percent"])
+        writer.writerows([c.attribute, c.changed, c.total, f"{c.percent:.1f}"]
+                         for c in stats.changes)
+        _write_or_print(text.getvalue().removesuffix("\n"), args.out)
         return 0
     width = max(len("attribute"),
                 max((len(c.attribute) for c in stats.changes), default=0))

@@ -8,8 +8,8 @@ are stored as NaN; downstream code treats NaN as "never matches".
 ``load_csv`` reads a file in chunks of rows and parses each chunk column by
 column.  A numeric cell is whatever Python's ``float()`` accepts, after
 stripping the whitespace around it, or a missing marker (``?`` or empty).
-A file that breaks a rule is read again row by row, so that the error names
-the first bad line and column.
+The chunk that holds a bad row is checked again row by row, so an error names
+the first bad line and column, for a pipe as well as for a file.
 """
 
 from __future__ import annotations
@@ -144,25 +144,13 @@ class Dataset:
             metadata={k: [v[i] for i in idx] for k, v in self.metadata.items()})
 
 
-def _parse_cell(text: str, path, line_no: int, column: str) -> float:
-    text = text.strip()
-    if text in MISSING_MARKERS:
-        return math.nan
-    try:
-        return float(text)
-    except ValueError:
-        raise DatasetError(
-            f"{path}: line {line_no}, column {column!r}: "
-            f"cell {text!r} is neither numeric nor a missing marker")
-
-
 def _floats(cells, n: int) -> np.ndarray:
     return np.fromiter(map(float, map(_MISSING.get, cells, cells)), float,
                        count=n)
 
 
 def _parse_column(cells, n: int) -> np.ndarray | None:
-    """``_parse_cell`` over a column, or None when a cell is neither a
+    """The floats of a column's cells, or None when a cell is neither a
     number nor a missing marker.  ``float()`` ignores the whitespace around
     a number itself, so cells are stripped only when a padded marker (or a
     bad cell) makes the first pass fail."""
@@ -182,80 +170,89 @@ def _csv_rows(fh, path):
         raise DatasetError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc
 
 
-def _parse_rows(reader, width: int, numeric: list[int], effort: bool,
-                meta_cols: list[int]):
-    """Parse the data rows a chunk at a time, column by column.
-
-    Gives a (rows, len(numeric)) float table of the ``numeric`` columns and
-    the stripped ``meta_cols`` cells, or None when the file breaks a rule:
-    a read error, a ragged row, a cell that is no number, an effort (the
-    last numeric column, when ``effort``) that is not > 0, or an infinite
-    cell.  Blank rows are skipped.
-    """
-    blocks = [np.empty((0, len(numeric)))]
-    meta = [[] for _ in meta_cols]
-    chunks = iter(lambda: list(islice(reader, _CHUNK_ROWS)), [])
-    try:
-        for chunk in chunks:
-            rows = [cells for cells in chunk if any(map(str.strip, cells))]
-            if not rows:
-                continue
-            if set(map(len, rows)) != {width}:
-                return None
-            n = len(rows)
-            cols = list(zip(*rows))
-            del chunk, rows     # the column tuples hold the same cells
-            parsed = [_parse_column(cols[j], n) for j in numeric]
-            if any(col is None for col in parsed):
-                return None
-            blocks.append(np.column_stack(parsed))
-            for out, j in zip(meta, meta_cols):
-                out.extend(map(str.strip, cols[j]))
-    except DatasetError:    # unreadable bytes; the row scan reports them
-        return None
-    table = np.concatenate(blocks)
-    if np.isinf(table).any() or (effort and not (table[:, -1] > 0).all()):
-        return None
-    return table, meta
-
-
-def _raise_first_error(fh, path, header, numeric: list[int],
-                       effort_idx: int | None):
-    """Read ``fh`` again and raise the error that a cell-by-cell load meets
-    first: a read error, a ragged row, a bad cell (attributes, then label,
-    then effort, as ``numeric`` lists them) or a bad effort, in row order;
-    failing those, the first infinite cell in file order."""
-    try:
-        fh.seek(0)
-    except OSError as exc:    # a pipe: its rows are gone
-        raise DatasetError(f"{path}: malformed rows in a stream that "
-                           f"cannot be re-read to locate them") from exc
-    reader = _csv_rows(fh, path)
-    next(reader)    # the header
+def _check_rows(rows, lines, path, header, numeric: list[int],
+                effort_idx: int | None):
+    """Raise the first error of ``rows`` (on ``lines``): a ragged row, a bad
+    cell (in ``numeric`` order: attributes, label, effort; read by the chunk
+    parse's ``_parse_column``) or a bad effort.  Failing those, give the
+    first infinite cell in file order as (line, column index, value)."""
     first_inf = None
-    for line_no, cells in enumerate(reader, start=2):
-        if not any(map(str.strip, cells)):
-            continue
+    for line, cells in zip(lines, rows):
         if len(cells) != len(header):
-            raise DatasetError(
-                f"{path}: line {line_no} has {len(cells)} cells, "
-                f"header has {len(header)}")
-        row = {j: _parse_cell(cells[j], path, line_no, header[j])
-               for j in numeric}
+            raise DatasetError(f"{path}: line {line} has {len(cells)} cells, "
+                               f"header has {len(header)}")
+        row = {}
+        for j in numeric:
+            parsed = _parse_column((cells[j],), 1)
+            if parsed is None:
+                raise DatasetError(
+                    f"{path}: line {line}, column {header[j]!r}: cell "
+                    f"{cells[j].strip()!r} is neither numeric nor a missing "
+                    f"marker")
+            row[j] = float(parsed[0])
         if effort_idx is not None and not row[effort_idx] > 0:
             raise DatasetError(
-                f"{path}: line {line_no}, column {header[effort_idx]!r}: "
+                f"{path}: line {line}, column {header[effort_idx]!r}: "
                 f"effort must be a positive number, got "
                 f"{cells[effort_idx].strip()!r}")
         if first_inf is None:
-            first_inf = next(((line_no, j, row[j]) for j in sorted(row)
+            first_inf = next(((line, j, row[j]) for j in sorted(row)
                               if math.isinf(row[j])), None)
-    if first_inf is None:
-        raise RuntimeError(f"{path}: the column parse rejected rows that "
-                           f"the row scan accepts")
-    line_no, j, x = first_inf
-    raise DatasetError(f"{path}: line {line_no}, column {header[j]!r}: "
-                       f"cell value {x!r} is not finite")
+    return first_inf
+
+
+def _parse_rows(reader, path, header, numeric: list[int],
+                effort_idx: int | None, meta_cols: list[int]):
+    """Parse the data rows a chunk at a time, column by column, into a
+    (rows, len(numeric)) float table and the stripped ``meta_cols`` cells.
+    Blank rows are skipped.  A chunk that breaks a rule (a read error, a
+    ragged row, a bad cell, an effort not > 0) is checked again row by row,
+    which raises the first error.  The first infinite cell in the file is
+    raised only when every chunk passes.
+    """
+    blocks = [np.empty((0, len(numeric)))]
+    meta = [[] for _ in meta_cols]
+    first_inf = None
+    start = 2    # the line of the next chunk's first row
+    rejected = f"{path}: the chunk parse rejected rows the row check accepts"
+    while True:
+        chunk, read_error = [], None
+        try:
+            chunk.extend(islice(reader, _CHUNK_ROWS))
+        except DatasetError as exc:    # the rows read before it come first
+            read_error = exc
+        rows = [cells for cells in chunk if any(map(str.strip, cells))]
+        lines = (range(start, start + len(chunk)) if len(rows) == len(chunk)
+                 else [line for line, cells in enumerate(chunk, start)
+                       if any(map(str.strip, cells))])
+        start += len(chunk)
+        if read_error or set(map(len, rows)) - {len(header)}:
+            _check_rows(rows, lines, path, header, numeric, effort_idx)
+            raise read_error or RuntimeError(rejected)
+        if not chunk:
+            break
+        if not rows:
+            continue
+        cols = list(zip(*rows))
+        del chunk, rows     # the column tuples hold the same cells
+        parsed = [_parse_column(cols[j], len(lines)) for j in numeric]
+        bad = (any(col is None for col in parsed)
+               or (effort_idx is not None and not (parsed[-1] > 0).all()))
+        # per column: an isinf mask of the whole block raised peak memory
+        if bad or (first_inf is None
+                   and any(np.isinf(col).any() for col in parsed)):
+            first_inf = _check_rows(zip(*cols), lines, path, header, numeric,
+                                    effort_idx)
+            if bad or first_inf is None:
+                raise RuntimeError(rejected)
+        blocks.append(np.column_stack(parsed))
+        for out, j in zip(meta, meta_cols):
+            out.extend(map(str.strip, cols[j]))
+    if first_inf is not None:
+        line, j, x = first_inf
+        raise DatasetError(f"{path}: line {line}, column {header[j]!r}: "
+                           f"cell value {x!r} is not finite")
+    return np.concatenate(blocks), meta
 
 
 def load_csv(path, label_column: str, effort_column: str | None = None,
@@ -316,12 +313,9 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
         numeric = attr_cols + [label_idx]
         if effort_idx is not None:
             numeric.append(effort_idx)
-        parsed = _parse_rows(reader, len(header), numeric,
-                             effort_idx is not None, meta_cols)
-        if parsed is None:
-            _raise_first_error(fh, path, header, numeric, effort_idx)
+        table, meta = _parse_rows(reader, path, header, numeric, effort_idx,
+                                  meta_cols)
 
-    table, meta = parsed
     n_attr = len(attr_cols)
     return Dataset(
         name=name if name is not None else str(path),

@@ -93,10 +93,14 @@ class RigConfig:
                                   f"(expected one of {ATTRIBUTE_SETS})")
         for kind in self.scores:
             score_function(kind)   # raises UnsupportedScoreError
-        # compare() would pool a repeated name's results as one sample.
+        # compare() would pool a repeated name's results as one sample; two
+        # aliases of one score ("d2h", "dis2heaven") count as a repeat.
         for key in ("learners", "scores", "attribute_sets"):
             names = getattr(self, key)
-            repeated = sorted({n for n in names if names.count(n) > 1})
+            ids = ([score_function(n).kind for n in names] if key == "scores"
+                   else names)
+            repeated = sorted({n for n, i in zip(names, ids)
+                               if ids.count(i) > 1})
             if repeated:
                 raise ConfigError(f"{key} lists {repeated} more than once")
         if self.mode not in ("version", "cv"):

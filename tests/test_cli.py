@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line front end (exit codes, files,
 report shapes)."""
 
+import csv
 import hashlib
+import io
 import json
+import os
 
 import pytest
 
@@ -145,6 +148,19 @@ def test_fit_missing_label_names_its_data_row(tmp_path, capsys):
     assert err == ("error: misslabel: data row 2 has a missing label (data "
                    "rows count from 1 after the header and skip blank "
                    "lines)\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_fit_bad_pipe_names_its_line(capsys):
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write("wmc,bug\n1,0\n\n2,1\n3\n")
+    try:
+        assert main(["fit", f"/dev/fd/{read_end}"]) == 2
+    finally:
+        os.close(read_end)
+    assert capsys.readouterr().err == (f"error: /dev/fd/{read_end}: line 5 "
+                                       f"has 1 cells, header has 2\n")
 
 
 def test_fit_missing_file(capsys):
@@ -516,11 +532,21 @@ def test_rig_config_error_paths(project_dir, tmp_path, capsys):
     {"learners": "nb"},
     {"attribute_sets": "full"},
     {"exclude": ["name", 5]},
+    {"depth": 4.7},
+    {"depth": True},
+    {"bins": 2.5, "mode": "cv"},
+    {"seed": "7"},
+    {"effort": ["loc"]},
+    {"label": 5},
+    {"top_fraction": True},
+    {"scores": ["d2h", "dis2heaven"]},
 ], ids=["depth four", "learners 5", "project entry 5", "project path 5",
         "projects list", "top_fraction word", "exclude 5", "bins infinite",
         "depth infinite", "negative seed", "depth above the cap",
         "repeated learner", "exclude string", "scores string",
-        "learners string", "attribute_sets string", "exclude list with 5"])
+        "learners string", "attribute_sets string", "exclude list with 5",
+        "depth float", "depth bool", "bins float", "seed string",
+        "effort list", "label number", "top_fraction bool", "score aliases"])
 def test_rig_rejects_malformed_config_values(project_dir, capsys, override):
     tmp_path, paths = project_dir
     config = _write_rig_config(tmp_path, paths, **override)
@@ -528,9 +554,10 @@ def test_rig_rejects_malformed_config_values(project_dir, capsys, override):
                  "--out-dir", str(tmp_path / "x")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-    # a list key's message names the key, not one character of a string
-    list_keys = {"learners", "scores", "attribute_sets", "exclude"}
-    for key in list_keys & set(override):
+    # the message names the key, not one character of a string
+    named = {"learners", "scores", "attribute_sets", "exclude", "depth",
+             "bins", "seed", "effort", "label", "top_fraction"}
+    for key in named & set(override):
         assert key in err
 
 
@@ -586,6 +613,19 @@ def test_changefreq_csv_and_json_formats(project_dir, capsys):
     assert {entry["attribute"] for entry in payload} == {"wmc", "cbo", "loc"}
     assert all(set(e) == {"attribute", "changed", "total", "percent"}
                for e in payload)
+
+
+def test_changefreq_csv_quotes_cells(tmp_path, capsys):
+    paths = []
+    for version, cells in (("1", "1,2,3,4"), ("2", "5,6,7,8")):
+        path = tmp_path / f"q-{version}.csv"
+        path.write_text('"a,b",bug\n' + "".join(f"{c},0\n"
+                                                for c in cells.split(",")))
+        paths.append(str(path))
+    assert main(["changefreq", *paths, "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows == [["attribute", "changed", "total", "percent"],
+                    ["a,b", "1", "1", "100.0"]]
 
 
 def test_changefreq_sequence_flag_pools_counts(project_dir, capsys):

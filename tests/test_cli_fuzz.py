@@ -127,8 +127,9 @@ def _model(draw):
     if isinstance(model.get("nodes"), list) and draw(st.booleans()):
         i = draw(st.integers(0, len(model["nodes"])))
         if i < len(model["nodes"]):
-            model["nodes"][i] = draw(_mutated(model["nodes"][i],
-                                              _NODE_VALUES))
+            if isinstance(model["nodes"][i], dict):    # junk nodes stay
+                model["nodes"][i] = draw(_mutated(model["nodes"][i],
+                                                  _NODE_VALUES))
         elif isinstance(model.get("final_leaf"), dict):
             model["final_leaf"] = draw(_mutated(
                 model["final_leaf"],

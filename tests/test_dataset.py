@@ -297,12 +297,34 @@ def test_load_csv_from_a_pipe():
     good, bad = _pipe("wmc,bug\n1,0\n2,1\n"), _pipe("wmc,bug\n1,0\nx,1\n")
     try:
         assert len(load_csv(f"/dev/fd/{good}", label_column="bug")) == 2
-        with pytest.raises(DatasetError, match=r"^/dev/fd/\d+: malformed "
-                           r"rows in a stream that cannot be re-read"):
+        with pytest.raises(DatasetError) as info:
             load_csv(f"/dev/fd/{bad}", label_column="bug")
+        assert str(info.value) == (f"/dev/fd/{bad}: line 3, column 'wmc': "
+                                   f"cell 'x' is neither numeric nor a "
+                                   f"missing marker")
     finally:
         os.close(good)
         os.close(bad)
+
+
+# 3000 good rows (12 KB) put an \xff byte and a bad row more than one 8 KB
+# decode block apart, inside one 4096-row chunk.
+_FILLER = b"1,0\n" * 3000
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"1\n" + _FILLER + b"\xff,1\n", r"line 2 has 1 cells, header has 2$"),
+    (b"inf,0\n" + _FILLER + b"\xff,1\n", r"not a readable UTF-8 CSV"),
+    (_FILLER + b"\xff,1\n" + _FILLER + b"1\n", r"not a readable UTF-8 CSV"),
+], ids=["ragged row, then bad byte", "infinite cell, then bad byte",
+        "bad byte, then ragged row"])
+def test_load_csv_read_error_and_a_bad_row_in_one_chunk(tmp_path, body,
+                                                        message):
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(b"wmc,bug\n" + body)
+    new, old = _load_both(path, None)
+    assert new == old
+    assert re.search(message, new)
 
 
 def test_load_csv_custom_exclude(tmp_path):

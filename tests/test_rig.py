@@ -54,6 +54,9 @@ def test_config_rejects_repeated_names():
         RigConfig(scores=("d2h", "popt", "d2h"))
     with pytest.raises(ConfigError, match=r"attribute_sets lists \['full'\]"):
         RigConfig(attribute_sets=("full", "full"))
+    with pytest.raises(ConfigError,
+                       match=r"scores lists \['d2h', 'dis2heaven'\]"):
+        RigConfig(scores=("d2h", "dis2heaven"))
 
 
 def test_config_rejects_top25_under_cross_validation():

@@ -114,16 +114,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def logistic_loss(weights: np.ndarray, bias: float, X: np.ndarray,
-                  y: np.ndarray) -> float:
-    """Mean cross-entropy on an already standardized design matrix."""
-    z = X @ weights + bias
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
-
 def logistic_gradient(weights: np.ndarray, bias: float, X: np.ndarray,
                       y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Analytic gradient of :func:`logistic_loss` in (weights, bias)."""
+    """Gradient in (weights, bias) of the mean cross-entropy
+    ``mean(log(1 + exp(z)) - y * z)``, ``z = X @ weights + bias``, on an
+    already standardized design matrix."""
     err = _sigmoid(X @ weights + bias) - y
     return X.T @ err / len(y), float(err.mean())
 

@@ -189,6 +189,13 @@ def _string(value) -> str:
     return value
 
 
+def _column(value) -> str:
+    # an empty name would reach load_csv and exit 2 as a data error
+    if not _string(value).strip():
+        raise ValueError("expected a column name")
+    return value
+
+
 # Every RigConfig field may be set, and the type of its default says which
 # JSON type the value must have.  The other keys say how to load the
 # projects' CSVs.
@@ -219,7 +226,7 @@ def load_rig_config(path) -> tuple[rig.RigConfig, dict]:
             return default
         try:
             return kind(raw[key])
-        except (TypeError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(
                 f"{path}: bad {key!r} value {raw[key]!r} ({exc})") from exc
 
@@ -228,8 +235,8 @@ def load_rig_config(path) -> tuple[rig.RigConfig, dict]:
                               if key in raw})
     rule = parse_rule(value("positive_if", _string, ">0"))
     exclude = value("exclude", _names, DEFAULT_EXCLUDE)
-    label = value("label", _string, "bug")
-    effort = None if raw.get("effort") is None else value("effort", _string)
+    label = value("label", _column, "bug")
+    effort = None if raw.get("effort") is None else value("effort", _column)
     projects = {}
     for pname, paths in raw["projects"].items():
         if isinstance(paths, str):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -81,6 +81,9 @@ class Dataset:
     ``values`` has shape (rows, attributes); NaN marks a missing cell.
     ``labels`` is a float array before binarization and a bool array after.
     ``effort`` values must be strictly positive when present.
+    ``row_names`` is set only by ``synth.make_version`` and read only by
+    ``save_csv``, which writes it as a leading ``name`` column; no load,
+    subset, merge or projection carries it.
     """
 
     name: str
@@ -89,12 +92,10 @@ class Dataset:
     values: np.ndarray
     labels: np.ndarray
     effort: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
+    row_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            values = values.reshape(len(self.labels), len(self.attributes))
         if values.shape[1] != len(self.attributes):
             raise DatasetError(
                 f"{self.name}: rows have {values.shape[1]} values for "
@@ -140,8 +141,7 @@ class Dataset:
         return Dataset(
             name=self.name, version=self.version, attributes=self.attributes,
             values=self.values[idx], labels=self.labels[idx],
-            effort=None if self.effort is None else self.effort[idx],
-            metadata={k: [v[i] for i in idx] for k, v in self.metadata.items()})
+            effort=None if self.effort is None else self.effort[idx])
 
 
 def _floats(cells, n: int) -> np.ndarray:
@@ -202,16 +202,14 @@ def _check_rows(rows, lines, path, header, numeric: list[int],
 
 
 def _parse_rows(reader, path, header, numeric: list[int],
-                effort_idx: int | None, meta_cols: list[int]):
+                effort_idx: int | None) -> np.ndarray:
     """Parse the data rows a chunk at a time, column by column, into a
-    (rows, len(numeric)) float table and the stripped ``meta_cols`` cells.
-    Blank rows are skipped.  A chunk that breaks a rule (a read error, a
-    ragged row, a bad cell, an effort not > 0) is checked again row by row,
-    which raises the first error.  The first infinite cell in the file is
+    (rows, len(numeric)) float table.  Blank rows are skipped.  A chunk that
+    breaks a rule (a read error, a ragged row, a bad cell, an effort not > 0)
+    is checked again row by row, which raises the first error.  The first infinite cell in the file is
     raised only when every chunk passes.
     """
     blocks = [np.empty((0, len(numeric)))]
-    meta = [[] for _ in meta_cols]
     first_inf = None
     start = 2    # the line of the next chunk's first row
     rejected = f"{path}: the chunk parse rejected rows the row check accepts"
@@ -246,13 +244,11 @@ def _parse_rows(reader, path, header, numeric: list[int],
             if bad or first_inf is None:
                 raise RuntimeError(rejected)
         blocks.append(np.column_stack(parsed))
-        for out, j in zip(meta, meta_cols):
-            out.extend(map(str.strip, cols[j]))
     if first_inf is not None:
         line, j, x = first_inf
         raise DatasetError(f"{path}: line {line}, column {header[j]!r}: "
                            f"cell value {x!r} is not finite")
-    return np.concatenate(blocks), meta
+    return np.concatenate(blocks)
 
 
 def load_csv(path, label_column: str, effort_column: str | None = None,
@@ -260,8 +256,8 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
              version: str = "") -> Dataset:
     """Load one CSV into a Dataset.
 
-    The first row is the header.  Columns named in ``exclude`` are kept as
-    row metadata; every other non-label, non-effort column must be numeric
+    The first row is the header.  Columns named in ``exclude`` are skipped,
+    unparsed; every other non-label, non-effort column must be numeric
     ("?", an empty cell or ``nan`` marks a missing value).  An infinite cell
     in any attribute, label or effort column is an error, and so is a label
     or effort name that heads more than one column.
@@ -282,14 +278,8 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
 
         label_idx = header.index(label_column)
         effort_idx = header.index(effort_column) if effort_column else None
-        meta_cols, attr_cols = [], []
-        for j, col in enumerate(header):
-            if j == label_idx or j == effort_idx:
-                continue
-            if col in exclude:
-                meta_cols.append(j)
-            else:
-                attr_cols.append(j)
+        attr_cols = [j for j, col in enumerate(header)
+                     if j not in (label_idx, effort_idx) and col not in exclude]
         attributes = [header[j] for j in attr_cols]
         if len(set(attributes)) != len(attributes):
             dupes = sorted({a for a in attributes if attributes.count(a) > 1})
@@ -299,22 +289,10 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
                 raise DatasetError(f"{path}: {header.count(needed)} columns "
                                    f"are named {needed!r}")
 
-        meta_keys = []
-        seen: dict[str, int] = {}
-        for j in meta_cols:
-            key = header[j]
-            if key in seen:
-                seen[key] += 1
-                key = f"{key}.{seen[header[j]] - 1}"
-            else:
-                seen[key] = 1
-            meta_keys.append(key)
-
         numeric = attr_cols + [label_idx]
         if effort_idx is not None:
             numeric.append(effort_idx)
-        table, meta = _parse_rows(reader, path, header, numeric, effort_idx,
-                                  meta_cols)
+        table = _parse_rows(reader, path, header, numeric, effort_idx)
 
     n_attr = len(attr_cols)
     return Dataset(
@@ -323,8 +301,7 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
         attributes=tuple(attributes),
         values=table[:, :n_attr].copy(),
         labels=table[:, n_attr].copy(),
-        effort=table[:, n_attr + 1].copy() if effort_idx is not None else None,
-        metadata=dict(zip(meta_keys, meta)))
+        effort=table[:, n_attr + 1].copy() if effort_idx is not None else None)
 
 
 def _format_cell(x: float) -> str:
@@ -337,22 +314,23 @@ def _format_cell(x: float) -> str:
 
 def save_csv(ds: Dataset, path, label_column: str = "bug",
              effort_column: str | None = None):
-    """Write a dataset to CSV: metadata columns, attributes, then the label.
+    """Write a dataset to CSV: ``ds.row_names`` as a ``name`` column when
+    there are any, the attributes, then the label.
 
     ``effort_column`` adds the effort vector as its own column; leave it
     None when effort already mirrors an attribute (e.g. loc).
     """
     if effort_column is not None and ds.effort is None:
         raise DatasetError(f"{ds.name}: no effort vector to write")
-    meta_keys = list(ds.metadata)
-    header = meta_keys + list(ds.attributes) + [label_column]
+    names = ["name"] if ds.row_names else []
+    header = names + list(ds.attributes) + [label_column]
     if effort_column is not None:
         header.append(effort_column)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for i in range(len(ds)):
-            row = [str(ds.metadata[k][i]) for k in meta_keys]
+            row = [ds.row_names[i]] if names else []
             row += [_format_cell(x) for x in ds.values[i]]
             label = ds.labels[i]
             row.append(str(int(label)) if ds.binary else _format_cell(label))
@@ -403,10 +381,6 @@ def merge(versions: list[Dataset]) -> Dataset:
     if any(has_effort) and not all(has_effort):
         raise DatasetError("cannot merge datasets with and without effort")
     names = list(dict.fromkeys(ds.name for ds in versions))
-    merged_meta: dict[str, list[str]] = {}
-    for key in versions[0].metadata:
-        if all(key in ds.metadata for ds in versions):
-            merged_meta[key] = sum((list(ds.metadata[key]) for ds in versions), [])
     return Dataset(
         name="+".join(names),
         version="+".join(ds.version for ds in versions if ds.version),
@@ -414,5 +388,4 @@ def merge(versions: list[Dataset]) -> Dataset:
         values=np.vstack([ds.values for ds in versions]),
         labels=np.concatenate([ds.labels for ds in versions]),
         effort=(np.concatenate([ds.effort for ds in versions])
-                if all(has_effort) else None),
-        metadata=merged_meta)
+                if all(has_effort) else None))

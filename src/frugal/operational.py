@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DatasetError
+from .errors import ConfigError, DatasetError
 from .metrics import SMALL_EFFECT, a12, differs
 
 EPSILON = 1e-12
@@ -49,8 +49,12 @@ def change_frequency(version_sequences: list[list[Dataset]],
     each attribute's distribution shifts by more than a small effect.
 
     Attributes are pooled by name across sequences; a pair where either side
-    has no observed values for an attribute cannot register a change.
+    has no observed values for an attribute cannot register a change.  A
+    negative or non-finite ``threshold`` is a ConfigError.
     """
+    if not 0 <= threshold < math.inf:
+        raise ConfigError(f"threshold must be a finite number >= 0, "
+                          f"got {threshold}")
     total = 0
     changed: dict[str, int] = {}
     for sequence in version_sequences:
@@ -84,7 +88,7 @@ def top_changed(old: Dataset, new: Dataset, fraction: float = 0.25) -> tuple[str
     if old.attributes != new.attributes:
         raise DatasetError(f"attribute mismatch: {old.name} vs {new.name}")
     if not 0 < fraction <= 1:
-        raise DatasetError(f"fraction must be in (0, 1], got {fraction}")
+        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     scored = []
     for attr in old.attributes:
         xs = _clean(old.column(attr))
@@ -106,4 +110,4 @@ def project(ds: Dataset, attrs) -> Dataset:
     cols = [ds.attributes.index(a) for a in attrs]
     return Dataset(name=ds.name, version=ds.version, attributes=attrs,
                    values=ds.values[:, cols], labels=ds.labels,
-                   effort=ds.effort, metadata=ds.metadata)
+                   effort=ds.effort)

@@ -5,8 +5,9 @@ Within one (split, attribute set) cell, a learner whose training ignores
 the score function (``nb``, ``sl``) is fitted once and evaluated under every
 score; ``fft`` selects its tree by the score, so it is grown once per score.
 
-Results are plain dataclasses; the report writers emit byte-identical files
-for identical inputs and seeds (wall-clock timings stay in memory only).
+Results are plain dataclasses; every ``EvalResult`` field is a report
+column, and the report writers emit byte-identical files for identical
+inputs and seeds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import hashlib
 import io
 import json
 import os
-import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
@@ -141,9 +141,6 @@ class EvalResult:
     degenerate: bool = False
     policy: str = ""
     n_nodes: int = 0
-    # Never serialized.  A fit reused across scores is timed with the
-    # first score's result; the later scores time evaluation alone.
-    wall_time: float = 0.0
 
 
 @dataclass
@@ -289,7 +286,6 @@ def run(projects: dict[str, list[Dataset]],
                 for kind in config.scores:
                     fn = score_function(kind)
                     for learner in config.learners:
-                        t0 = time.perf_counter()
                         try:
                             fitted = shared.get(learner)
                             if fitted is None:
@@ -302,14 +298,12 @@ def run(projects: dict[str, list[Dataset]],
                             raise type(exc)(
                                 f"[{pname}/{learner}/{fn.kind}/{attr_set}/"
                                 f"{split.label}] {exc}") from exc
-                        elapsed = time.perf_counter() - t0
                         results.append(EvalResult(
                             project=pname, learner=learner, score=fn.kind,
                             attribute_set=attr_set, split=split.label,
                             n_train=len(train), n_test=len(test),
                             value=value, degenerate=degenerate,
-                            policy=fitted.policy, n_nodes=fitted.n_nodes,
-                            wall_time=elapsed))
+                            policy=fitted.policy, n_nodes=fitted.n_nodes))
     return RigResult(config=config, results=results, fingerprints=fingerprints)
 
 
@@ -427,17 +421,8 @@ def attribute_set_deltas(results: list[EvalResult]) -> list[DeltaRow]:
 
 # --- report files -----------------------------------------------------------
 
-_RESULT_FIELDS = ("project", "learner", "score", "attribute_set", "split",
-                  "n_train", "n_test", "value", "degenerate", "policy",
-                  "n_nodes")
-
-
 def _result_key(r: EvalResult):
     return (r.project, r.learner, r.score, r.attribute_set, r.split)
-
-
-def _result_row(r: EvalResult) -> dict:
-    return {f: getattr(r, f) for f in _RESULT_FIELDS}
 
 
 def _atomic_write(path, text: str):
@@ -466,7 +451,7 @@ def _write_csv(path, header, rows):
 def write_results_json(rig_result: RigResult, path):
     by_project: dict[str, list[dict]] = {}
     for r in sorted(rig_result.results, key=_result_key):
-        by_project.setdefault(r.project, []).append(_result_row(r))
+        by_project.setdefault(r.project, []).append(asdict(r))
     payload = {
         "config": asdict(rig_result.config),
         "fingerprints": rig_result.fingerprints,
@@ -486,9 +471,8 @@ def write_reports(rig_result: RigResult, out_dir) -> dict[str, Path]:
         "deltas": out_dir / "deltas.csv",
     }
     results = rig_result.results
-    ordered = sorted(results, key=_result_key)
-    _write_csv(paths["results_csv"], _RESULT_FIELDS,
-               (_result_row(r).values() for r in ordered))
+    _write_csv(paths["results_csv"], [f.name for f in fields(EvalResult)],
+               map(astuple, sorted(results, key=_result_key)))
     write_results_json(rig_result, paths["results_json"])
     _write_csv(paths["policy_histogram"],
                ("score", "attribute_set", "policy", "count"),

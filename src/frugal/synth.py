@@ -62,7 +62,7 @@ def make_version(project: str, version: str, rows: int,
     names = tuple(f"{project}.Class{i:03d}" for i in range(rows))
     return Dataset(name=f"{project}-{version}", version=version,
                    attributes=ATTRIBUTES, values=values, labels=labels,
-                   effort=effort, metadata={"name": names})
+                   effort=effort, row_names=names)
 
 
 def make_project(name: str, seed: int, versions: int = 3,
@@ -120,4 +120,4 @@ def make_issue_dataset(seed: int = 11, rows: int = 400,
     mask = rng.random(values.shape) < _MISS_RATE
     values[mask] = np.nan
     return Dataset(name=name, version="", attributes=ISSUE_ATTRIBUTES,
-                   values=values, labels=days, effort=None, metadata={})
+                   values=values, labels=days, effort=None)

@@ -18,8 +18,7 @@ def make_dataset(attributes, rows, labels, effort=None, name="toy",
     return Dataset(name=name, version=version, attributes=tuple(attributes),
                    values=values, labels=labels_arr,
                    effort=None if effort is None
-                   else np.array(effort, dtype=float),
-                   metadata={})
+                   else np.array(effort, dtype=float))
 
 
 def one_row(attributes, row):

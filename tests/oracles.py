@@ -317,6 +317,13 @@ def nb_posterior_oracle(train_rows, train_labels, row, var_floor=1e-6):
     return out[True] / total
 
 
+def logistic_loss(weights, bias, X, y):
+    """Mean cross-entropy on an already standardized design matrix; the
+    loss whose gradient ``baselines.logistic_gradient`` gives."""
+    z = X @ weights + bias
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
 def finite_difference_gradient(loss, weights, bias, eps=1e-6):
     """Central differences of a loss(weights, bias) callable."""
     gw = []
@@ -369,8 +376,8 @@ def load_csv_oracle(path, label_column: str,
                     version: str = "") -> Dataset:
     """Load one CSV into a Dataset.
 
-    The first row is the header.  Columns named in ``exclude`` are kept as
-    row metadata; every other non-label, non-effort column must be numeric
+    The first row is the header.  Columns named in ``exclude`` are skipped;
+    every other non-label, non-effort column must be numeric
     ("?", an empty cell or ``nan`` marks a missing value).  An infinite cell
     in any attribute, label or effort column is an error.
     """
@@ -390,33 +397,14 @@ def load_csv_oracle(path, label_column: str,
 
         label_idx = header.index(label_column)
         effort_idx = header.index(effort_column) if effort_column else None
-        meta_cols, attr_cols = [], []
-        for j, col in enumerate(header):
-            if j == label_idx or j == effort_idx:
-                continue
-            if col in exclude:
-                meta_cols.append(j)
-            else:
-                attr_cols.append(j)
+        attr_cols = [j for j, col in enumerate(header)
+                     if j not in (label_idx, effort_idx) and col not in exclude]
         attributes = [header[j] for j in attr_cols]
         if len(set(attributes)) != len(attributes):
             dupes = sorted({a for a in attributes if attributes.count(a) > 1})
             raise DatasetError(f"{path}: duplicate attribute columns {dupes}")
 
         rows, labels, efforts, blank_lines = [], [], [], []
-        metadata: dict[str, list[str]] = {}
-        meta_keys = []
-        seen: dict[str, int] = {}
-        for j in meta_cols:
-            key = header[j]
-            if key in seen:
-                seen[key] += 1
-                key = f"{key}.{seen[header[j]] - 1}"
-            else:
-                seen[key] = 1
-            meta_keys.append(key)
-            metadata[key] = []
-
         for line_no, cells in enumerate(reader, start=2):
             if not cells or all(c.strip() == "" for c in cells):
                 blank_lines.append(line_no)
@@ -439,8 +427,6 @@ def load_csv_oracle(path, label_column: str,
                         f"effort must be a positive number, got "
                         f"{cells[effort_idx].strip()!r}")
                 efforts.append(eff)
-            for key, j in zip(meta_keys, meta_cols):
-                metadata[key].append(cells[j].strip())
 
     n = len(rows)
     values = np.array(rows, dtype=float).reshape(n, len(attributes))
@@ -469,5 +455,4 @@ def load_csv_oracle(path, label_column: str,
         attributes=tuple(attributes),
         values=values,
         labels=label_values,
-        effort=effort,
-        metadata=metadata)
+        effort=effort)

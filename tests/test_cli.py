@@ -419,6 +419,18 @@ def test_eval_top_changed_needs_version_history(project_dir, capsys):
                  "--top-changed", "0.5"]) == 5
 
 
+@pytest.mark.parametrize("fraction", ["2", "0", "nan", "-0.5"])
+def test_eval_top_changed_out_of_range_is_a_config_error(project_dir, capsys,
+                                                         fraction):
+    # the same check as a rig's top_fraction, so the same exit code
+    _, paths = project_dir
+    assert main(["eval", str(paths["1.0"]), str(paths["1.1"]),
+                 str(paths["1.2"]), "--top-changed", fraction]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: fraction must be in (0, 1]")
+    assert len(err.splitlines()) == 1
+
+
 # --------------------------------------------------------------------- rig
 
 def _write_rig_config(tmp_path, paths, **overrides):
@@ -540,13 +552,17 @@ def test_rig_config_error_paths(project_dir, tmp_path, capsys):
     {"label": 5},
     {"top_fraction": True},
     {"scores": ["d2h", "dis2heaven"]},
+    {"effort": ""},
+    {"label": ""},
+    {"effort": "  "},
 ], ids=["depth four", "learners 5", "project entry 5", "project path 5",
         "projects list", "top_fraction word", "exclude 5", "bins infinite",
         "depth infinite", "negative seed", "depth above the cap",
         "repeated learner", "exclude string", "scores string",
         "learners string", "attribute_sets string", "exclude list with 5",
         "depth float", "depth bool", "bins float", "seed string",
-        "effort list", "label number", "top_fraction bool", "score aliases"])
+        "effort list", "label number", "top_fraction bool", "score aliases",
+        "effort empty", "label empty", "effort blank"])
 def test_rig_rejects_malformed_config_values(project_dir, capsys, override):
     tmp_path, paths = project_dir
     config = _write_rig_config(tmp_path, paths, **override)
@@ -598,6 +614,16 @@ def test_changefreq_respects_threshold(project_dir, capsys):
     assert code == 0
     table = {ln.split()[0]: ln.split() for ln in out.splitlines()[1:]}
     assert table["loc"][3] == "0.0"
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+def test_changefreq_rejects_bad_threshold(project_dir, capsys, threshold):
+    _, paths = project_dir
+    assert main(["changefreq", str(paths["1.0"]), str(paths["1.1"]),
+                 "--threshold", threshold]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: threshold must be a finite number >= 0")
+    assert len(err.splitlines()) == 1
 
 
 def test_changefreq_csv_and_json_formats(project_dir, capsys):

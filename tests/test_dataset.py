@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, label rules, merging and round-trips."""
 
+import hashlib
 import os
 import re
 import tempfile
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frugal import dataset
+from frugal import dataset, synth
 from frugal.dataset import (Dataset, LabelRule, binarize, load_csv, merge,
                             save_csv)
 from frugal.errors import DatasetError
@@ -40,12 +41,25 @@ def test_load_csv_missing_marker_becomes_nan(toy_csv):
 
 
 def test_load_csv_excluded_columns_become_metadata(toy_csv):
+    # excluded columns are skipped, not kept: the header has two "name"
+    # columns, both excluded by default, and their cells are not numbers
     ds = load_csv(toy_csv, label_column="bug")
-    # the header has two "name" columns; the second is deduplicated
-    assert set(ds.metadata) == {"name", "version", "name.1"}
-    assert ds.metadata["name"] == ["org.App", "org.Core", "org.Util", "org.Net"]
-    assert ds.metadata["name.1"] == ["App", "Core", "Util", "Net"]
-    assert ds.metadata["version"] == ["1.0"] * 4
+    assert ds.attributes == ("wmc", "cbo", "loc")
+    assert ds.values.shape == (4, 3)
+    assert ds.column("wmc").tolist() == [5.0, 12.0, 3.0, 9.0]
+    assert not hasattr(ds, "metadata")
+
+
+def test_load_csv_custom_exclude(tmp_path):
+    # a repeated excluded header with non-numeric cells is skipped too
+    path = tmp_path / "cust.csv"
+    path.write_text("id,wmc,id,bug\nr1,4,x y,0\n? ,5,,1\n")
+    ds = load_csv(path, label_column="bug", exclude=("id",))
+    assert ds.attributes == ("wmc",)
+    assert ds.values.tolist() == [[4.0], [5.0]]
+    assert ds.labels.tolist() == [0.0, 1.0]
+    with pytest.raises(DatasetError, match="duplicate attribute columns"):
+        load_csv(path, label_column="bug", exclude=())
 
 
 def test_load_csv_effort_column_is_removed_from_attributes(toy_csv):
@@ -191,7 +205,6 @@ def _assert_same_load(new, old):
     assert (new.effort is None) == (old.effort is None)
     if old.effort is not None:
         assert new.effort.tobytes() == old.effort.tobytes()
-    assert new.metadata == old.metadata
 
 
 _EFFORTS = [b"7", b"2.5e-3", b"1E5", b" 3 ", b"1_0", b"+.5", b'" 4 "']
@@ -327,14 +340,6 @@ def test_load_csv_read_error_and_a_bad_row_in_one_chunk(tmp_path, body,
     assert re.search(message, new)
 
 
-def test_load_csv_custom_exclude(tmp_path):
-    path = tmp_path / "cust.csv"
-    path.write_text("id,wmc,bug\nr1,4,0\n")
-    ds = load_csv(path, label_column="bug", exclude=("id",))
-    assert ds.attributes == ("wmc",)
-    assert ds.metadata["id"] == ["r1"]
-
-
 # --------------------------------------------------------------- LabelRule
 
 def test_label_rule_validation():
@@ -411,12 +416,6 @@ def test_dataset_column_row_subset(six_rows):
     assert len(sub) == 2
 
 
-def test_subset_carries_metadata(toy_csv):
-    ds = load_csv(toy_csv, label_column="bug")
-    sub = ds.subset([3, 1])
-    assert sub.metadata["name.1"] == ["Net", "Core"]
-
-
 def test_binary_property(six_rows, toy_csv):
     assert six_rows.binary
     assert not load_csv(toy_csv, label_column="bug").binary
@@ -473,24 +472,16 @@ def test_merge_empty_list():
         merge([])
 
 
-def test_merge_keeps_shared_metadata(toy_csv):
-    a = load_csv(toy_csv, label_column="bug", name="p", version="1.0")
-    b = load_csv(toy_csv, label_column="bug", name="p", version="1.1")
-    m = merge([a, b])
-    assert m.metadata["name"] == a.metadata["name"] * 2
-
-
 # ---------------------------------------------------------------- save_csv
 
 def test_save_load_round_trip_with_missing_cells(tmp_path, toy_csv):
     ds = load_csv(toy_csv, label_column="bug")
     out = tmp_path / "again.csv"
     save_csv(ds, out, label_column="bug")
-    back = load_csv(out, label_column="bug", exclude=tuple(ds.metadata))
+    back = load_csv(out, label_column="bug")
     assert back.attributes == ds.attributes
     assert np.array_equal(back.values, ds.values, equal_nan=True)
     assert np.array_equal(back.labels, ds.labels)
-    assert back.metadata == ds.metadata
 
 
 def test_save_csv_writes_missing_as_question_mark(tmp_path, toy_csv):
@@ -504,8 +495,7 @@ def test_save_csv_binary_labels_round_trip(tmp_path, toy_csv):
     ds = binarize(load_csv(toy_csv, label_column="bug"), LabelRule.bug_counts())
     out = tmp_path / "bin.csv"
     save_csv(ds, out, label_column="bug")
-    back = binarize(load_csv(out, label_column="bug",
-                             exclude=tuple(ds.metadata)),
+    back = binarize(load_csv(out, label_column="bug"),
                     LabelRule.bug_counts())
     assert np.array_equal(back.labels, ds.labels)
 
@@ -522,6 +512,24 @@ def test_save_csv_requires_effort_vector(tmp_path):
     ds = make_dataset(("a",), [[1]], labels=[True])
     with pytest.raises(DatasetError, match="no effort vector"):
         save_csv(ds, tmp_path / "x.csv", effort_column="loc")
+
+
+def test_save_csv_bytes_of_the_synthetic_corpus(tmp_path):
+    # the benchmark's rig-cv inputs; synth's class names reach the file as
+    # a leading name column through Dataset.row_names
+    want = {
+        "ant-1.0": "ed8ca97e8744a894c85a87610bc1067bd49c8b9c6096862525e3334e2c965806",
+        "ant-2.0": "9e0e44743e849729af6c6477faced1292c329c073306046c54a8837ace3d2dd4",
+        "ant-3.0": "2fa2f52e0b931c3db8345ad8fe545af9a30e431303fe088a24d0cf5e7c8e0d19",
+    }
+    got = {}
+    for ds in synth.make_corpus(names=("ant",), seed=7, rows=150)["ant"]:
+        path = tmp_path / f"{ds.name}.csv"
+        save_csv(ds, path)
+        got[ds.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert path.read_text().startswith("name,wmc,")
+        assert load_csv(path, label_column="bug").attributes == ds.attributes
+    assert got == want
 
 
 @st.composite

@@ -296,8 +296,7 @@ def _trie_data(seed, rows):
     values[rng.random(values.shape) < 0.1] = np.nan
     values = np.column_stack([values, np.full(rows, 7.0)])
     return Dataset(name="trie", version="1", attributes=keep + ("const",),
-                   values=values, labels=raw.labels >= 3, effort=raw.effort,
-                   metadata={})
+                   values=values, labels=raw.labels >= 3, effort=raw.effort)
 
 
 def _searched_subset_without_positives(tree, data):
@@ -539,7 +538,7 @@ def test_tree_dict_round_trip_through_json(eight_rows):
     train = _trie_data(3, 40)
     blank = Dataset(name="blank", version="1", attributes=train.attributes,
                     values=np.full(train.values.shape, np.nan),
-                    labels=train.labels, effort=train.effort, metadata={})
+                    labels=train.labels, effort=train.effort)
     shapes = set()
     for data, depths in [(eight_rows, [4]), (train, range(1, 6)),
                          (blank, range(1, 6))]:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from frugal.errors import DatasetError
+from frugal.errors import ConfigError, DatasetError
 from frugal.operational import change_frequency, project, top_changed
 
 import oracles
@@ -87,6 +87,15 @@ def test_change_frequency_validates_sequences():
         change_frequency([[v, other]])
 
 
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, -1e-9, math.inf])
+def test_change_frequency_rejects_bad_threshold(threshold):
+    v = _version({"a": [1, 2]})
+    with pytest.raises(ConfigError, match="threshold must be a finite"):
+        change_frequency([[v, v]], threshold=threshold)
+    # zero stays legal: every pair with data then counts as a change
+    assert _percents(change_frequency([[v, v]], threshold=0.0)) == {"a": 100.0}
+
+
 def test_changes_are_reported_name_sorted():
     v1 = _version({"zz": [1, 2, 3], "aa": [4, 5, 6], "mm": [7, 8, 9]})
     stats = change_frequency([[v1, v1]])
@@ -153,10 +162,9 @@ def test_top_changed_validation():
     v2 = _version({"b": [1, 2]})
     with pytest.raises(DatasetError, match="attribute mismatch"):
         top_changed(v1, v2)
-    with pytest.raises(DatasetError, match="fraction"):
-        top_changed(v1, v1, fraction=0.0)
-    with pytest.raises(DatasetError, match="fraction"):
-        top_changed(v1, v1, fraction=1.2)
+    for fraction in (0.0, 1.2, math.nan):
+        with pytest.raises(ConfigError, match="fraction"):
+            top_changed(v1, v1, fraction=fraction)
 
 
 # ------------------------------------------------------------------ project

@@ -26,7 +26,8 @@ from pathlib import Path
 from . import operational, rig
 from .dataset import DEFAULT_EXCLUDE, Dataset, LabelRule, binarize, load_csv, merge
 from .errors import (ConfigError, DatasetError, FrugalError,
-                     UnsupportedScoreError)
+                     UnsupportedScoreError, json_integer, json_number,
+                     json_string)
 from .fft import (grow, predict_dataset, rank_for_popt, render,
                   tree_from_dict, tree_to_dict)
 from .metrics import (Confusion, dis2heaven, far, popt, recall, recall_at_20,
@@ -61,11 +62,20 @@ def _split_exclude(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _flag_column(flag: str, value: str) -> str:
+    try:
+        return _column(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad {flag} value {value!r} ({exc})") from exc
+
+
 def _args_versions(args) -> list[Dataset]:
     """The CSVs named on a ``fit`` or ``eval`` command line, binarized."""
     rule = parse_rule(args.positive_if)
-    return _load_versions(args.csv, args.label, args.effort,
-                          _split_exclude(args.exclude), rule)
+    effort = (None if args.effort is None
+              else _flag_column("--effort", args.effort))
+    return _load_versions(args.csv, _flag_column("--label", args.label),
+                          effort, _split_exclude(args.exclude), rule)
 
 
 def _write_or_print(text: str, out: str | None):
@@ -170,28 +180,9 @@ def _names(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _integer(value) -> int:
-    # int() would round 4.7 down and read true as 1
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError("expected a JSON integer")
-    return value
-
-
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("expected a JSON number")
-    return float(value)
-
-
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("expected a JSON string")
-    return value
-
-
 def _column(value) -> str:
     # an empty name would reach load_csv and exit 2 as a data error
-    if not _string(value).strip():
+    if not json_string(value).strip():
         raise ValueError("expected a column name")
     return value
 
@@ -199,8 +190,8 @@ def _column(value) -> str:
 # Every RigConfig field may be set, and the type of its default says which
 # JSON type the value must have.  The other keys say how to load the
 # projects' CSVs.
-_CONFIG_TYPES = {f.name: {int: _integer, float: _number, str: _string,
-                          tuple: _names}[type(f.default)]
+_CONFIG_TYPES = {f.name: {int: json_integer, float: json_number,
+                          str: json_string, tuple: _names}[type(f.default)]
                  for f in dataclasses.fields(rig.RigConfig)}
 _CONFIG_KEYS = {*_CONFIG_TYPES, "projects", "label", "effort", "positive_if",
                 "exclude"}
@@ -233,7 +224,7 @@ def load_rig_config(path) -> tuple[rig.RigConfig, dict]:
     config = rig.RigConfig(**{key: value(key, kind)
                               for key, kind in _CONFIG_TYPES.items()
                               if key in raw})
-    rule = parse_rule(value("positive_if", _string, ">0"))
+    rule = parse_rule(value("positive_if", json_string, ">0"))
     exclude = value("exclude", _names, DEFAULT_EXCLUDE)
     label = value("label", _column, "bug")
     effort = None if raw.get("effort") is None else value("effort", _column)
@@ -266,6 +257,7 @@ def _cmd_rig(args) -> int:
 
 def _cmd_changefreq(args) -> int:
     exclude = _split_exclude(args.exclude)
+    label = _flag_column("--label", args.label)
     sequences = []
     if args.csv:
         sequences.append(args.csv)
@@ -275,7 +267,7 @@ def _cmd_changefreq(args) -> int:
         raise ConfigError("changefreq needs CSVs (positional or --sequence)")
     loaded = []
     for paths in sequences:
-        loaded.append([load_csv(p, label_column=args.label,
+        loaded.append([load_csv(p, label_column=label,
                                 effort_column=None, exclude=exclude,
                                 name=Path(p).stem)
                        for p in paths])

@@ -7,22 +7,23 @@ all 2^d exit-policy variants greedily and keeps the one with the best
 training score.
 
 Policies that share a bit prefix reach the same rows, so they share one
-split search: training walks the prefix trie, with one median/mask block
-(and, for Popt, one pair of optimal/worst curve areas) per row subset and
-one search per (subset, exit bit) -- 2^(d+1) - 2 searches over 2^d - 1
-subsets, instead of d searches for each of the 2^d policies.
+split search: training walks the prefix trie once, depth first, with one
+median/mask block (and, for Popt, one pair of optimal/worst curve areas)
+per row subset and one search per (subset, exit bit) -- 2^(d+1) - 2
+searches over 2^d - 1 subsets, instead of d searches for each of the 2^d
+policies.  Only the subsets on the current path stay alive.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DatasetError, TrainingError, UnsupportedScoreError
+from .errors import (DatasetError, TrainingError, UnsupportedScoreError,
+                     json_boolean, json_integer, json_number, json_string)
 from .metrics import (
     Confusion,
     DIS2HEAVEN,
@@ -66,35 +67,6 @@ class Range:
 
 
 @dataclass(frozen=True)
-class ExitPolicy:
-    """Per-level exit directions: True sends matching rows to the target
-    class, False to its negation."""
-
-    bits: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.bits) < 1:
-            raise ValueError("exit policy needs at least one level")
-        object.__setattr__(self, "bits", tuple(bool(b) for b in self.bits))
-
-    @property
-    def string(self) -> str:
-        """Display form: one digit per level plus the implied final digit,
-        which is always the opposite of the last exit."""
-        digits = "".join("1" if b else "0" for b in self.bits)
-        return digits + ("0" if self.bits[-1] else "1")
-
-
-def all_policies(depth: int) -> list[ExitPolicy]:
-    """Every exit policy of the given depth, in ascending binary order
-    (level 0 is the leftmost digit)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return [ExitPolicy(bits)
-            for bits in itertools.product((False, True), repeat=depth)]
-
-
-@dataclass(frozen=True)
 class Node:
     range: Range
     exit_class: bool
@@ -105,11 +77,13 @@ class Node:
 class FFTree:
     """A trained tree: up to ``depth`` exit nodes plus the final leaf.
 
-    ``nodes`` may be shorter than the policy when training ran out of rows
-    (or of scoreable ranges); the unused policy digits stay in the label.
+    ``policy`` holds each level's exit class; ``policy_string`` adds the
+    final leaf's digit, always the opposite of the last exit.  ``nodes``
+    may be shorter than the policy when training ran out of rows (or of
+    scoreable ranges); the unused policy digits stay in the label.
     """
 
-    policy: ExitPolicy
+    policy: tuple[bool, ...]
     nodes: tuple[Node, ...]
     leaf_class: bool
     leaf_support: int
@@ -118,7 +92,7 @@ class FFTree:
 
     @property
     def depth(self) -> int:
-        return len(self.policy.bits)
+        return len(self.policy)
 
     @property
     def truncated(self) -> bool:
@@ -126,7 +100,8 @@ class FFTree:
 
     @property
     def policy_string(self) -> str:
-        return self.policy.string
+        return "".join("1" if bit else "0"
+                       for bit in (*self.policy, not self.policy[-1]))
 
     @property
     def attributes(self) -> tuple[str, ...]:
@@ -206,9 +181,8 @@ def _candidates(data: Dataset, rows: np.ndarray):
 class _Subset:
     """A node of the prefix trie: the rows that every exit policy with one
     bit prefix reaches.  Each part of their split search is computed once,
-    on first use: the Popt effort order and optimal/worst curve areas,
-    every attribute's median split, and one search per exit bit, whose
-    winner leads to the child subset."""
+    on first use and shared by both exit bits: the Popt effort order and
+    optimal/worst curve areas, and every attribute's median split."""
 
     def __init__(self, data: Dataset, fn: ScoreFunction, rows):
         if fn.kind == "popt" and data.effort is None:
@@ -218,7 +192,6 @@ class _Subset:
             raise UnsupportedScoreError(f"unknown score function {fn.kind!r}")
         self.data, self.fn, self.rows = data, fn, rows
         self.labels = np.asarray(data.labels[rows], dtype=bool)
-        self._splits = {}
 
     @cached_property
     def _by_effort(self):
@@ -263,11 +236,6 @@ class _Subset:
         Ties break on (score, fewer rows consumed, attribute name, <= before
         >).
         """
-        if exit_class not in self._splits:
-            self._splits[exit_class] = self._search(exit_class)
-        return self._splits[exit_class]
-
-    def _search(self, exit_class: bool):
         ranges, match, n_match = self.candidates
         if not ranges:
             return None
@@ -293,38 +261,32 @@ class _Subset:
         return self.scores(preds[:, None], True)[0]
 
 
-def _build(root: _Subset, policy: ExitPolicy) -> FFTree:
-    """Walk one policy down the trie from the root subset of all rows."""
-    nodes: list[Node] = []
-    subset = root
-    for bit in policy.bits:
-        if len(subset.rows) == 0:
-            break
-        split = subset.split(bit)
+def _walk(root: _Subset, subset: _Subset, depth: int,
+          policy: tuple[bool, ...], nodes: tuple[Node, ...]):
+    """Yield the tree of every exit policy that starts with ``policy``, in
+    ascending binary order, scored on all rows of ``root``.  ``subset``
+    holds the rows that ``nodes`` leave.  A level with no rows left, or with
+    no range that matches a row, adds no node, nor does any level below."""
+    if len(policy) == depth:
+        leaf_class = not (nodes[-1].exit_class if nodes else policy[0])
+        tree = FFTree(policy=policy, nodes=nodes, leaf_class=leaf_class,
+                      leaf_support=len(subset.rows), score_kind=root.fn.kind)
+        yield replace(tree, train_score=root.tree_score(tree))
+        return
+    for bit in (False, True):
+        split = subset.split(bit) if len(subset.rows) else None
         if split is None:
-            break
-        node, subset = split
-        nodes.append(node)
-    leaf_class = (not nodes[-1].exit_class) if nodes else (not policy.bits[0])
-    tree = FFTree(policy=policy, nodes=tuple(nodes), leaf_class=leaf_class,
-                  leaf_support=int(len(subset.rows)), score_kind=root.fn.kind)
-    return replace(tree, train_score=root.tree_score(tree))
+            yield from _walk(root, subset, depth, (*policy, bit), nodes)
+        else:
+            yield from _walk(root, split[1], depth, (*policy, bit),
+                             (*nodes, split[0]))
 
 
-def _root(train: Dataset, fn: ScoreFunction) -> _Subset:
-    _check_trainable(train)
-    return _Subset(train, fn, np.arange(len(train)))
-
-
-def build_tree(train: Dataset, policy: ExitPolicy,
+def build_tree(train: Dataset, policy: tuple[bool, ...],
                fn: ScoreFunction = DIS2HEAVEN) -> FFTree:
-    """Greedy level-by-level construction for one exit policy.
-
-    At each level the best-scoring range exits with the policy's class for
-    that level; the rows it does not match move down.  Rows exhausted (or no
-    range scoreable) before the last level truncate the tree early.
-    """
-    return _build(_root(train, fn), policy)
+    """The tree ``grow`` trains for one exit policy."""
+    index = sum(bit << i for i, bit in enumerate(reversed(policy)))
+    return grow(train, len(policy), fn)[1][index]
 
 
 def tree_score(tree: FFTree, data: Dataset, fn: ScoreFunction) -> float:
@@ -336,21 +298,15 @@ def grow(train: Dataset, depth: int = 4,
          fn: ScoreFunction = DIS2HEAVEN) -> tuple[FFTree, list[FFTree]]:
     """Train all 2^depth exit-policy trees and select the best on train.
 
-    Policies that share a bit prefix share its searches (see the module
-    docstring).  Ties between equally scored trees go to the smaller policy
-    string.  Returns (best tree, all candidates in policy order).
+    At each level the best-scoring range exits with the policy's class for
+    that level; the rows it does not match move down.  Policies that share
+    a bit prefix share its searches (see the module docstring).  Ties
+    between equally scored trees go to the smaller policy string.  Returns
+    (best tree, all candidates in policy order).
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise TrainingError(
             f"depth must be between 1 and {MAX_DEPTH}, got {depth}")
-    root = _root(train, fn)
-    trees = [_build(root, policy) for policy in all_policies(depth)]
-    best = min(trees, key=lambda t: (fn.sort_key(t.train_score),
-                                     t.policy_string))
-    return best, trees
-
-
-def _check_trainable(train: Dataset):
     if not train.binary:
         raise TrainingError(f"{train.name}: labels must be binarized first")
     if len(train) < 2:
@@ -358,6 +314,11 @@ def _check_trainable(train: Dataset):
                             f"got {len(train)}")
     if len(train.attributes) < 1:
         raise TrainingError(f"{train.name}: need at least one attribute")
+    root = _Subset(train, fn, np.arange(len(train)))
+    trees = list(_walk(root, root, depth, (), ()))
+    best = min(trees, key=lambda t: (fn.sort_key(t.train_score),
+                                     t.policy_string))
+    return best, trees
 
 
 def route_dataset(tree: FFTree, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -435,10 +396,13 @@ def tree_to_dict(tree: FFTree) -> dict:
     }
 
 
-def _exit_class(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"class {value!r} is not a JSON boolean")
-    return value
+def _field(record: dict, key: str, check):
+    """``check(record[key])``, naming the key and value when it fails."""
+    value = record[key]
+    try:
+        return check(value)
+    except TypeError as exc:
+        raise TypeError(f"{key} {value!r}: {exc}") from None
 
 
 def tree_from_dict(payload: dict) -> FFTree:
@@ -450,16 +414,21 @@ def tree_from_dict(payload: dict) -> FFTree:
     there are none), not necessarily the policy's final digit.
     """
     try:
-        depth = int(payload["depth"])
+        depth = _field(payload, "depth", json_integer)
         digits = payload["policy"]
         nodes = tuple(
-            Node(range=Range(d["attribute"], d["op"], float(d["cut"])),
-                 exit_class=_exit_class(d["class"]),
-                 support=int(d["support"]))
+            Node(range=Range(_field(d, "attribute", json_string), d["op"],
+                             _field(d, "cut", json_number)),
+                 exit_class=_field(d, "class", json_boolean),
+                 support=_field(d, "support", json_integer))
             for d in payload["nodes"])
         leaf = payload["final_leaf"]
-        leaf_class = _exit_class(leaf["class"])
-        leaf_support = int(leaf["support"])
+        leaf_class = _field(leaf, "class", json_boolean)
+        leaf_support = _field(leaf, "support", json_integer)
+        train_score, score_kind = (
+            None if payload.get(key) is None else _field(payload, key, check)
+            for key, check in (("train_score", json_number),
+                               ("score", json_string)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"bad model payload: {exc}") from exc
     if not (isinstance(digits, str) and set(digits) <= {"0", "1"}):
@@ -477,7 +446,8 @@ def tree_from_dict(payload: dict) -> FFTree:
                            f"not follow policy {digits}")
     if leaf_class == (nodes[-1].exit_class if nodes else bits[0]):
         raise DatasetError("final leaf must oppose the last exit")
-    return FFTree(policy=ExitPolicy(bits), nodes=nodes, leaf_class=leaf_class,
-                  leaf_support=leaf_support,
-                  train_score=payload.get("train_score"),
-                  score_kind=payload.get("score"))
+    if leaf_support < 0 or any(n.support < 0 for n in nodes):
+        raise DatasetError("supports must be >= 0")
+    return FFTree(policy=bits, nodes=nodes, leaf_class=leaf_class,
+                  leaf_support=leaf_support, train_score=train_score,
+                  score_kind=score_kind)

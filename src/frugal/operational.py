@@ -50,10 +50,11 @@ def change_frequency(version_sequences: list[list[Dataset]],
 
     Attributes are pooled by name across sequences; a pair where either side
     has no observed values for an attribute cannot register a change.  A
-    negative or non-finite ``threshold`` is a ConfigError.
+    ``threshold`` that is not positive and finite is a ConfigError: at 0,
+    every pair with data counts as a change, even two identical versions.
     """
-    if not 0 <= threshold < math.inf:
-        raise ConfigError(f"threshold must be a finite number >= 0, "
+    if not 0 < threshold < math.inf:
+        raise ConfigError(f"threshold must be a finite number > 0, "
                           f"got {threshold}")
     total = 0
     changed: dict[str, int] = {}

@@ -183,6 +183,21 @@ def test_fit_bad_rule_is_a_config_error(project_dir, capsys):
     assert main(["fit", str(paths["1.0"]), "--positive-if", "nope"]) == 5
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("fit", "--label", ""), ("fit", "--effort", ""), ("fit", "--effort", "  "),
+    ("eval", "--label", " "), ("eval", "--effort", ""),
+    ("changefreq", "--label", "")])
+def test_empty_column_flag_is_a_config_error(project_dir, capsys, command,
+                                             flag, value):
+    # an empty name would reach load_csv and exit 2 as a data error
+    _, paths = project_dir
+    assert main([command, str(paths["1.0"]), str(paths["1.1"]),
+                 flag, value]) == 5
+    err = capsys.readouterr().err
+    assert err == (f"error: bad {flag} value {value!r} "
+                   "(expected a column name)\n")
+
+
 @pytest.mark.parametrize("command", ["fit", "eval"])
 def test_depth_below_one_is_a_training_error(project_dir, command, capsys):
     _, paths = project_dir
@@ -616,13 +631,13 @@ def test_changefreq_respects_threshold(project_dir, capsys):
     assert table["loc"][3] == "0.0"
 
 
-@pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("threshold", ["nan", "-1", "inf", "0"])
 def test_changefreq_rejects_bad_threshold(project_dir, capsys, threshold):
     _, paths = project_dir
     assert main(["changefreq", str(paths["1.0"]), str(paths["1.1"]),
                  "--threshold", threshold]) == 5
     err = capsys.readouterr().err
-    assert err.startswith("error: threshold must be a finite number >= 0")
+    assert err.startswith("error: threshold must be a finite number > 0")
     assert len(err.splitlines()) == 1
 
 

@@ -1,6 +1,8 @@
 """Tests for tree growing, routing, ranking and the text/JSON forms."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -9,10 +11,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from frugal import fft, metrics, synth
 from frugal.dataset import Dataset, LabelRule, binarize
 from frugal.errors import DatasetError, TrainingError, UnsupportedScoreError
-from frugal.fft import (ExitPolicy, FFTree, Node, Range, all_policies,
-                        build_tree, discretize, grow, predict_dataset,
-                        rank_for_popt, render, route_dataset, score_range,
-                        tree_from_dict, tree_score, tree_to_dict)
+from frugal.fft import (FFTree, Node, Range, build_tree, discretize, grow,
+                        predict_dataset, rank_for_popt, render, route_dataset,
+                        score_range, tree_from_dict, tree_score, tree_to_dict)
 from frugal.metrics import DIS2HEAVEN, POPT
 
 import oracles
@@ -44,31 +45,27 @@ def test_range_validation_and_display():
     assert Range("a", "<=", 3.5).display == "a <= 3.5"
 
 
-# -------------------------------------------------------------- ExitPolicy
+# ----------------------------------------------------------- exit policies
+
+def _policy_string(bits):
+    return FFTree(policy=bits, nodes=(), leaf_class=not bits[0],
+                  leaf_support=0).policy_string
+
 
 def test_policy_string_appends_opposite_digit():
-    assert ExitPolicy((False, False, True, False)).string == "00101"
-    assert ExitPolicy((True,)).string == "10"
-    assert ExitPolicy((False,)).string == "01"
-    assert ExitPolicy((True, True, True, True)).string == "11110"
+    assert _policy_string((False, False, True, False)) == "00101"
+    assert _policy_string((True,)) == "10"
+    assert _policy_string((False,)) == "01"
+    assert _policy_string((True, True, True, True)) == "11110"
 
 
-def test_policy_needs_a_level():
-    with pytest.raises(ValueError):
-        ExitPolicy(())
-
-
-def test_all_policies_count_and_order():
-    policies = all_policies(4)
-    assert len(policies) == 16
-    strings = [p.string for p in policies]
-    assert strings[0] == "00001"
-    assert strings[-1] == "11110"
-    assert strings == sorted(strings)
-    assert strings == [oracles.policy_string_of(bits)
-                       for bits in oracles.all_bit_vectors(4)]
-    with pytest.raises(ValueError):
-        all_policies(0)
+def test_policy_needs_a_level(six_rows):
+    with pytest.raises(TrainingError, match="depth"):
+        build_tree(six_rows, ())
+    no_levels = {"depth": 0, "policy": "1", "nodes": [],
+                 "final_leaf": {"class": False, "support": 6}}
+    with pytest.raises(DatasetError, match="does not match depth"):
+        tree_from_dict(no_levels)
 
 
 # -------------------------------------------------------------- discretize
@@ -155,7 +152,7 @@ def test_score_range_popt_needs_effort(six_rows):
 
 def test_build_tree_level_trace(eight_rows):
     """Node-by-node agreement with the exhaustive oracle on one policy."""
-    tree = build_tree(eight_rows, ExitPolicy((False, True, True, True)),
+    tree = build_tree(eight_rows, (False, True, True, True),
                       DIS2HEAVEN)
     assert tree.policy_string == "01110"
     got = [(n.range.attribute, n.range.op, n.range.cut, n.exit_class,
@@ -175,14 +172,14 @@ def test_build_tree_matches_oracle_for_every_policy(eight_rows, fn):
     rows = dataset_rows(eight_rows)
     labels = eight_rows.labels.tolist()
     efforts = eight_rows.effort.tolist()
-    for policy in all_policies(3):
+    for policy in oracles.all_bit_vectors(3):
         tree = build_tree(eight_rows, policy, fn)
         want = oracles.build_tree_oracle(rows, labels, efforts,
-                                         policy.bits, fn.kind)
+                                         policy, fn.kind)
         got_nodes = [{"attribute": n.range.attribute, "op": n.range.op,
                       "cut": n.range.cut, "class": n.exit_class,
                       "support": n.support} for n in tree.nodes]
-        assert got_nodes == want["nodes"], policy.string
+        assert got_nodes == want["nodes"], oracles.policy_string_of(policy)
         assert tree.leaf_class == want["leaf_class"]
         assert tree.leaf_support == want["leaf_support"]
         assert tree.train_score == oracles.tree_score_oracle(
@@ -190,7 +187,7 @@ def test_build_tree_matches_oracle_for_every_policy(eight_rows, fn):
 
 
 def test_build_tree_supports_partition_rows(twelve_rows):
-    for policy in all_policies(4):
+    for policy in oracles.all_bit_vectors(4):
         tree = build_tree(twelve_rows, policy, DIS2HEAVEN)
         consumed = sum(n.support for n in tree.nodes) + tree.leaf_support
         assert consumed == len(twelve_rows)
@@ -199,7 +196,7 @@ def test_build_tree_supports_partition_rows(twelve_rows):
 def test_build_tree_truncates_when_rows_run_out():
     ds = make_dataset(("c",), [[5], [5], [5], [5]],
                       labels=[True, True, False, False])
-    tree = build_tree(ds, ExitPolicy((True, False, True, False)), DIS2HEAVEN)
+    tree = build_tree(ds, (True, False, True, False), DIS2HEAVEN)
     assert len(tree.nodes) == 1          # the constant cut consumes all rows
     assert tree.truncated
     assert tree.leaf_support == 0
@@ -209,7 +206,7 @@ def test_build_tree_truncates_when_rows_run_out():
 def test_build_tree_truncates_when_nothing_scoreable():
     ds = make_dataset(("m",), [[None], [None], [None]],
                       labels=[True, False, True])
-    tree = build_tree(ds, ExitPolicy((True, True)), DIS2HEAVEN)
+    tree = build_tree(ds, (True, True), DIS2HEAVEN)
     assert tree.nodes == ()
     assert tree.truncated
     assert tree.leaf_class is False      # opposite of the first policy digit
@@ -235,18 +232,31 @@ def test_grow_without_positives_scores_like_the_oracle(fn):
     _, trees = grow(ds, depth=2, fn=fn)
     for tree in trees:
         want = oracles.build_tree_oracle(rows, [False] * 4, efforts,
-                                         tree.policy.bits, fn.kind)
+                                         tree.policy, fn.kind)
         assert tree.train_score == oracles.tree_score_oracle(
             want, rows, [False] * 4, efforts, fn.kind)
         if fn is POPT:
             assert tree.train_score == 0.5
 
 
+def test_all_policies_count_and_order(twelve_rows):
+    """grow enumerates every exit policy once, in lexicographic order."""
+    _, trees = grow(twelve_rows, depth=4, fn=DIS2HEAVEN)
+    assert len(trees) == 16
+    strings = [t.policy_string for t in trees]
+    assert strings[0] == "00001"
+    assert strings[-1] == "11110"
+    assert strings == sorted(strings)
+    assert strings == [oracles.policy_string_of(bits)
+                       for bits in oracles.all_bit_vectors(4)]
+    with pytest.raises(TrainingError, match="depth"):
+        grow(twelve_rows, depth=0)
+
+
 def test_grow_returns_all_policies_in_order(twelve_rows):
     best, trees = grow(twelve_rows, depth=4, fn=DIS2HEAVEN)
     assert len(trees) == 16
-    assert [t.policy_string for t in trees] == [p.string
-                                                for p in all_policies(4)]
+    assert [list(t.policy) for t in trees] == oracles.all_bit_vectors(4)
     assert best in trees
 
 
@@ -321,10 +331,9 @@ def test_grow_shared_search_matches_per_policy_builds(seed, n_rows, fn):
     saw_no_positives = False
     for depth in range(1, 6):
         _, trees = grow(train, depth, fn)
-        assert trees == [build_tree(train, p, fn) for p in all_policies(depth)]
         for tree in trees:
             want = oracles.build_tree_oracle(rows, labels, efforts,
-                                             tree.policy.bits, fn.kind)
+                                             tree.policy, fn.kind)
             got_nodes = [{"attribute": n.range.attribute, "op": n.range.op,
                           "cut": n.range.cut, "class": n.exit_class,
                           "support": n.support} for n in tree.nodes]
@@ -348,8 +357,8 @@ def test_grow_searches_each_prefix_once(fn, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fft, "_candidates", counted("blocks", fft._candidates))
-    monkeypatch.setattr(fft._Subset, "_search",
-                        counted("searches", fft._Subset._search))
+    monkeypatch.setattr(fft._Subset, "split",
+                        counted("searches", fft._Subset.split))
     monkeypatch.setattr(fft, "popt_bounds",
                         counted("bounds", metrics.popt_bounds))
     raw = synth.make_corpus(names=("ant",), seed=7, versions=1, rows=300)
@@ -359,6 +368,30 @@ def test_grow_searches_each_prefix_once(fn, monkeypatch):
     assert counts["blocks"] == 15
     assert counts["searches"] == 30
     assert counts["bounds"] == (15 if fn is POPT else 0)
+
+
+def test_grow_frees_its_trie(monkeypatch):
+    """Every row subset of the trie is freed by reference counting alone
+    once grow returns; a reference cycle would keep them until the cyclic
+    collector runs."""
+    subsets = []
+    init = fft._Subset.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        subsets.append(weakref.ref(self))
+
+    monkeypatch.setattr(fft._Subset, "__init__", tracked)
+    raw = synth.make_corpus(names=("ant",), seed=7, versions=1, rows=300)
+    train = binarize(raw["ant"][0], LabelRule.bug_counts())
+    gc.disable()
+    try:
+        grow(train, depth=4, fn=POPT)
+        alive = [ref for ref in subsets if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(subsets) == 31
+    assert alive == []
 
 
 def test_grow_rejects_depth_below_one(six_rows):
@@ -398,7 +431,7 @@ def _exit(tree, row):
 
 
 def test_route_first_match_wins_and_leaf_fallback(eight_rows):
-    tree = build_tree(eight_rows, ExitPolicy((False, True, True, True)),
+    tree = build_tree(eight_rows, (False, True, True, True),
                       DIS2HEAVEN)
     # row 1 (x=2, y=40): y > 32.5 fires at level 0
     assert _exit(tree, eight_rows.subset([1])) == (0, False, 4)
@@ -410,7 +443,7 @@ def test_route_first_match_wins_and_leaf_fallback(eight_rows):
 
 
 def test_route_treats_missing_as_no_match(eight_rows):
-    tree = build_tree(eight_rows, ExitPolicy((False, True, True, True)),
+    tree = build_tree(eight_rows, (False, True, True, True),
                       DIS2HEAVEN)
     all_missing = one_row(eight_rows.attributes,
                           {"x": None, "y": float("nan"), "z": None})
@@ -423,10 +456,10 @@ def test_routing_matches_oracle_row_by_row(eight_rows, fn):
     rows = dataset_rows(eight_rows)
     labels = eight_rows.labels.tolist()
     efforts = eight_rows.effort.tolist()
-    for policy in all_policies(3):
+    for policy in oracles.all_bit_vectors(3):
         tree = build_tree(eight_rows, policy, fn)
         oracle_tree = oracles.build_tree_oracle(rows, labels, efforts,
-                                                policy.bits, fn.kind)
+                                                policy, fn.kind)
         exit_idx, classes = route_dataset(tree, eight_rows)
         for i, row in enumerate(rows):
             want_idx, want_cls = oracles.route_oracle(oracle_tree, row)
@@ -439,12 +472,12 @@ def test_routing_matches_oracle_row_by_row(eight_rows, fn):
 # ----------------------------------------------------------- rank_for_popt
 
 def test_rank_for_popt_simple_order(six_rows):
-    tree = build_tree(six_rows, ExitPolicy((True,)), DIS2HEAVEN)
+    tree = build_tree(six_rows, (True,), DIS2HEAVEN)
     assert rank_for_popt(tree, six_rows).tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_rank_for_popt_bucket_precedence():
-    tree = FFTree(policy=ExitPolicy((True, False, True)),
+    tree = FFTree(policy=(True, False, True),
                   nodes=(Node(Range("x", "<=", 1.0), True, 1),
                          Node(Range("x", "<=", 2.0), False, 1),
                          Node(Range("x", "<=", 3.0), True, 1)),
@@ -457,7 +490,7 @@ def test_rank_for_popt_bucket_precedence():
 
 
 def test_rank_for_popt_breaks_ties_by_effort():
-    tree = FFTree(policy=ExitPolicy((True,)),
+    tree = FFTree(policy=(True,),
                   nodes=(Node(Range("x", "<=", 10.0), True, 3),),
                   leaf_class=False, leaf_support=1)
     ds = make_dataset(("x",), [[1], [2], [3], [20]],
@@ -467,7 +500,7 @@ def test_rank_for_popt_breaks_ties_by_effort():
 
 
 def test_rank_for_popt_needs_effort(six_rows):
-    tree = build_tree(six_rows, ExitPolicy((True,)), DIS2HEAVEN)
+    tree = build_tree(six_rows, (True,), DIS2HEAVEN)
     no_effort = make_dataset(("a", "b"), [[1, 2], [3, 4]],
                              labels=[True, False])
     with pytest.raises(UnsupportedScoreError, match="effort"):
@@ -475,7 +508,7 @@ def test_rank_for_popt_needs_effort(six_rows):
 
 
 def test_tree_score_agrees_with_oracle_on_test_data(eight_rows, twelve_rows):
-    tree = build_tree(eight_rows, ExitPolicy((False, True, True, True)),
+    tree = build_tree(eight_rows, (False, True, True, True),
                       DIS2HEAVEN)
     oracle_tree = {"nodes": [{"attribute": n.range.attribute,
                               "op": n.range.op, "cut": n.range.cut,
@@ -498,9 +531,9 @@ def test_tree_score_agrees_with_oracle_on_test_data(eight_rows, twelve_rows):
 # --------------------------------------------------------------- rendering
 
 def test_render_pinned_text(six_rows, eight_rows):
-    simple = build_tree(six_rows, ExitPolicy((True,)), DIS2HEAVEN)
+    simple = build_tree(six_rows, (True,), DIS2HEAVEN)
     assert render(simple) == "if a <= 3.5 then true\nelse false"
-    deep = build_tree(eight_rows, ExitPolicy((False, True, True, True)),
+    deep = build_tree(eight_rows, (False, True, True, True),
                       DIS2HEAVEN)
     assert render(deep) == ("if y > 32.5 then false\n"
                             "else if x <= 4 then true\n"
@@ -553,7 +586,7 @@ def test_tree_dict_round_trip_through_json(eight_rows):
 
 
 def test_tree_dict_shape(eight_rows):
-    tree = build_tree(eight_rows, ExitPolicy((False, True, True, True)),
+    tree = build_tree(eight_rows, (False, True, True, True),
                       DIS2HEAVEN)
     payload = tree_to_dict(tree)
     assert payload["depth"] == 4
@@ -566,7 +599,7 @@ def test_tree_dict_shape(eight_rows):
 
 
 def test_tree_from_dict_validation(eight_rows):
-    tree = build_tree(eight_rows, ExitPolicy((True, True)), DIS2HEAVEN)
+    tree = build_tree(eight_rows, (True, True), DIS2HEAVEN)
     payload = tree_to_dict(tree)
     broken = dict(payload)
     del broken["nodes"]
@@ -579,6 +612,29 @@ def test_tree_from_dict_validation(eight_rows):
     agreeing = dict(payload, final_leaf={"class": True, "support": 0})
     with pytest.raises(DatasetError, match="oppose the last exit"):
         tree_from_dict(agreeing)
+    # each field must have its JSON type: no rounding, no parsing of strings
+    node, *rest = payload["nodes"]
+
+    def with_node(**change):
+        return dict(payload, nodes=[dict(node, **change), *rest])
+
+    for bad, message in [
+            (dict(payload, depth=2.9), "depth 2.9: expected a JSON integer"),
+            (dict(payload, depth="2"), "depth '2': expected a JSON integer"),
+            (with_node(support=-7.9), "support -7.9: expected a JSON integer"),
+            (with_node(support="12"), "support '12': expected a JSON integer"),
+            (with_node(support=-7), "supports must be >= 0"),
+            (dict(payload, final_leaf={"class": False, "support": -1}),
+             "supports must be >= 0"),
+            (with_node(cut="3.5"), "cut '3.5': expected a JSON number"),
+            (with_node(attribute=5), "attribute 5: expected a JSON string"),
+            (dict(payload, score=7), "score 7: expected a JSON string"),
+            (dict(payload, train_score="abc"),
+             "train_score 'abc': expected a JSON number")]:
+        with pytest.raises(DatasetError, match=message):
+            tree_from_dict(bad)
+    assert tree_from_dict(dict(payload, train_score=None, score=None)) \
+        == FFTree(tree.policy, tree.nodes, tree.leaf_class, tree.leaf_support)
 
 
 @pytest.mark.parametrize("leaf", [{}, {"class": True}, {"support": 3},
@@ -586,6 +642,6 @@ def test_tree_from_dict_validation(eight_rows):
                                   {"class": "false", "support": 3},
                                   {"class": 1, "support": 3}])
 def test_tree_from_dict_rejects_bad_final_leaf(eight_rows, leaf):
-    tree = build_tree(eight_rows, ExitPolicy((True, True)), DIS2HEAVEN)
+    tree = build_tree(eight_rows, (True, True), DIS2HEAVEN)
     with pytest.raises(DatasetError, match="bad model payload"):
         tree_from_dict(dict(tree_to_dict(tree), final_leaf=leaf))

@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated identifier columns "
                          "(default: %(default)s)")
     cf.add_argument("--threshold", type=float, default=0.06,
-                    help="effect-size cutoff on |a12 - 0.5| "
+                    help="effect-size cutoff on |a12 - 0.5|, in (0, 0.5] "
                          "(default: %(default)s)")
     cf.add_argument("--format", choices=("text", "json", "csv"),
                     default="text")

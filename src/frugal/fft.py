@@ -11,13 +11,21 @@ split search: training walks the prefix trie once, depth first, with one
 median/mask block (and, for Popt, one pair of optimal/worst curve areas)
 per row subset and one search per (subset, exit bit) -- 2^(d+1) - 2
 searches over 2^d - 1 subsets, instead of d searches for each of the 2^d
-policies.  Only the subsets on the current path stay alive.
+policies.  Only the subsets on the current path stay alive.  A search
+scores all of a subset's candidate ranges as arrays and picks the winner
+with one sort.
+
+Each tree's training score is read off the same walk: the rows each node
+exits are known there, so a d2h score sums the exits' counts and a Popt
+score joins their effort-ordered rows into the tree's ranking.  No row is
+routed through a finished tree again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -27,16 +35,19 @@ from .errors import (DatasetError, TrainingError, UnsupportedScoreError,
 from .metrics import (
     Confusion,
     DIS2HEAVEN,
+    POPT,
     ScoreFunction,
     dis2heaven,
+    dis2heaven_values,
+    popt,
     popt_bounds,
     popt_values,
 )
 
 # grow builds and returns all 2^depth trees, and its time more than
-# doubles every two levels (1584 rows on a 2-vCPU host: d2h 0.7 s at
-# depth 10, 1.9 s at depth 12; Popt 1.1 s and 4.0 s), so deeper trees are
-# refused rather than left to run for hours.
+# doubles every two levels (1584 rows on a 2-vCPU host: d2h 0.24 s at
+# depth 10, 0.56 s at depth 12; Popt 0.51 s and 1.4 s), so deeper trees
+# are refused rather than left to run for hours.
 MAX_DEPTH = 12
 
 
@@ -149,8 +160,9 @@ def score_range(rng: Range, data: Dataset, exit_class: bool,
     if not data.binary:
         raise TrainingError("score_range needs binarized labels")
     rows = np.arange(len(data)) if subset is None else subset
-    match = rng.matches_array(data.column(rng.attribute)[rows])
-    return _Subset(data, fn, rows).scores(match[:, None], exit_class)[0]
+    root = _Subset.root(data, fn, rows)
+    match = rng.matches_array(data.column(rng.attribute)[root.rows])
+    return float(root.scores(match[:, None], exit_class)[0])
 
 
 # Popt scores candidate rankings in batches of about this many cells
@@ -158,128 +170,174 @@ def score_range(rng: Range, data: Dataset, exit_class: bool,
 # 2-vCPU Xeon, scoring a 1320-row subset's candidates in one batch made a
 # Popt grow slower and raised peak RSS by 4.2 MB (+9% on a whole rig run);
 # batches of 1024-8192 cells kept the rise under 1 MB, and 4096 ran fastest.
+# grow scores its finished trees in batches of the same size.
 _POPT_BATCH_CELLS = 4096
 
 
+@lru_cache(maxsize=16)
+def _name_ranks(attributes: tuple[str, ...]) -> np.ndarray:
+    """Each attribute's rank in name order; equal names share a rank."""
+    rank = {name: i for i, name in enumerate(sorted(set(attributes)))}
+    ranks = np.array([rank[name] for name in attributes], dtype=int)
+    ranks.flags.writeable = False
+    return ranks
+
+
 def _candidates(data: Dataset, rows: np.ndarray):
-    """Every attribute's median split over ``rows``: the ranges with a
-    finite cut that match at least one row, their (rows x ranges) match
-    block and match counts.  Ranges are ordered by attribute, ``<=`` before
-    ``>``."""
+    """Every attribute's median split over ``rows``, kept when its cut is
+    finite and it matches at least one row, as arrays over the kept splits:
+    attribute index, op bit (0 for ``<=``, 1 for ``>``), cut, the (rows x
+    splits) match block and match counts.  Splits are ordered by
+    attribute, ``<=`` before ``>``."""
     block = data.values[rows]
     cuts = _medians(block)
     match = np.stack([block <= cuts, block > cuts], axis=2).reshape(
         len(block), -1)
     n_match = np.count_nonzero(match, axis=0)
     keep = np.flatnonzero(n_match * np.repeat(np.isfinite(cuts), 2))
-    cut_values = cuts.tolist()
-    ranges = [Range(data.attributes[c // 2], ("<=", ">")[c % 2],
-                    cut_values[c // 2]) for c in keep.tolist()]
-    return ranges, match[:, keep], n_match[keep].tolist()
+    attr, op = np.divmod(keep, 2)
+    return attr, op, cuts[attr], match[:, keep], n_match[keep]
 
 
 class _Subset:
     """A node of the prefix trie: the rows that every exit policy with one
-    bit prefix reaches.  Each part of their split search is computed once,
-    on first use and shared by both exit bits: the Popt effort order and
-    optimal/worst curve areas, and every attribute's median split."""
+    bit prefix reaches.  For Popt the rows are in effort order (ties in
+    the order the root was given), and every child subset keeps it.  Each
+    part of the split search is computed once, on first use, and shared by
+    both exit bits: every attribute's median split and, for Popt, the
+    optimal/worst curve areas."""
 
-    def __init__(self, data: Dataset, fn: ScoreFunction, rows):
+    def __init__(self, data: Dataset, fn: ScoreFunction, rows: np.ndarray):
+        self.data, self.fn, self.rows = data, fn, rows
+        self.labels = np.asarray(data.labels[rows], dtype=bool)
+
+    @classmethod
+    def root(cls, data: Dataset, fn: ScoreFunction, rows) -> "_Subset":
+        """The subset of ``rows`` that a search starts from."""
         if fn.kind == "popt" and data.effort is None:
             raise UnsupportedScoreError(
                 f"{data.name}: popt needs an effort column")
         if fn.kind not in ("popt", "dis2heaven"):
             raise UnsupportedScoreError(f"unknown score function {fn.kind!r}")
-        self.data, self.fn, self.rows = data, fn, rows
-        self.labels = np.asarray(data.labels[rows], dtype=bool)
+        rows = np.asarray(rows)
+        if fn.kind == "popt":
+            rows = rows[np.argsort(data.effort[rows], kind="stable")]
+        return cls(data, fn, rows)
 
     @cached_property
-    def _by_effort(self):
-        """(effort order, defects and efforts in it, Popt bounds)."""
+    def _popt(self):
+        """(defects, efforts, Popt bounds) of the rows, in effort order."""
+        defects = self.labels.astype(float)
         efforts = self.data.effort[self.rows]
-        order = np.argsort(efforts, kind="stable")
-        defects, efforts = self.labels[order].astype(float), efforts[order]
-        return order, defects, efforts, popt_bounds(defects, efforts)
+        return defects, efforts, popt_bounds(defects, efforts)
 
     @cached_property
     def candidates(self):
         return _candidates(self.data, self.rows)
 
-    def scores(self, match: np.ndarray, exit_class: bool) -> list[float]:
+    def scores(self, match: np.ndarray, exit_class: bool) -> np.ndarray:
         """Score of each column of a (rows x candidates) match block, read
         as "matching rows are ``exit_class``, the rest the opposite"."""
-        preds = match if exit_class else ~match
+        n = len(self.rows)
         if self.fn.kind == "dis2heaven":
             pos = int(np.count_nonzero(self.labels))
-            neg = len(self.labels) - pos
-            tp = np.count_nonzero(preds & self.labels[:, None], axis=0)
-            called = np.count_nonzero(preds, axis=0)
-            return [dis2heaven(Confusion(tp=t, fp=c - t, tn=neg - c + t,
-                                         fn=pos - t))
-                    for t, c in zip(tp.tolist(), called.tolist())]
-        by_effort, defects, efforts, bounds = self._by_effort
-        # Predicted positives first, then ascending effort and row index: a
-        # stable partition of the effort order, one ranking per candidate.
-        later = ~preds[by_effort].T
-        step = max(1, _POPT_BATCH_CELLS // max(1, len(self.labels)))
+            tp = np.count_nonzero(match[self.labels], axis=0)
+            called = np.count_nonzero(match, axis=0)
+            if not exit_class:
+                tp, called = pos - tp, n - called
+            return dis2heaven_values(tp, called, pos, n - pos)
+        defects, efforts, bounds = self._popt
+        # Predicted positives first, then effort order: a stable partition
+        # of the rows, one ranking per candidate.
+        later = (~match if exit_class else match).T
+        step = max(1, _POPT_BATCH_CELLS // max(1, n))
         out = []
         for lo in range(0, len(later), step):
             order = np.argsort(later[lo:lo + step], axis=1, kind="stable")
-            out.extend(popt_values(defects[order], efforts[order],
-                                   bounds).tolist())
-        return out
+            out.append(popt_values(defects[order], efforts[order], bounds))
+        return np.concatenate(out)
+
+    def exit(self, rows=slice(None)):
+        """What a tree's training score needs of the rows (a mask or slice)
+        that leave it at one node: their positives and count for d2h, the
+        rows themselves, in effort order, for Popt."""
+        if self.fn.kind == "popt":
+            return self.rows[rows]
+        labels = self.labels[rows]
+        return int(np.count_nonzero(labels)), len(labels)
 
     def split(self, exit_class: bool):
-        """(node, child subset of the rows it leaves) of the best split for
-        one exit class, or None when no range matches any row.
+        """(node, child subset of the rows it leaves, the node's ``exit``)
+        of the best split for one exit class, or None when no range matches
+        any row.
 
         Ties break on (score, fewer rows consumed, attribute name, <= before
         >).
         """
-        ranges, match, n_match = self.candidates
-        if not ranges:
+        attr, op, cut, match, n_match = self.candidates
+        if not len(attr):
             return None
-        scores = self.scores(match, exit_class)
-        key = self.fn.sort_key
-        best = min(range(len(ranges)),
-                   key=lambda c: (key(scores[c]), n_match[c],
-                                  ranges[c].attribute, ranges[c].op != "<="))
-        node = Node(range=ranges[best], exit_class=exit_class,
-                    support=n_match[best])
-        rest = _Subset(self.data, self.fn, self.rows[~match[:, best]])
-        return node, rest
+        key = self.fn.sort_key(self.scores(match, exit_class))
+        names = _name_ranks(self.data.attributes)[attr]
+        best = np.lexsort((op, names, n_match, key))[0]
+        rng = Range(self.data.attributes[attr[best]], ("<=", ">")[op[best]],
+                    float(cut[best]))
+        node = Node(range=rng, exit_class=exit_class,
+                    support=int(n_match[best]))
+        hit = match[:, best]
+        rest = _Subset(self.data, self.fn, self.rows[~hit])
+        return node, rest, self.exit(hit)
 
-    def tree_score(self, tree: FFTree) -> float:
-        """Whole-tree score over the full dataset (``rows`` must be all of
-        it); Popt reuses this subset's curve areas."""
-        if self.fn.kind == "popt":
-            order = rank_for_popt(tree, self.data)
-            return float(popt_values(self.data.labels[order].astype(float),
-                                     self.data.effort[order],
-                                     self._by_effort[3]))
-        preds = predict_dataset(tree, self.data)
-        return self.scores(preds[:, None], True)[0]
+    def scored(self, batch) -> list[FFTree]:
+        """Each tree of a batch of (tree, exits) pairs from ``_walk`` with
+        its score on this subset's rows, which must be all of the data.
+        The exits (one per node, then the leaf's) hold every row once, so
+        no row is routed again."""
+        classes = [(*(n.exit_class for n in tree.nodes), tree.leaf_class)
+                   for tree, _ in batch]
+        if self.fn.kind == "dis2heaven":
+            true_exits = [[e for e, c in zip(exits, cls) if c]
+                          for (_, exits), cls in zip(batch, classes)]
+            tp = [sum(t for t, _ in ex) for ex in true_exits]
+            called = [sum(n for _, n in ex) for ex in true_exits]
+            pos = int(np.count_nonzero(self.labels))
+            scores = dis2heaven_values(tp, called, pos, len(self.rows) - pos)
+        else:
+            # rank_for_popt's order: rows leaving through true exits,
+            # earliest exit first, then through false exits, latest first
+            rankings = np.stack([
+                np.concatenate([e for e, c in zip(exits, cls) if c]
+                               + [e for e, c in zip(exits[::-1], cls[::-1])
+                                  if not c])
+                for (_, exits), cls in zip(batch, classes)])
+            scores = popt_values(self.data.labels[rankings].astype(float),
+                                 self.data.effort[rankings], self._popt[2])
+        return [replace(tree, train_score=score)
+                for (tree, _), score in zip(batch, scores.tolist())]
 
 
-def _walk(root: _Subset, subset: _Subset, depth: int,
-          policy: tuple[bool, ...], nodes: tuple[Node, ...]):
-    """Yield the tree of every exit policy that starts with ``policy``, in
-    ascending binary order, scored on all rows of ``root``.  ``subset``
-    holds the rows that ``nodes`` leave.  A level with no rows left, or with
-    no range that matches a row, adds no node, nor does any level below."""
+def _walk(subset: _Subset, depth: int, policy: tuple[bool, ...],
+          nodes: tuple[Node, ...], exits: tuple):
+    """Yield (tree, exits) for every exit policy that starts with
+    ``policy``, in ascending binary order; the trees are not scored yet.
+    ``subset`` holds the rows that ``nodes`` leave, and ``exits`` the
+    ``exit`` of each node.  A level with no rows left, or with no range
+    that matches a row, adds no node, nor does any level below."""
     if len(policy) == depth:
         leaf_class = not (nodes[-1].exit_class if nodes else policy[0])
         tree = FFTree(policy=policy, nodes=nodes, leaf_class=leaf_class,
-                      leaf_support=len(subset.rows), score_kind=root.fn.kind)
-        yield replace(tree, train_score=root.tree_score(tree))
+                      leaf_support=len(subset.rows),
+                      score_kind=subset.fn.kind)
+        yield tree, (*exits, subset.exit())
         return
     for bit in (False, True):
         split = subset.split(bit) if len(subset.rows) else None
         if split is None:
-            yield from _walk(root, subset, depth, (*policy, bit), nodes)
+            yield from _walk(subset, depth, (*policy, bit), nodes, exits)
         else:
-            yield from _walk(root, split[1], depth, (*policy, bit),
-                             (*nodes, split[0]))
+            node, rest, out = split
+            yield from _walk(rest, depth, (*policy, bit), (*nodes, node),
+                             (*exits, out))
 
 
 def build_tree(train: Dataset, policy: tuple[bool, ...],
@@ -290,8 +348,17 @@ def build_tree(train: Dataset, policy: tuple[bool, ...],
 
 
 def tree_score(tree: FFTree, data: Dataset, fn: ScoreFunction) -> float:
-    """Whole-tree score on a dataset (training or test)."""
-    return _Subset(data, fn, np.arange(len(data))).tree_score(tree)
+    """Whole-tree score on a dataset (training or test), by routing its
+    rows: the reference for the training scores ``grow`` reads off the
+    trie."""
+    if fn.kind == "popt":
+        order = rank_for_popt(tree, data)
+        return popt(data.labels[order].astype(float),
+                    data.effort[order]).value
+    if fn.kind == "dis2heaven":
+        return dis2heaven(Confusion.from_predictions(
+            predict_dataset(tree, data), data.labels))
+    raise UnsupportedScoreError(f"unknown score function {fn.kind!r}")
 
 
 def grow(train: Dataset, depth: int = 4,
@@ -314,8 +381,12 @@ def grow(train: Dataset, depth: int = 4,
                             f"got {len(train)}")
     if len(train.attributes) < 1:
         raise TrainingError(f"{train.name}: need at least one attribute")
-    root = _Subset(train, fn, np.arange(len(train)))
-    trees = list(_walk(root, root, depth, (), ()))
+    root = _Subset.root(train, fn, np.arange(len(train)))
+    walk = _walk(root, depth, (), (), ())
+    step = max(1, _POPT_BATCH_CELLS // len(train))
+    trees = []
+    while batch := list(islice(walk, step)):
+        trees += root.scored(batch)
     best = min(trees, key=lambda t: (fn.sort_key(t.train_score),
                                      t.policy_string))
     return best, trees
@@ -431,6 +502,9 @@ def tree_from_dict(payload: dict) -> FFTree:
                                ("score", json_string)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"bad model payload: {exc}") from exc
+    if score_kind not in (None, DIS2HEAVEN.kind, POPT.kind):
+        raise DatasetError(f"model score {score_kind!r} must be null, "
+                           f"{DIS2HEAVEN.kind!r} or {POPT.kind!r}")
     if not (isinstance(digits, str) and set(digits) <= {"0", "1"}):
         raise DatasetError(f"policy {digits!r} must be a string of 0/1 digits")
     if depth < 1 or len(digits) != depth + 1:

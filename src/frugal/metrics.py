@@ -58,14 +58,31 @@ def far(c: Confusion) -> float:
     return c.fp / (c.fp + c.tn)
 
 
+def dis2heaven_values(tp, called, pos, neg) -> np.ndarray:
+    """Distance to heaven of each classifier in a batch, from its true
+    positives and its predicted positives (``called``) on data with ``pos``
+    positives and ``neg`` negatives; the arguments broadcast.
+
+    Recall reads 1.0 when ``pos`` is 0 and FAR 0.0 when ``neg`` is 0, as in
+    ``recall`` and ``far``; no division by zero happens.  ``float_power``
+    is C ``pow``, as Python's ``**`` is, so one classifier's value is the
+    float the scalar formula gives.
+    """
+    tp, called, pos, neg = map(np.asarray, (tp, called, pos, neg))
+    has_pos, has_neg = pos > 0, neg > 0
+    r = np.where(has_pos, tp / np.where(has_pos, pos, 1), 1.0)
+    f = np.where(has_neg, (called - tp) / np.where(has_neg, neg, 1), 0.0)
+    return np.sqrt((np.float_power(1.0 - r, 2.0)
+                    + np.float_power(f, 2.0)) / 2.0)
+
+
 def dis2heaven(c: Confusion) -> float:
     """Normalized Euclidean distance from (recall, FAR) to the ideal (1, 0).
 
     Zero for a perfect classifier, one at the worst corner; lower is better.
     """
-    r = recall(c)
-    f = far(c)
-    return math.sqrt(((1.0 - r) ** 2 + f ** 2) / 2.0)
+    return float(dis2heaven_values(c.tp, c.tp + c.fp, c.tp + c.fn,
+                                   c.fp + c.tn))
 
 
 @dataclass(frozen=True)

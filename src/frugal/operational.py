@@ -50,12 +50,13 @@ def change_frequency(version_sequences: list[list[Dataset]],
 
     Attributes are pooled by name across sequences; a pair where either side
     has no observed values for an attribute cannot register a change.  A
-    ``threshold`` that is not positive and finite is a ConfigError: at 0,
-    every pair with data counts as a change, even two identical versions.
+    ``threshold`` outside (0, 0.5] is a ConfigError: at 0 every pair with
+    data counts as a change, even two identical versions, and since
+    ``|a12 - 0.5|`` never exceeds 0.5, above it no pair can.
     """
-    if not 0 < threshold < math.inf:
-        raise ConfigError(f"threshold must be a finite number > 0, "
-                          f"got {threshold}")
+    if not 0 < threshold <= 0.5:
+        raise ConfigError(f"threshold must be a finite number > 0 and "
+                          f"<= 0.5, got {threshold}")
     total = 0
     changed: dict[str, int] = {}
     for sequence in version_sequences:

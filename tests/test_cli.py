@@ -390,6 +390,18 @@ def test_eval_rejects_malformed_model_files(project_dir, tmp_path, capsys,
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("score", ["auc", ""])
+def test_eval_rejects_a_model_with_an_unknown_score(project_dir, tmp_path,
+                                                   capsys, score):
+    _, paths = project_dir
+    model_path = tmp_path / "scored.json"
+    model_path.write_text(json.dumps(dict(PERFECT_MODEL, score=score)))
+    assert main(["eval", str(paths["1.2"]), "--model", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model score {score!r} must be null")
+    assert len(err.splitlines()) == 1
+
+
 def test_eval_model_against_mismatched_columns(project_dir, tmp_path, capsys):
     _, paths = project_dir
     model = dict(PERFECT_MODEL,
@@ -639,6 +651,19 @@ def test_changefreq_rejects_bad_threshold(project_dir, capsys, threshold):
     err = capsys.readouterr().err
     assert err.startswith("error: threshold must be a finite number > 0")
     assert len(err.splitlines()) == 1
+
+
+def test_changefreq_threshold_above_one_half_is_a_config_error(project_dir,
+                                                               capsys):
+    # |a12 - 0.5| never exceeds 0.5, so a larger cutoff reports no change
+    _, paths = project_dir
+    argv = ["changefreq", str(paths["1.0"]), str(paths["1.1"]), "--threshold"]
+    assert main([*argv, "0.51"]) == 5
+    err = capsys.readouterr().err
+    assert err == ("error: threshold must be a finite number > 0 and "
+                   "<= 0.5, got 0.51\n")
+    assert main([*argv, "0.5"]) == 0
+    assert capsys.readouterr().out.startswith("attribute")
 
 
 def test_changefreq_csv_and_json_formats(project_dir, capsys):

@@ -346,6 +346,65 @@ def test_grow_shared_search_matches_per_policy_builds(seed, n_rows, fn):
     assert saw_no_positives
 
 
+def _tied_data(seed, rows):
+    """``_trie_data`` plus two columns whose medians sit on many tied
+    values: one of three levels, and a copy of ``wmc`` under a name that
+    sorts before it, so that equal scores must break on the name."""
+    base = _trie_data(seed, rows)
+    levels = np.random.default_rng(seed).integers(0, 3, rows).astype(float)
+    values = np.column_stack([base.values, levels,
+                              base.values[:, base.attributes.index("wmc")]])
+    return Dataset(name="tied", version="1",
+                   attributes=base.attributes + ("level", "awmc"),
+                   values=values, labels=base.labels, effort=base.effort)
+
+
+@pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
+@pytest.mark.parametrize("seed, n_rows", [(5, 80), (7, 120), (11, 150)])
+def test_trie_scores_equal_routed_scores(seed, n_rows, fn):
+    """grow reads each tree's training score off the rows its nodes exit;
+    routing every row through the finished tree must give the same float."""
+    train = _tied_data(seed, n_rows)
+    assert np.isnan(train.values).any()
+    assert (train.values[:, train.attributes.index("const")] == 7.0).all()
+    names = set()
+    for depth in range(1, 7):
+        _, trees = grow(train, depth, fn)
+        for tree in trees:
+            assert tree.train_score == tree_score(tree, train, fn), \
+                tree.policy_string
+            names.update(n.range.attribute for n in tree.nodes)
+    assert "awmc" in names and "wmc" not in names
+
+
+def test_tie_break_prefers_the_smaller_name_in_a_later_column():
+    # "a" is a copy of "b" one column later: every split on either scores
+    # and consumes the same, and the name decides
+    ds = make_dataset(("b", "a"), [[v, v] for v in (1, 2, 3, 4, 5, 6)],
+                      labels=[True, True, True, False, False, False],
+                      effort=[10, 20, 30, 40, 50, 60])
+    for fn in (DIS2HEAVEN, POPT):
+        for depth in (1, 3):
+            trees = grow(ds, depth, fn)[1]
+            assert {n.range.attribute for t in trees for n in t.nodes} \
+                == {"a"}
+    assert render(build_tree(ds, (True,))) \
+        == "if a <= 3.5 then true\nelse false"
+
+
+@pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
+def test_grow_trees_do_not_depend_on_the_batch_size(fn, monkeypatch):
+    """Split scores and tree scores are computed in batches of about
+    _POPT_BATCH_CELLS cells to bound memory; one ranking per batch and
+    every ranking in one batch give the same trees."""
+    raw = synth.make_corpus(names=("ant",), seed=5, versions=1, rows=200)
+    train = binarize(raw["ant"][0], LabelRule.bug_counts())
+    default = grow(train, 8, fn)
+    for cells in (1, 10 ** 9):
+        monkeypatch.setattr(fft, "_POPT_BATCH_CELLS", cells)
+        assert grow(train, 8, fn) == default
+
+
 @pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
 def test_grow_searches_each_prefix_once(fn, monkeypatch):
     counts = {"blocks": 0, "searches": 0, "bounds": 0}
@@ -635,6 +694,17 @@ def test_tree_from_dict_validation(eight_rows):
             tree_from_dict(bad)
     assert tree_from_dict(dict(payload, train_score=None, score=None)) \
         == FFTree(tree.policy, tree.nodes, tree.leaf_class, tree.leaf_support)
+
+
+@pytest.mark.parametrize("score", ["auc", "", "d2h", "POPT"])
+def test_tree_from_dict_rejects_an_unknown_score(eight_rows, score):
+    # fit writes only null, "dis2heaven" or "popt"; the alias "d2h" names
+    # a score on the command line, never in a model
+    payload = tree_to_dict(build_tree(eight_rows, (True, True), POPT))
+    assert tree_from_dict(payload).score_kind == "popt"
+    with pytest.raises(DatasetError, match=f"model score {score!r} must be "
+                       "null, 'dis2heaven' or 'popt'"):
+        tree_from_dict(dict(payload, score=score))
 
 
 @pytest.mark.parametrize("leaf", [{}, {"class": True}, {"support": 3},

@@ -69,6 +69,31 @@ def test_dis2heaven_matches_oracle(predicted, actual):
     assert dis2heaven(c) == oracles.d2h_from_predictions(predicted, actual)
 
 
+def test_dis2heaven_values_equal_the_scalar_oracle():
+    """Every (tp, called) on every small (pos, neg), empty classes
+    included, then a seeded sample of large ones: one array call each, each
+    value equal to the scalar formula's float."""
+    cases = [(tp, called, pos, neg)
+             for pos in range(9) for neg in range(9)
+             for tp in range(pos + 1) for called in range(tp, tp + neg + 1)]
+    rng = np.random.default_rng(11)
+    pos, neg = rng.integers(0, 5000, 500), rng.integers(0, 5000, 500)
+    tp = rng.integers(0, pos + 1)
+    cases += zip(tp, tp + rng.integers(0, neg + 1), pos, neg)
+    tp, called, pos, neg = np.array(cases).T
+    assert (pos == 0).any() and (neg == 0).any()
+    got = metrics.dis2heaven_values(tp, called, pos, neg).tolist()
+    want = [oracles.d2h_of({"tp": t, "fp": c - t, "tn": n - c + t,
+                            "fn": p - t})
+            for t, c, p, n in zip(tp.tolist(), called.tolist(),
+                                  pos.tolist(), neg.tolist())]
+    assert got == want
+    # scalar pos and neg broadcast against arrays of classifiers
+    assert metrics.dis2heaven_values([0, 3, 3], [0, 3, 8], 3, 5).tolist() \
+        == [oracles.d2h_of({"tp": t, "fp": c - t, "tn": 5 - c + t,
+                            "fn": 3 - t}) for t, c in [(0, 0), (3, 3), (3, 8)]]
+
+
 @settings(max_examples=60)
 @given(bools)
 def test_dis2heaven_invariant_under_class_flip(flags):

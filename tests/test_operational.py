@@ -53,6 +53,17 @@ def test_change_threshold_is_inclusive():
         == {"a": 0.0}
 
 
+def test_change_threshold_of_one_half_counts_full_separation():
+    # |a12 - 0.5| reaches 0.5 only when no value of one version lies inside
+    # the other's range
+    v1, v2 = _version({"a": [1, 2]}), _version({"a": [3, 4]})
+    overlap = _version({"a": [2, 3]})
+    assert _percents(change_frequency([[v1, v2]], threshold=0.5)) \
+        == {"a": 100.0}
+    assert _percents(change_frequency([[v1, overlap]], threshold=0.5)) \
+        == {"a": 0.0}
+
+
 def test_changes_pool_across_sequences():
     stay = _version({"a": [1, 2, 3, 4]})
     move = _version({"a": [51, 52, 53, 54]})
@@ -87,8 +98,10 @@ def test_change_frequency_validates_sequences():
         change_frequency([[v, other]])
 
 
-# at zero every pair with data would count as a change, even [v, v]
-@pytest.mark.parametrize("threshold", [math.nan, -1.0, -1e-9, math.inf, 0.0])
+# at zero every pair with data would count as a change, even [v, v]; above
+# 0.5 none could, since |a12 - 0.5| <= 0.5
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, -1e-9, math.inf, 0.0,
+                                       0.5000001, 5.0])
 def test_change_frequency_rejects_bad_threshold(threshold):
     v = _version({"a": [1, 2]})
     with pytest.raises(ConfigError, match="threshold must be a finite"):

@@ -127,10 +127,13 @@ def _cmd_eval(args) -> int:
         train, test = split.train, split.test
         tree = grow(train, depth=args.depth, fn=fn)[0]
 
+    if fn.kind == "popt" and test.effort is None:
+        raise UnsupportedScoreError(
+            f"{test.name}: popt scoring needs an effort column")
     predicted = predict_dataset(tree, test)
     c = Confusion.from_predictions(predicted, test.labels)
     report = {
-        "selection_score": fn.kind,
+        "selection_score": tree.score_kind,
         "policy": tree.policy_string,
         "nodes": len(tree.nodes),
         "test": {"name": test.name, "rows": len(test)},
@@ -149,9 +152,6 @@ def _cmd_eval(args) -> int:
         report["popt"] = p.value
         report["popt_degenerate"] = p.degenerate
         report["recall_at_20"] = recall_at_20(defects, efforts)
-    if fn.kind == "popt" and test.effort is None:
-        raise UnsupportedScoreError(
-            f"{test.name}: popt scoring needs an effort column")
     if args.format == "json":
         _write_or_print(json.dumps(report, indent=2, sort_keys=True), args.out)
         return 0

@@ -79,6 +79,7 @@ class Dataset:
     """Immutable table: attribute matrix, labels, optional effort.
 
     ``values`` has shape (rows, attributes); NaN marks a missing cell.
+    No two attributes share a name.
     ``labels`` is a float array before binarization and a bool array after.
     ``effort`` values must be strictly positive when present.
     ``row_names`` is set only by ``synth.make_version`` and read only by
@@ -100,6 +101,11 @@ class Dataset:
             raise DatasetError(
                 f"{self.name}: rows have {values.shape[1]} values for "
                 f"{len(self.attributes)} attributes")
+        if len(set(self.attributes)) != len(self.attributes):
+            dupes = sorted({a for a in self.attributes
+                            if self.attributes.count(a) > 1})
+            raise DatasetError(f"{self.name}: repeated attribute names "
+                               f"{dupes}")
         labels = np.asarray(self.labels)
         if labels.dtype != bool:
             labels = labels.astype(float)

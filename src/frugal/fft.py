@@ -24,7 +24,7 @@ routed through a finished tree again.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -39,6 +39,7 @@ from .metrics import (
     ScoreFunction,
     dis2heaven,
     dis2heaven_values,
+    effort_order_from_scores,
     popt,
     popt_bounds,
     popt_values,
@@ -174,15 +175,6 @@ def score_range(rng: Range, data: Dataset, exit_class: bool,
 _POPT_BATCH_CELLS = 4096
 
 
-@lru_cache(maxsize=16)
-def _name_ranks(attributes: tuple[str, ...]) -> np.ndarray:
-    """Each attribute's rank in name order; equal names share a rank."""
-    rank = {name: i for i, name in enumerate(sorted(set(attributes)))}
-    ranks = np.array([rank[name] for name in attributes], dtype=int)
-    ranks.flags.writeable = False
-    return ranks
-
-
 def _candidates(data: Dataset, rows: np.ndarray):
     """Every attribute's median split over ``rows``, kept when its cut is
     finite and it matches at least one row, as arrays over the kept splits:
@@ -201,11 +193,11 @@ def _candidates(data: Dataset, rows: np.ndarray):
 
 class _Subset:
     """A node of the prefix trie: the rows that every exit policy with one
-    bit prefix reaches.  For Popt the rows are in effort order (ties in
-    the order the root was given), and every child subset keeps it.  Each
-    part of the split search is computed once, on first use, and shared by
-    both exit bits: every attribute's median split and, for Popt, the
-    optimal/worst curve areas."""
+    bit prefix reaches.  For Popt the rows are in effort order (ties by
+    row index), and every child subset keeps it.  Each part of the split
+    search is computed once, on first use, and shared by both exit bits:
+    every attribute's median split and, for Popt, the optimal/worst curve
+    areas."""
 
     def __init__(self, data: Dataset, fn: ScoreFunction, rows: np.ndarray):
         self.data, self.fn, self.rows = data, fn, rows
@@ -219,7 +211,7 @@ class _Subset:
                 f"{data.name}: popt needs an effort column")
         if fn.kind not in ("popt", "dis2heaven"):
             raise UnsupportedScoreError(f"unknown score function {fn.kind!r}")
-        rows = np.asarray(rows)
+        rows = np.sort(rows)
         if fn.kind == "popt":
             rows = rows[np.argsort(data.effort[rows], kind="stable")]
         return cls(data, fn, rows)
@@ -278,7 +270,8 @@ class _Subset:
         if not len(attr):
             return None
         key = self.fn.sort_key(self.scores(match, exit_class))
-        names = _name_ranks(self.data.attributes)[attr]
+        # object, not str, dtype: numpy's str compare drops trailing NULs
+        names = np.array(self.data.attributes, dtype=object)[attr]
         best = np.lexsort((op, names, n_match, key))[0]
         rng = Range(self.data.attributes[attr[best]], ("<=", ">")[op[best]],
                     float(cut[best]))
@@ -419,15 +412,15 @@ def rank_for_popt(tree: FFTree, data: Dataset) -> np.ndarray:
     Rows leaving through true exits come first (earlier exits first), then
     rows leaving through false exits (later exits first — the longer a row
     survived, the closer it came to a true exit).  Ties break on ascending
-    effort, then row index.
+    effort, then row index, as in ``effort_order_from_scores``.
     """
     if data.effort is None:
         raise UnsupportedScoreError(f"{data.name}: ranking needs effort")
     exit_idx, classes = route_dataset(tree, data)
-    bucket = np.where(classes, 0, 1)
-    within = np.where(classes, exit_idx, -exit_idx)
-    idx = np.arange(len(data))
-    return np.lexsort((idx, data.effort, within, bucket))
+    # true exits score k+1..2k+1, earliest highest; false exits 0..k, latest
+    k = len(tree.nodes)
+    return effort_order_from_scores(
+        np.where(classes, 2 * k + 1 - exit_idx, exit_idx), data.effort)
 
 
 # --- text and JSON forms --------------------------------------------------

@@ -136,14 +136,6 @@ def _curve_area(defects, efforts):
     return np.cumsum(terms, axis=-1)[..., -1] / 2.0
 
 
-def _density_order(defects, efforts, descending: bool) -> np.ndarray:
-    density = defects / efforts
-    idx = np.arange(len(defects))
-    if descending:
-        return np.lexsort((idx, efforts, -density))
-    return np.lexsort((idx, efforts, density))
-
-
 def popt_bounds(defects, efforts) -> tuple[float, float] | None:
     """(optimal, worst) lift-curve areas of a set of rows, or None when the
     set is degenerate: no rows, no defects, or no gap between the two.
@@ -160,8 +152,9 @@ def popt_bounds(defects, efforts) -> tuple[float, float] | None:
         raise UnsupportedScoreError("popt needs effort > 0 for every row")
     if defects.sum() <= 0:
         return None
-    best = _density_order(defects, efforts, descending=True)
-    worst = _density_order(defects, efforts, descending=False)
+    density = defects / efforts
+    best = effort_order_from_scores(density, efforts)
+    worst = effort_order_from_scores(-density, efforts)
     s_opt = float(_curve_area(defects[best], efforts[best]))
     s_worst = float(_curve_area(defects[worst], efforts[worst]))
     if s_opt - s_worst <= 1e-12:
@@ -217,20 +210,18 @@ def recall_at_20(defects, efforts) -> float:
 
 def effort_order_from_predictions(predicted, efforts) -> np.ndarray:
     """Row order for effort curves given binary predictions: predicted
-    positives first, smaller modules first inside each bucket."""
-    predicted = np.asarray(predicted, dtype=bool)
-    efforts = np.asarray(efforts, dtype=float)
-    idx = np.arange(len(predicted))
-    return np.lexsort((idx, efforts, ~predicted))
+    positives first, then as ``effort_order_from_scores``."""
+    return effort_order_from_scores(np.asarray(predicted, dtype=bool),
+                                    efforts)
 
 
 def effort_order_from_scores(scores, efforts) -> np.ndarray:
     """Row order for effort curves given real-valued suspicion scores:
-    higher score first, smaller modules first among ties."""
+    higher score first, then smaller effort, then lower row index (the
+    sort is stable).  Every Popt ranking in the package is made here."""
     scores = np.asarray(scores, dtype=float)
     efforts = np.asarray(efforts, dtype=float)
-    idx = np.arange(len(scores))
-    return np.lexsort((idx, efforts, -scores))
+    return np.lexsort((efforts, -scores))
 
 
 def _fractional_ranks(values: np.ndarray) -> np.ndarray:

@@ -243,14 +243,21 @@ def route_oracle(tree, row):
     return len(tree["nodes"]), tree["leaf_class"]
 
 
+def popt_order_oracle(routed, efforts):
+    """Most-suspicious-first row order from each row's (exit index, class):
+    true exits earliest first, then false exits latest first, then
+    ascending effort, then row index."""
+    return sorted(range(len(routed)),
+                  key=lambda i: (0 if routed[i][1] else 1,
+                                 routed[i][0] if routed[i][1]
+                                 else -routed[i][0],
+                                 efforts[i], i))
+
+
 def tree_score_oracle(tree, rows, labels, efforts, kind):
     routed = [route_oracle(tree, r) for r in rows]
     if kind == "popt":
-        order = sorted(range(len(rows)),
-                       key=lambda i: (0 if routed[i][1] else 1,
-                                      routed[i][0] if routed[i][1]
-                                      else -routed[i][0],
-                                      efforts[i], i))
+        order = popt_order_oracle(routed, efforts)
         defects = [1.0 if labels[i] else 0.0 for i in order]
         effs = [efforts[i] for i in order]
         return popt_of(defects, effs)[0]

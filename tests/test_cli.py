@@ -332,6 +332,25 @@ def test_eval_with_saved_perfect_model(project_dir, tmp_path):
     assert "train" not in report
 
 
+def test_eval_model_reports_the_models_own_score(project_dir, tmp_path,
+                                                capsys):
+    _, paths = project_dir
+    model_path = tmp_path / "m.json"
+    assert main(["fit", str(paths["1.0"]), "--effort", "loc", "--score",
+                 "popt", "--out", str(model_path)]) == 0
+    unscored_path = tmp_path / "unscored.json"
+    unscored_path.write_text(json.dumps(dict(PERFECT_MODEL, score=None)))
+    for path, kind in ((model_path, "popt"), (unscored_path, None)):
+        capsys.readouterr()
+        assert main(["eval", str(paths["1.2"]), "--model", str(path),
+                     "--effort", "loc", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["selection_score"] == kind
+    # --score popt still needs an effort column to rank the test rows
+    assert main(["eval", str(paths["1.2"]), "--model", str(model_path),
+                 "--score", "popt"]) == 4
+    assert "popt scoring needs an effort column" in capsys.readouterr().err
+
+
 def test_saved_model_keeps_attribute_names_with_hash_and_space(tmp_path,
                                                                capsys):
     rows = [(1, 1, 0), (2, 2, 0), (3, 1, 0), (2, 3, 0), (8, 1, 1),

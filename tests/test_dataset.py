@@ -400,6 +400,15 @@ def test_dataset_shape_validation():
                 values=np.zeros((2, 1)), labels=np.array([True, False]))
 
 
+def test_dataset_rejects_repeated_attribute_names():
+    # routing reads the first column of a name, so a split found on a
+    # later one could not be told apart from it
+    with pytest.raises(DatasetError) as err:
+        Dataset(name="t", version="", attributes=("a", "b", "a", "c", "b"),
+                values=np.zeros((2, 5)), labels=np.array([True, False]))
+    assert str(err.value) == "t: repeated attribute names ['a', 'b']"
+
+
 def test_dataset_rejects_nonpositive_effort():
     with pytest.raises(DatasetError, match="effort must be > 0"):
         make_dataset(("a",), [[1], [2]], labels=[True, False], effort=[5, 0])

@@ -148,6 +148,21 @@ def test_score_range_popt_needs_effort(six_rows):
         score_range(Range("a", "<=", 1.5), no_effort, True, POPT)
 
 
+def test_score_range_popt_breaks_effort_ties_by_row_index():
+    # with equal efforts the Popt ranking, and so the score, follows row
+    # index, not the order in which the subset lists the rows
+    ds = make_dataset(("a",), [[v] for v in range(1, 7)],
+                      labels=[True, False, False, True, False, True],
+                      effort=[5] * 6)
+    rng = Range("a", "<=", 3.5)
+    want = oracles._local_score(dataset_rows(ds), ds.labels.tolist(),
+                                ds.effort.tolist(), list(range(6)),
+                                [True] * 3 + [False] * 3, "popt")
+    assert want == 0.4444444444444444
+    for subset in (np.arange(6), np.arange(6)[::-1], [3, 1, 5, 0, 2, 4]):
+        assert score_range(rng, ds, True, POPT, subset) == want
+
+
 # -------------------------------------------------------------- build_tree
 
 def test_build_tree_level_trace(eight_rows):
@@ -378,18 +393,52 @@ def test_trie_scores_equal_routed_scores(seed, n_rows, fn):
 
 
 def test_tie_break_prefers_the_smaller_name_in_a_later_column():
-    # "a" is a copy of "b" one column later: every split on either scores
-    # and consumes the same, and the name decides
-    ds = make_dataset(("b", "a"), [[v, v] for v in (1, 2, 3, 4, 5, 6)],
-                      labels=[True, True, True, False, False, False],
-                      effort=[10, 20, 30, 40, 50, 60])
-    for fn in (DIS2HEAVEN, POPT):
-        for depth in (1, 3):
-            trees = grow(ds, depth, fn)[1]
-            assert {n.range.attribute for t in trees for n in t.nodes} \
-                == {"a"}
-    assert render(build_tree(ds, (True,))) \
-        == "if a <= 3.5 then true\nelse false"
+    # "a" is a copy of a column one place later: every split on either
+    # scores and consumes the same, and the name decides ("a" < "a\0" in
+    # Python, though numpy's str dtype would read them as equal)
+    for later in ("b", "a\0"):
+        ds = make_dataset((later, "a"), [[v, v] for v in range(1, 7)],
+                          labels=[True, True, True, False, False, False],
+                          effort=[10, 20, 30, 40, 50, 60])
+        for fn in (DIS2HEAVEN, POPT):
+            for depth in (1, 3):
+                trees = grow(ds, depth, fn)[1]
+                assert {n.range.attribute for t in trees
+                        for n in t.nodes} == {"a"}
+        assert render(build_tree(ds, (True,))) \
+            == "if a <= 3.5 then true\nelse false"
+
+
+def _tie_heavy_data(seed, rows):
+    """Small integer cells (so many split scores tie), 10% of them missing,
+    a constant column, equal efforts, and names not in column order."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 4, size=(rows, 5)).astype(float)
+    values[rng.random(values.shape) < 0.1] = np.nan
+    values[:, 2] = 2.0
+    labels = rng.random(rows) < 0.4
+    labels[0] = True
+    return Dataset(name="ties", version="1",
+                   attributes=("m", "b", "const", "a", "k"), values=values,
+                   labels=labels, effort=np.full(rows, 3.0))
+
+
+@pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_grow_invariant_under_column_order(seed, fn):
+    """Split ties break on attribute names, so permuting the columns
+    changes no tree."""
+    data = _tie_heavy_data(seed, 40)
+    order = np.random.default_rng(seed).permutation(len(data.attributes))
+    permuted = Dataset(name=data.name, version=data.version,
+                       attributes=tuple(data.attributes[j] for j in order),
+                       values=data.values[:, order], labels=data.labels,
+                       effort=data.effort)
+    assert permuted.attributes != data.attributes
+    for depth in range(1, 6):
+        want = [tree_to_dict(t) for t in grow(data, depth, fn)[1]]
+        assert [tree_to_dict(t) for t in grow(permuted, depth, fn)[1]] \
+            == want
 
 
 @pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
@@ -556,6 +605,36 @@ def test_rank_for_popt_breaks_ties_by_effort():
                       labels=[True, True, False, False],
                       effort=[9, 4, 6, 5])
     assert rank_for_popt(tree, ds).tolist() == [1, 2, 0, 3]
+
+
+def _oracle_order(tree, data):
+    oracle_tree = {"nodes": tree_to_dict(tree)["nodes"],
+                   "leaf_class": tree.leaf_class}
+    routed = [oracles.route_oracle(oracle_tree, row)
+              for row in dataset_rows(data)]
+    return oracles.popt_order_oracle(routed, data.effort.tolist())
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_rank_for_popt_matches_the_order_oracle(seed):
+    data = _tie_heavy_data(seed, 40)
+    unequal = Dataset(name=data.name, version=data.version,
+                      attributes=data.attributes, values=data.values,
+                      labels=data.labels,
+                      effort=np.random.default_rng(seed).integers(1, 4, 40))
+    trees = [FFTree(policy=(bit,), nodes=(), leaf_class=not bit,
+                    leaf_support=40) for bit in (False, True)]
+    for fn in (DIS2HEAVEN, POPT):
+        for depth in (1, 3, 5):
+            # ascending policy order: all-false exits first, all-true last
+            trees += grow(data, depth, fn)[1]
+            trees += grow(unequal, depth, fn)[1]
+    assert any(t.nodes and all(n.exit_class for n in t.nodes) for t in trees)
+    assert any(t.nodes and not any(n.exit_class for n in t.nodes)
+               for t in trees)
+    for tree in trees:
+        for ds in (data, unequal):
+            assert rank_for_popt(tree, ds).tolist() == _oracle_order(tree, ds)
 
 
 def test_rank_for_popt_needs_effort(six_rows):

@@ -153,6 +153,19 @@ def test_popt_optimal_and_worst_orders(popt_fixture):
     assert worst == [2, 3, 4, 1, 0]
     assert popt(d[best], e[best]).value == 1.0
     assert popt(d[worst], e[worst]).value == 0.0
+    # popt_bounds ranks through effort_order_from_scores; equal efforts
+    # leave ties that only the row index breaks
+    for defects, efforts in ((defects, efforts),
+                             ([1.0, 0.0, 2.0, 0.0, 1.0, 2.0], [4.0] * 6),
+                             ([0.0, 1.0, 0.0, 1.0], [2.0] * 4)):
+        d, e = np.asarray(defects), np.asarray(efforts)
+        best = oracles.density_order(defects, efforts, descending=True)
+        worst = oracles.density_order(defects, efforts, descending=False)
+        assert effort_order_from_scores(d / e, e).tolist() == best
+        assert effort_order_from_scores(-(d / e), e).tolist() == worst
+        assert metrics.popt_bounds(d, e) == (
+            oracles.curve_area(d[best], e[best]),
+            oracles.curve_area(d[worst], e[worst]))
 
 
 def test_popt_degenerate_cases():
@@ -242,6 +255,10 @@ def test_effort_order_from_predictions_buckets_then_effort():
     order = effort_order_from_predictions(predicted, efforts)
     assert order.tolist() == [3, 1, 2, 0]
     assert order.tolist() == oracles.prediction_order(predicted, efforts)
+    for predicted, efforts in (([True, False, True, False, True], [2.0] * 5),
+                               ([False] * 4, [1.0] * 4)):
+        assert effort_order_from_predictions(predicted, efforts).tolist() \
+            == oracles.prediction_order(predicted, efforts)
 
 
 def test_effort_order_from_scores_descending_then_effort():

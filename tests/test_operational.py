@@ -200,3 +200,9 @@ def test_project_identity(six_rows):
 def test_project_unknown_attribute(six_rows):
     with pytest.raises(DatasetError, match="unknown attribute 'q'"):
         project(six_rows, ("a", "q"))
+
+
+def test_project_rejects_a_repeated_attribute(six_rows):
+    with pytest.raises(DatasetError,
+                       match=r"repeated attribute names \['a'\]"):
+        project(six_rows, ("a", "a"))

@@ -108,6 +108,9 @@ def _cmd_eval(args) -> int:
     if args.model is not None:
         if len(versions) != 1:
             raise ConfigError("--model evaluates exactly one test CSV")
+        if args.top_changed is not None:
+            raise ConfigError("--top-changed cannot apply to --model: a "
+                              "saved model's attributes are fixed")
         with open(args.model) as fh:
             try:
                 payload = json.load(fh)

@@ -247,11 +247,6 @@ def a12(xs: Sequence[float], ys: Sequence[float]) -> float:
     return u1 / (n1 * n2)
 
 
-def differs(xs, ys, threshold: float = SMALL_EFFECT) -> bool:
-    """True when two samples differ by more than a small effect under A12."""
-    return abs(a12(xs, ys) - 0.5) >= threshold
-
-
 class MannWhitneyResult(NamedTuple):
     u: float
     p_value: float

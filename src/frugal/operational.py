@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, DatasetError
-from .metrics import SMALL_EFFECT, a12, differs
+from .metrics import SMALL_EFFECT, a12
 
 EPSILON = 1e-12
 
@@ -39,8 +39,14 @@ class ChangeStats:
     changes: tuple[AttributeChange, ...]
 
 
-def _clean(col: np.ndarray) -> np.ndarray:
-    return col[~np.isnan(col)]
+def _shift(old: Dataset, new: Dataset, attr: str) -> float | None:
+    """|A12 - 0.5| between one attribute's observed values in two versions;
+    None when either side has no values."""
+    xs, ys = old.column(attr), new.column(attr)
+    xs, ys = xs[~np.isnan(xs)], ys[~np.isnan(ys)]
+    if len(xs) == 0 or len(ys) == 0:
+        return None
+    return abs(a12(xs, ys) - 0.5)
 
 
 def change_frequency(version_sequences: list[list[Dataset]],
@@ -72,11 +78,8 @@ def change_frequency(version_sequences: list[list[Dataset]],
         for old, new in zip(sequence, sequence[1:]):
             total += 1
             for attr in first.attributes:
-                xs = _clean(old.column(attr))
-                ys = _clean(new.column(attr))
-                if len(xs) == 0 or len(ys) == 0:
-                    continue
-                if differs(xs, ys, threshold):
+                shift = _shift(old, new, attr)
+                if shift is not None and shift >= threshold:
                     changed[attr] += 1
     stats = tuple(AttributeChange(attribute=a, changed=c, total=total)
                   for a, c in sorted(changed.items()))
@@ -93,10 +96,8 @@ def top_changed(old: Dataset, new: Dataset, fraction: float = 0.25) -> tuple[str
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     scored = []
     for attr in old.attributes:
-        xs = _clean(old.column(attr))
-        ys = _clean(new.column(attr))
-        magnitude = abs(a12(xs, ys) - 0.5) if len(xs) and len(ys) else 0.0
-        scored.append((-magnitude, attr))
+        shift = _shift(old, new, attr)
+        scored.append((-(shift or 0.0), attr))
     scored.sort()
     keep = math.ceil(fraction * len(old.attributes) - EPSILON)
     return tuple(attr for _, attr in scored[:keep])

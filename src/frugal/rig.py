@@ -1,9 +1,10 @@
 """Experiment rig: version-ordered and repeated cross-validation runs over
 the tree, naive-bayes, and logistic learners.
 
-Within one (split, attribute set) cell, a learner whose training ignores
-the score function (``nb``, ``sl``) is fitted once and evaluated under every
-score; ``fft`` selects its tree by the score, so it is grown once per score.
+A learner is its fitted model.  Only ``fft`` reads the score, so a cell
+fits ``nb`` and ``sl`` once and grows ``fft`` once per score.  Model
+functions are called through their module-level names, so rebinding one
+(as a tracer does) reaches the rig too.
 
 Results are plain dataclasses; every ``EvalResult`` field is a report
 column, and the report writers emit byte-identical files for identical
@@ -20,13 +21,13 @@ import os
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import operational
-from .baselines import (lr_predict_dataset, lr_score_dataset, lr_train,
-                        nb_predict_dataset, nb_score_dataset, nb_train)
+from .baselines import (LogisticModel, NBModel, lr_predict_dataset,
+                        lr_score_dataset, lr_train, nb_predict_dataset,
+                        nb_score_dataset, nb_train)
 from .dataset import Dataset, merge
 from .errors import (ConfigError, FrugalError, TrainingError,
                      UnsupportedScoreError)
@@ -36,37 +37,7 @@ from .metrics import (Confusion, ScoreFunction, dis2heaven,
                       score_function)
 
 
-class _Learner(NamedTuple):
-    """train(data, score function, depth) gives a model, predict(model,
-    data) a class per row and rank(model, data) the most-suspicious-first
-    row order for Popt.  ``reads_score`` is False when train ignores the
-    score function; ``run`` then fits the learner once per cell and
-    evaluates that model under every score."""
-    train: Callable
-    predict: Callable
-    rank: Callable
-    reads_score: bool
-
-
-# The lambdas look each function up when called, so rebinding a module
-# name (as a tracer does) reaches the rig too.
-_LEARNERS = {
-    "fft": _Learner(lambda data, fn, depth: grow(data, depth=depth, fn=fn)[0],
-                    lambda tree, data: predict_dataset(tree, data),
-                    lambda tree, data: rank_for_popt(tree, data),
-                    reads_score=True),
-    "nb": _Learner(lambda data, fn, depth: nb_train(data),
-                   lambda model, data: nb_predict_dataset(model, data),
-                   lambda model, data: effort_order_from_scores(
-                       nb_score_dataset(model, data), data.effort),
-                   reads_score=False),
-    "sl": _Learner(lambda data, fn, depth: lr_train(data),
-                   lambda model, data: lr_predict_dataset(model, data),
-                   lambda model, data: effort_order_from_scores(
-                       lr_score_dataset(model, data), data.effort),
-                   reads_score=False),
-}
-LEARNERS = tuple(_LEARNERS)
+LEARNERS = ("fft", "nb", "sl")
 ATTRIBUTE_SETS = ("full", "top25")
 
 
@@ -150,14 +121,6 @@ class RigResult:
     fingerprints: dict[str, str]
 
 
-@dataclass(frozen=True)
-class FittedLearner:
-    name: str
-    model: object
-    policy: str = ""
-    n_nodes: int = 0
-
-
 def version_split(versions: list[Dataset]) -> Split:
     """Train on all versions but the newest, test on the newest."""
     if len(versions) < 2:
@@ -225,30 +188,39 @@ def plan_fingerprint(splits: list[Split]) -> str:
 
 
 def fit_learner(name: str, train: Dataset, fn: ScoreFunction,
-                depth: int = 4) -> FittedLearner:
-    if name not in _LEARNERS:
-        raise ConfigError(
-            f"unknown learner {name!r} (expected one of {LEARNERS})")
-    model = _LEARNERS[name].train(train, fn, depth)
-    if isinstance(model, FFTree):
-        return FittedLearner(name, model, model.policy_string,
-                             len(model.nodes))
-    return FittedLearner(name, model)
+                depth: int = 4) -> FFTree | NBModel | LogisticModel:
+    """A learner's fitted model; only ``fft`` reads the score function."""
+    if name == "fft":
+        return grow(train, depth=depth, fn=fn)[0]
+    if name == "nb":
+        return nb_train(train)
+    if name == "sl":
+        return lr_train(train)
+    raise ConfigError(f"unknown learner {name!r} (expected one of {LEARNERS})")
 
 
-def evaluate(fitted: FittedLearner, test: Dataset,
+def evaluate(model: FFTree | NBModel | LogisticModel, test: Dataset,
              fn: ScoreFunction) -> tuple[float, bool]:
-    """Score a fitted learner on held-out rows; returns (value, degenerate)."""
-    learner = _LEARNERS[fitted.name]
+    """Score a fitted model on held-out rows; returns (value, degenerate).
+    A d2h cell is degenerate when its test rows hold one class only."""
+    tree, nb = isinstance(model, FFTree), isinstance(model, NBModel)
     if fn.kind == "popt":
         if test.effort is None:
             raise UnsupportedScoreError(
                 f"{test.name}: popt scoring needs an effort column")
-        order = learner.rank(fitted.model, test)
+        if tree:
+            order = rank_for_popt(model, test)
+        else:
+            scores = (nb_score_dataset(model, test) if nb
+                      else lr_score_dataset(model, test))
+            order = effort_order_from_scores(scores, test.effort)
         res = popt(test.labels[order].astype(float), test.effort[order])
         return res.value, res.degenerate
-    predicted = learner.predict(fitted.model, test)
-    return dis2heaven(Confusion.from_predictions(predicted, test.labels)), False
+    predicted = (predict_dataset(model, test) if tree
+                 else nb_predict_dataset(model, test) if nb
+                 else lr_predict_dataset(model, test))
+    c = Confusion.from_predictions(predicted, test.labels)
+    return dis2heaven(c), bool(test.labels.all() or not test.labels.any())
 
 
 def _splits_for(versions: list[Dataset], config: RigConfig) -> list[Split]:
@@ -282,18 +254,18 @@ def run(projects: dict[str, list[Dataset]],
                 cell = (split if attr_set == "full"
                         else top_changed_split(split, config.top_fraction))
                 train, test = cell.train, cell.test
-                shared: dict[str, FittedLearner] = {}
+                models: dict[tuple[str, str], object] = {}
                 for kind in config.scores:
                     fn = score_function(kind)
                     for learner in config.learners:
+                        key = (learner, fn.kind if learner == "fft" else "")
                         try:
-                            fitted = shared.get(learner)
-                            if fitted is None:
-                                fitted = fit_learner(learner, train, fn,
-                                                     config.depth)
-                                if not _LEARNERS[learner].reads_score:
-                                    shared[learner] = fitted
-                            value, degenerate = evaluate(fitted, test, fn)
+                            if key not in models:
+                                models[key] = fit_learner(learner, train, fn,
+                                                          config.depth)
+                            model = models[key]
+                            value, degenerate = evaluate(model, test, fn)
+                            tree = isinstance(model, FFTree)
                         except FrugalError as exc:
                             raise type(exc)(
                                 f"[{pname}/{learner}/{fn.kind}/{attr_set}/"
@@ -303,7 +275,8 @@ def run(projects: dict[str, list[Dataset]],
                             attribute_set=attr_set, split=split.label,
                             n_train=len(train), n_test=len(test),
                             value=value, degenerate=degenerate,
-                            policy=fitted.policy, n_nodes=fitted.n_nodes))
+                            policy=model.policy_string if tree else "",
+                            n_nodes=len(model.nodes) if tree else 0))
     return RigResult(config=config, results=results, fingerprints=fingerprints)
 
 
@@ -344,13 +317,16 @@ def compare(results: list[EvalResult]) -> list[ComparisonRow]:
     """Rank learners within each (project, score, attribute set) group.
 
     A learner is *better* only when it significantly beats every other
-    learner in the group, *worse* as soon as any learner beats it.  Groups
-    with fewer than three observations per learner are inconclusive.
+    learner in the group, *worse* as soon as any learner beats it.
+    Degenerate results are left out, and ``n`` counts the values kept; a
+    group with fewer than three per learner is inconclusive.
     """
     values: dict[tuple, list[float]] = {}
     for r in results:
-        values.setdefault((r.project, r.score, r.attribute_set, r.learner),
-                          []).append(r.value)
+        sample = values.setdefault(
+            (r.project, r.score, r.attribute_set, r.learner), [])
+        if not r.degenerate:
+            sample.append(r.value)
     groups: dict[tuple, list[str]] = {}
     for (project, score, attr_set, learner) in values:
         groups.setdefault((project, score, attr_set), []).append(learner)
@@ -402,14 +378,13 @@ class DeltaRow:
 
 
 def attribute_set_deltas(results: list[EvalResult]) -> list[DeltaRow]:
+    """A split's pair is dropped when either side is degenerate."""
     full = {(r.project, r.learner, r.score, r.split): r.value
-            for r in results if r.attribute_set == "full"}
+            for r in results if r.attribute_set == "full" and not r.degenerate}
     paired: dict[tuple, list[float]] = {}
     for r in results:
-        if r.attribute_set != "top25":
-            continue
         key = (r.project, r.learner, r.score, r.split)
-        if key not in full:
+        if r.attribute_set != "top25" or r.degenerate or key not in full:
             continue
         sort_key = score_function(r.score).sort_key
         paired.setdefault(key[:3], []).append(

@@ -439,6 +439,19 @@ def test_eval_model_takes_exactly_one_csv(project_dir, tmp_path, capsys):
                  "--model", str(model_path)]) == 5
 
 
+def test_eval_model_rejects_top_changed(project_dir, tmp_path, capsys):
+    # a saved model's attributes are fixed, so the flag cannot apply
+    _, paths = project_dir
+    model_path = tmp_path / "m.json"
+    model_path.write_text(json.dumps(PERFECT_MODEL))
+    for fraction in ("0.25", "7"):
+        capsys.readouterr()
+        assert main(["eval", str(paths["1.2"]), "--model", str(model_path),
+                     "--top-changed", fraction]) == 5
+        err = capsys.readouterr().err
+        assert "--top-changed" in err and len(err.splitlines()) == 1
+
+
 def test_eval_needs_two_csvs_without_model(project_dir, capsys):
     _, paths = project_dir
     assert main(["eval", str(paths["1.0"])]) == 5

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from frugal import metrics
 from frugal.errors import UnsupportedScoreError
-from frugal.metrics import (Confusion, a12, differs, dis2heaven,
+from frugal.metrics import (Confusion, a12, dis2heaven,
                             effort_order_from_predictions,
                             effort_order_from_scores, far, mann_whitney, popt,
                             recall, recall_at_20, score_function)
@@ -319,14 +319,6 @@ def test_a12_monotone_transform_invariance(xs, ys):
     f = lambda v: math.atan(v) * 3.0    # strictly increasing
     assert a12([f(x) for x in xs], [f(y) for y in ys]) == pytest.approx(
         a12(xs, ys), abs=1e-12)
-
-
-def test_differs_threshold_is_inclusive():
-    xs, ys = [1, 2], [2, 3]            # a12 = 0.125, |delta| = 0.375
-    assert differs(xs, ys)
-    assert differs(xs, ys, threshold=0.375)
-    assert not differs(xs, ys, threshold=0.3751)
-    assert not differs([5, 6], [5, 6])
 
 
 # ------------------------------------------------------------ mann-whitney

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from frugal.errors import ConfigError, DatasetError
-from frugal.operational import change_frequency, project, top_changed
+from frugal.operational import _shift, change_frequency, project, top_changed
 
 import oracles
 from conftest import make_dataset
@@ -51,6 +51,19 @@ def test_change_threshold_is_inclusive():
         == {"a": 100.0}
     assert _percents(change_frequency([[v1, v2]], threshold=0.0626)) \
         == {"a": 0.0}
+
+
+def test_shift_threshold_is_inclusive():
+    v1, v2 = _version({"a": [1, 2]}), _version({"a": [2, 3]})
+    assert _shift(v1, v2, "a") == 0.375        # a12 = 0.125
+    assert _percents(change_frequency([[v1, v2]])) == {"a": 100.0}
+    assert _percents(change_frequency([[v1, v2]], threshold=0.375)) \
+        == {"a": 100.0}
+    assert _percents(change_frequency([[v1, v2]], threshold=0.3751)) \
+        == {"a": 0.0}
+    same = _version({"a": [5, 6]})
+    assert _percents(change_frequency([[same, same]])) == {"a": 0.0}
+    assert _shift(same, _version({"a": [None, None]}), "a") is None
 
 
 def test_change_threshold_of_one_half_counts_full_separation():

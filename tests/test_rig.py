@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from frugal import rig as rig_module, synth
+from frugal.baselines import LogisticModel, NBModel
 from frugal.dataset import LabelRule, binarize
 from frugal.errors import (ConfigError, TrainingError, UnsupportedScoreError)
+from frugal.fft import FFTree
 from frugal.metrics import DIS2HEAVEN, POPT
 from frugal.rig import (ComparisonRow, EvalResult, RigConfig, attribute_set_deltas,
                         compare, cross_val_plans, cross_val_splits, evaluate,
@@ -21,10 +23,12 @@ from conftest import make_dataset
 
 
 def _result(learner="fft", score="d2h", value=0.5, split="cv:r0:b0",
-            project="p", attr_set="full", policy="", n_nodes=0):
+            project="p", attr_set="full", policy="", n_nodes=0,
+            degenerate=False):
     return EvalResult(project=project, learner=learner, score=score,
                       attribute_set=attr_set, split=split, n_train=9,
-                      n_test=3, value=value, policy=policy, n_nodes=n_nodes)
+                      n_test=3, value=value, degenerate=degenerate,
+                      policy=policy, n_nodes=n_nodes)
 
 
 # --------------------------------------------------------------- RigConfig
@@ -179,13 +183,15 @@ def test_plan_fingerprint_tracks_seed(corpus):
 
 def test_fit_learner_kinds(six_rows):
     fft = fit_learner("fft", six_rows, DIS2HEAVEN, depth=1)
-    assert fft.policy == "01" and fft.n_nodes == 1
+    assert isinstance(fft, FFTree)
+    assert fft.policy_string == "01" and len(fft.nodes) == 1
     assert evaluate(fft, six_rows, DIS2HEAVEN) == (0.0, False)
     nb = fit_learner("nb", six_rows, DIS2HEAVEN)
-    assert nb.policy == "" and nb.n_nodes == 0
+    assert isinstance(nb, NBModel)
     value, degenerate = evaluate(nb, six_rows, DIS2HEAVEN)
     assert 0.0 <= value <= 1.0 and degenerate is False
     sl = fit_learner("sl", six_rows, DIS2HEAVEN)
+    assert isinstance(sl, LogisticModel)
     value, degenerate = evaluate(sl, six_rows, POPT)
     assert 0.0 <= value <= 1.0
     with pytest.raises(ConfigError, match="unknown learner"):
@@ -193,10 +199,21 @@ def test_fit_learner_kinds(six_rows):
 
 
 def test_evaluate_popt_needs_effort(six_rows):
-    fitted = fit_learner("fft", six_rows, DIS2HEAVEN)
     bare = make_dataset(("a", "b"), [[1, 1], [9, 9]], labels=[True, False])
-    with pytest.raises(UnsupportedScoreError, match="effort"):
-        evaluate(fitted, bare, POPT)
+    for learner in ("fft", "nb", "sl"):
+        model = fit_learner(learner, six_rows, DIS2HEAVEN)
+        with pytest.raises(UnsupportedScoreError, match="effort"):
+            evaluate(model, bare, POPT)
+
+
+def test_evaluate_flags_one_class_d2h_cells(six_rows):
+    one_class = six_rows.subset(np.arange(3))      # positives only
+    for learner in ("fft", "nb", "sl"):
+        model = fit_learner(learner, six_rows, DIS2HEAVEN)
+        assert evaluate(model, six_rows, DIS2HEAVEN)[1] is False
+        assert evaluate(model, one_class, DIS2HEAVEN)[1] is True
+        assert evaluate(model, six_rows.subset(np.arange(3, 6)),
+                        DIS2HEAVEN)[1] is True
 
 
 # --------------------------------------------------------------------- run
@@ -242,6 +259,25 @@ def test_run_cv_mode_counts_and_reproducibility(corpus):
     assert bumped.fingerprints != one.fingerprints
 
 
+def test_run_flags_folds_without_positives_and_compare_drops_them():
+    # 8 of 400 rows close within a day, so half the test folds hold none
+    data = binarize(synth.make_issue_dataset(seed=11, rows=400),
+                    LabelRule.days("less-than", 1))
+    assert int(data.labels.sum()) == 8
+    empty = {f"cv:r{r}:b{b}"
+             for r, b, _, test in cross_val_plans(len(data), 10, 5, 11)
+             if not data.labels[test].any()}
+    assert len(empty) == 25
+    config = RigConfig(mode="cv", scores=("d2h",), bins=10, repeats=5,
+                       seed=11)
+    results = run({"issues": [data]}, config).results
+    flagged = [r for r in results if r.degenerate]
+    assert len(flagged) == 75
+    assert {r.split for r in flagged} == empty
+    assert [(r.learner, r.n) for r in compare(results)] == [
+        ("fft", 25), ("nb", 25), ("sl", 25)]
+
+
 def test_run_fits_score_blind_learners_once_per_cell(corpus, monkeypatch):
     calls = {}
     for name in ("grow", "nb_train", "lr_train"):
@@ -260,6 +296,24 @@ def test_run_fits_score_blind_learners_once_per_cell(corpus, monkeypatch):
             for r in result.results] == [
         (a, s, l) for a in ("full", "top25")
         for s in ("dis2heaven", "popt") for l in ("fft", "nb", "sl")]
+
+
+def test_run_reaches_the_model_functions_by_their_module_names(corpus,
+                                                              monkeypatch):
+    # A tracer rebinds these names; the rig must look them up per call.
+    names = ("predict_dataset", "rank_for_popt", "nb_predict_dataset",
+             "nb_score_dataset", "lr_predict_dataset", "lr_score_dataset")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(rig_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(rig_module, name, counted)
+    config = RigConfig(scores=("d2h", "popt"),
+                       attribute_sets=("full", "top25"))
+    run({"ant": corpus["ant"]}, config)
+    # 2 cells x 1 evaluation per (learner, score)
+    assert calls == dict.fromkeys(names, 2)
 
 
 def test_run_reports_a_failing_shared_fit_under_the_first_score():
@@ -390,6 +444,18 @@ def test_compare_small_groups_are_inconclusive():
     assert all(r.wins == 0 and r.losses == 0 for r in rows)
 
 
+def test_compare_leaves_degenerate_results_out():
+    results = (_stream("fft", [0.1] * 5) + _stream("nb", [0.9] * 5)
+               + [_result(learner="nb", value=0.0, split=f"cv:r1:b{i}",
+                          degenerate=True) for i in range(9)])
+    rows = {r.learner: r for r in compare(results)}
+    assert rows["nb"].n == 5 and rows["nb"].verdict == "worse"
+    assert rows["fft"].verdict == "better"
+    only = compare([_result(degenerate=True)] * 3 + _stream("nb", [0.2] * 3))
+    assert [(r.learner, r.n, r.verdict) for r in only] == [
+        ("fft", 0, "inconclusive"), ("nb", 3, "inconclusive")]
+
+
 def test_compare_groups_by_project_score_and_attribute_set():
     results = (_stream("fft", [0.1] * 5) + _stream("nb", [0.9] * 5)
                + [_result(learner="fft", score="popt", value=0.5,
@@ -429,6 +495,18 @@ def test_attribute_set_deltas_skip_unpaired_splits():
     rows = attribute_set_deltas(results)
     assert len(rows) == 1
     assert rows[0].n == 1
+
+
+def test_attribute_set_deltas_drop_degenerate_pairs():
+    results = [_result(value=0.2, split="s0"),
+               _result(value=0.3, split="s0", attr_set="top25"),
+               _result(value=0.0, split="s1", degenerate=True),
+               _result(value=0.4, split="s1", attr_set="top25"),
+               _result(value=0.1, split="s2"),
+               _result(value=0.0, split="s2", attr_set="top25",
+                       degenerate=True)]
+    rows = attribute_set_deltas(results)
+    assert [(r.n, r.delta) for r in rows] == [(1, pytest.approx(0.1))]
 
 
 def test_attribute_set_deltas_empty_without_top25():

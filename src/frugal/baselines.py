@@ -4,7 +4,9 @@ regression, sharing the train/predict surface of the tree code.
 Each learner has one array scorer over a (rows x attributes) block, which
 its ``*_score_dataset`` function calls on a dataset.  Missing cells add
 nothing to a naive-bayes log joint and standardize to the attribute mean
-for logistic regression.
+for logistic regression.  Logistic fits have one path, ``lr_train_many``,
+which descends same-shaped training sets as one stacked block;
+``lr_train`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import TrainingError
 
 VARIANCE_FLOOR = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
-# lr_train's full-batch gradient descent.
+# lr_train_many's full-batch gradient descent.
 EPOCHS = 500
 LEARNING_RATE = 0.1
 
@@ -44,10 +46,7 @@ def nb_train(train: Dataset) -> NBModel:
     Missing cells are ignored per attribute; variances are floored at
     ``VARIANCE_FLOOR`` so constant columns survive.
     """
-    if not train.binary:
-        raise TrainingError(f"{train.name}: labels must be binarized first")
-    if len(train) == 0:
-        raise TrainingError(f"{train.name}: empty training set")
+    _check_trainable(train)
     n_attrs = len(train.attributes)
     log_priors = np.full(2, -np.inf)
     means = np.full((2, n_attrs), np.nan)
@@ -109,62 +108,125 @@ class LogisticModel:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
-    overflows; one exp and one division over the whole array."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    overflows; one exp and one division over the whole array, with the
+    temporaries reused in place."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
-def logistic_gradient(weights: np.ndarray, bias: float, X: np.ndarray,
-                      y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gradient in (weights, bias) of the mean cross-entropy
-    ``mean(log(1 + exp(z)) - y * z)``, ``z = X @ weights + bias``, on an
-    already standardized design matrix."""
-    err = _sigmoid(X @ weights + bias) - y
-    return X.T @ err / len(y), float(err.mean())
+def logistic_gradient(weights: np.ndarray, bias: np.ndarray, X: np.ndarray,
+                      y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient in (weights, bias) of each fit's mean cross-entropy
+    ``mean(log(1 + exp(z)) - y * z)``, ``z = X @ weights + bias``, on
+    stacked, already standardized designs: ``X`` is (fits x rows x
+    attributes), ``y`` (fits x rows), ``weights`` (fits x attributes x 1)
+    and ``bias`` (fits x 1); the gradients have the shapes of the last
+    two.  Each fit's products are the matrix-vector products of a lone
+    fit, so a fit's gradient does not depend on its batch."""
+    n = X.shape[1]
+    z = (X @ weights)[:, :, 0]
+    z += bias
+    err = _sigmoid(z)
+    err -= y
+    return ((X.transpose(0, 2, 1) @ err[:, :, None]) / n,
+            np.add.reduce(err, axis=1, keepdims=True) / n)
 
 
-def _standardize(values: np.ndarray):
+def _standardize(values: np.ndarray, out: np.ndarray | None = None):
+    """(design, means, stds): each column centred and scaled, missing
+    cells at 0; written into ``out`` when given."""
     means = np.nanmean(values, axis=0)
     stds = np.nanstd(values, axis=0)
     means = np.where(np.isnan(means), 0.0, means)
     stds = np.where((stds == 0) | np.isnan(stds), 1.0, stds)
-    X = (values - means) / stds
-    return np.where(np.isnan(X), 0.0, X), means, stds
+    return _scaled(values, means, stds, out), means, stds
 
 
-def lr_train(train: Dataset) -> LogisticModel:
-    """Full-batch gradient descent from zero weights on standardized
-    features; deterministic, no regularization.  Missing cells standardize
-    to 0 (the attribute mean)."""
-    if not train.binary:
-        raise TrainingError(f"{train.name}: labels must be binarized first")
-    if len(train) == 0:
-        raise TrainingError(f"{train.name}: empty training set")
+def _scaled(values: np.ndarray, means: np.ndarray, stds: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    X = np.subtract(values, means, out=out)
+    X /= stds
+    X[np.isnan(X)] = 0.0
+    return X
+
+
+def lr_targets(train: Dataset) -> np.ndarray:
+    """The 0/1 labels of a set logistic regression can train on; raises
+    ``TrainingError`` when it cannot."""
+    _check_trainable(train)
     y = train.labels.astype(float)
     if y.min() == y.max():
         raise TrainingError(
             f"{train.name}: logistic regression needs both classes present")
-    X, means, stds = _standardize(train.values)
-    weights = np.zeros(X.shape[1])
-    bias = 0.0
-    for _ in range(EPOCHS):
-        gw, gb = logistic_gradient(weights, bias, X, y)
-        weights -= LEARNING_RATE * gw
-        bias -= LEARNING_RATE * gb
-    return LogisticModel(attributes=train.attributes, weights=weights,
-                         bias=bias, feature_means=means, feature_stds=stds)
+    return y
+
+
+def lr_train_many(trains: list[Dataset]) -> list[LogisticModel]:
+    """Full-batch gradient descent from zero weights on standardized
+    features, one model per training set, in input order; deterministic,
+    no regularization.  Missing cells standardize to 0 (the attribute
+    mean).  Every set is checked before any descent runs.
+
+    Sets whose designs share a shape and a memory layout descend together
+    as one stacked block, so each model equals the one its set gives
+    alone.  A design keeps the row- or column-major layout that numpy
+    gives ``values - means`` (a projected set is column-major), because
+    BLAS can round the two layouts' products differently."""
+    targets = [lr_targets(train) for train in trains]
+    groups: dict[tuple, list[int]] = {}
+    for i, train in enumerate(trains):
+        rows_stride, cols_stride = train.values.strides
+        column_major = abs(rows_stride) < abs(cols_stride)
+        groups.setdefault((*train.values.shape, column_major), []).append(i)
+    models: list[LogisticModel] = [None] * len(trains)
+    for (rows, n_attrs, column_major), members in groups.items():
+        X = (np.empty((len(members), n_attrs, rows)).transpose(0, 2, 1)
+             if column_major else np.empty((len(members), rows, n_attrs)))
+        y = np.empty((len(members), rows))
+        scales = []
+        for k, i in enumerate(members):
+            scales.append(_standardize(trains[i].values, out=X[k])[1:])
+            y[k] = targets[i]
+        weights = np.zeros((len(members), n_attrs, 1))
+        bias = np.zeros((len(members), 1))
+        for _ in range(EPOCHS):
+            gw, gb = logistic_gradient(weights, bias, X, y)
+            weights -= LEARNING_RATE * gw
+            bias -= LEARNING_RATE * gb
+        for k, i in enumerate(members):
+            models[i] = LogisticModel(
+                attributes=trains[i].attributes,
+                weights=weights[k, :, 0].copy(), bias=float(bias[k, 0]),
+                feature_means=scales[k][0], feature_stds=scales[k][1])
+    return models
+
+
+def lr_train(train: Dataset) -> LogisticModel:
+    """``lr_train_many`` on one training set."""
+    return lr_train_many([train])[0]
 
 
 def lr_score_dataset(model: LogisticModel, data: Dataset) -> np.ndarray:
     """P(positive) for each row; missing cells standardize to 0."""
     _check_schema(model.attributes, data)
-    X = (data.values - model.feature_means) / model.feature_stds
-    X = np.where(np.isnan(X), 0.0, X)
+    X = _scaled(data.values, model.feature_means, model.feature_stds)
     return _sigmoid(X @ model.weights + model.bias)
 
 
 def lr_predict_dataset(model: LogisticModel, data: Dataset) -> np.ndarray:
     return lr_score_dataset(model, data) >= 0.5
+
+
+def _check_trainable(train: Dataset):
+    if not train.binary:
+        raise TrainingError(f"{train.name}: labels must be binarized first")
+    if len(train) == 0:
+        raise TrainingError(f"{train.name}: empty training set")
 
 
 def _check_schema(attributes, data: Dataset):

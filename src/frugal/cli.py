@@ -111,6 +111,9 @@ def _cmd_eval(args) -> int:
         if args.top_changed is not None:
             raise ConfigError("--top-changed cannot apply to --model: a "
                               "saved model's attributes are fixed")
+        if args.depth is not None:
+            raise ConfigError("--depth cannot apply to --model: a saved "
+                              "model's depth is fixed")
         with open(args.model) as fh:
             try:
                 payload = json.load(fh)
@@ -128,7 +131,8 @@ def _cmd_eval(args) -> int:
         if args.top_changed is not None:
             split = rig.top_changed_split(split, args.top_changed)
         train, test = split.train, split.test
-        tree = grow(train, depth=args.depth, fn=fn)[0]
+        tree = grow(train, depth=4 if args.depth is None else args.depth,
+                    fn=fn)[0]
 
     if fn.kind == "popt" and test.effort is None:
         raise UnsupportedScoreError(
@@ -337,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(ev)
     ev.add_argument("--model", default=None,
                     help="saved tree JSON; skips training")
-    ev.add_argument("--depth", type=int, default=4)
+    ev.add_argument("--depth", type=int, default=None,
+                    help="tree depth when training (default: 4)")
     ev.add_argument("--score", default="d2h")
     ev.add_argument("--top-changed", type=float, default=None,
                     dest="top_changed", metavar="FRACTION",

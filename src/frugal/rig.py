@@ -2,7 +2,9 @@
 the tree, naive-bayes, and logistic learners.
 
 A learner is its fitted model.  Only ``fft`` reads the score, so a cell
-fits ``nb`` and ``sl`` once and grows ``fft`` once per score.  Model
+fits ``nb`` and ``sl`` once and grows ``fft`` once per score.  A project
+runs in three phases: plan its cells, fit their models (every ``sl`` fit
+of the project in one batched call), then evaluate them.  Model
 functions are called through their module-level names, so rebinding one
 (as a tracer does) reaches the rig too.
 
@@ -19,6 +21,7 @@ import io
 import json
 import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -26,8 +29,8 @@ import numpy as np
 
 from . import operational
 from .baselines import (LogisticModel, NBModel, lr_predict_dataset,
-                        lr_score_dataset, lr_train, nb_predict_dataset,
-                        nb_score_dataset, nb_train)
+                        lr_score_dataset, lr_targets, lr_train, lr_train_many,
+                        nb_predict_dataset, nb_score_dataset, nb_train)
 from .dataset import Dataset, merge
 from .errors import (ConfigError, FrugalError, TrainingError,
                      UnsupportedScoreError)
@@ -39,6 +42,9 @@ from .metrics import (Confusion, ScoreFunction, dis2heaven,
 
 LEARNERS = ("fft", "nb", "sl")
 ATTRIBUTE_SETS = ("full", "top25")
+# A cv plan builds repeats x bins index arrays, and a project's sl fits
+# stack that many designs.
+MAX_REPEATS = 100
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,9 @@ class RigConfig:
                               "history; it cannot run under cross-validation")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ConfigError(f"depth must be between 1 and {MAX_DEPTH}")
-        if self.bins < 2 or self.repeats < 1:
-            raise ConfigError("cross-validation needs bins >= 2, repeats >= 1")
+        if self.bins < 2 or not 1 <= self.repeats <= MAX_REPEATS:
+            raise ConfigError("cross-validation needs bins >= 2 and repeats "
+                              f"between 1 and {MAX_REPEATS}")
         if not 0.0 < self.top_fraction <= 1.0:
             raise ConfigError("top_fraction must be in (0, 1]")
         if self.seed < 0:
@@ -230,12 +237,78 @@ def _splits_for(versions: list[Dataset], config: RigConfig) -> list[Split]:
                             config.seed)
 
 
+@contextmanager
+def _cell_errors(prefix: str):
+    """Re-raise a FrugalError with the cell's ``[project/learner/score/
+    attribute set/split]`` prefix."""
+    try:
+        yield
+    except FrugalError as exc:
+        raise type(exc)(f"[{prefix}] {exc}") from exc
+
+
+def _run_project(pname: str, splits: list[Split],
+                 config: RigConfig) -> list[EvalResult]:
+    """One project's results in three phases: plan its cells, fit every
+    model they need, then evaluate every model in the order of the plan.
+    Each ``sl`` set is checked where it is planned, under its cell's
+    prefix; the fits then run as one batched call."""
+    cells = [(split.label, attr_set,
+              split if attr_set == "full"
+              else top_changed_split(split, config.top_fraction))
+             for split in splits for attr_set in config.attribute_sets]
+    fns = [score_function(kind) for kind in config.scores]
+    plan = [(c, learner, fn) for c in range(len(cells)) for fn in fns
+            for learner in config.learners]
+
+    def key(c, learner, fn):
+        return c, learner, fn.kind if learner == "fft" else ""
+
+    def prefix(c, learner, fn):
+        label, attr_set, _ = cells[c]
+        return f"{pname}/{learner}/{fn.kind}/{attr_set}/{label}"
+
+    models: dict[tuple[int, str, str], object] = {}
+    sl_keys = []
+    for c, learner, fn in plan:
+        k = key(c, learner, fn)
+        if k in models:
+            continue
+        train = cells[c][2].train
+        with _cell_errors(prefix(c, learner, fn)):
+            if learner == "sl":
+                lr_targets(train)
+                sl_keys.append(k)
+                models[k] = None
+            else:
+                models[k] = fit_learner(learner, train, fn, config.depth)
+    models.update(zip(sl_keys, lr_train_many([cells[c][2].train
+                                              for c, _, _ in sl_keys])))
+
+    results = []
+    for c, learner, fn in plan:
+        label, attr_set, cell = cells[c]
+        model = models[key(c, learner, fn)]
+        with _cell_errors(prefix(c, learner, fn)):
+            value, degenerate = evaluate(model, cell.test, fn)
+        tree = isinstance(model, FFTree)
+        results.append(EvalResult(
+            project=pname, learner=learner, score=fn.kind,
+            attribute_set=attr_set, split=label,
+            n_train=len(cell.train), n_test=len(cell.test),
+            value=value, degenerate=degenerate,
+            policy=model.policy_string if tree else "",
+            n_nodes=len(model.nodes) if tree else 0))
+    return results
+
+
 def run(projects: dict[str, list[Dataset]],
         config: RigConfig = RigConfig()) -> RigResult:
     """Evaluate every learner x score x attribute set on every project.
 
     ``projects`` maps a project name to its version-ordered datasets;
-    labels must already be binary.
+    labels must already be binary.  Projects run one at a time, so only
+    one project's models are held at once.
     """
     results: list[EvalResult] = []
     fingerprints: dict[str, str] = {}
@@ -249,34 +322,7 @@ def run(projects: dict[str, list[Dataset]],
                     f"{pname}: labels must be binarized before the rig runs")
         splits = _splits_for(versions, config)
         fingerprints[pname] = plan_fingerprint(splits)
-        for split in splits:
-            for attr_set in config.attribute_sets:
-                cell = (split if attr_set == "full"
-                        else top_changed_split(split, config.top_fraction))
-                train, test = cell.train, cell.test
-                models: dict[tuple[str, str], object] = {}
-                for kind in config.scores:
-                    fn = score_function(kind)
-                    for learner in config.learners:
-                        key = (learner, fn.kind if learner == "fft" else "")
-                        try:
-                            if key not in models:
-                                models[key] = fit_learner(learner, train, fn,
-                                                          config.depth)
-                            model = models[key]
-                            value, degenerate = evaluate(model, test, fn)
-                            tree = isinstance(model, FFTree)
-                        except FrugalError as exc:
-                            raise type(exc)(
-                                f"[{pname}/{learner}/{fn.kind}/{attr_set}/"
-                                f"{split.label}] {exc}") from exc
-                        results.append(EvalResult(
-                            project=pname, learner=learner, score=fn.kind,
-                            attribute_set=attr_set, split=split.label,
-                            n_train=len(train), n_test=len(test),
-                            value=value, degenerate=degenerate,
-                            policy=model.policy_string if tree else "",
-                            n_nodes=len(model.nodes) if tree else 0))
+        results.extend(_run_project(pname, splits, config))
     return RigResult(config=config, results=results, fingerprints=fingerprints)
 
 

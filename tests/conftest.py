@@ -27,6 +27,27 @@ def one_row(attributes, row):
                         labels=[False])
 
 
+def lr_gradient_stack(five_rows_lr):
+    """Four stacked standardized 5 x 2 designs, the first from
+    ``five_rows_lr``, and four (weights, bias) stacks that give every
+    design each of four parameter sets: the inputs of the finite-difference
+    checks of ``baselines.logistic_gradient``."""
+    from frugal.baselines import _standardize
+    rng = np.random.default_rng(8)
+    designs = [five_rows_lr.values] + [rng.normal(size=(5, 2))
+                                       for _ in range(3)]
+    labels = [five_rows_lr.labels.tolist(), [True, False, True, False, False],
+              [False, True, True, False, True], [True, True, False, False,
+                                                 False]]
+    X = np.stack([_standardize(d)[0] for d in designs])
+    y = np.array(labels, dtype=float)
+    weights = np.array([[0.0, 0.0], [0.5, -0.25], [-1.0, 2.0],
+                        [0.03, 0.4]])[:, :, None]
+    bias = np.array([[0.0], [0.1], [-0.7], [1.5]])
+    return X, y, [(np.roll(weights, r, axis=0), np.roll(bias, r, axis=0))
+                  for r in range(4)]
+
+
 def dataset_rows(ds):
     """Dataset -> oracle form: list of attribute->value dicts, None missing."""
     out = []

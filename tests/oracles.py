@@ -8,6 +8,10 @@ is a bit-level reference: it is the formula ``baselines._sigmoid`` must
 reproduce exactly, and Python's ``math.exp`` may round differently from
 numpy's.
 
+``lr_train_oracle`` is the per-fit gradient descent that
+``baselines.lr_train_many`` replaced, also numpy and also a bit-level
+reference: the batched fits must equal it with ``==``.
+
 ``load_csv_oracle`` is the cell-by-cell CSV loader that
 ``dataset.load_csv`` replaced: one ``float()`` call per cell, rows checked
 in file order.
@@ -343,6 +347,26 @@ def finite_difference_gradient(loss, weights, bias, eps=1e-6):
     gb = (loss(list(weights), bias + eps)
           - loss(list(weights), bias - eps)) / (2 * eps)
     return gw, gb
+
+
+def lr_train_oracle(train, epochs=500, learning_rate=0.1):
+    """(weights, bias, means, stds) of one fit: a trainable set is assumed.
+    The design is standardized and descended one fit at a time, with a
+    1-D weight vector and a float bias."""
+    y = train.labels.astype(float)
+    means = np.nanmean(train.values, axis=0)
+    stds = np.nanstd(train.values, axis=0)
+    means = np.where(np.isnan(means), 0.0, means)
+    stds = np.where((stds == 0) | np.isnan(stds), 1.0, stds)
+    X = (train.values - means) / stds
+    X = np.where(np.isnan(X), 0.0, X)
+    weights = np.zeros(X.shape[1])
+    bias = 0.0
+    for _ in range(epochs):
+        err = masked_sigmoid(X @ weights + bias) - y
+        weights -= learning_rate * (X.T @ err / len(y))
+        bias -= learning_rate * float(err.mean())
+    return weights, bias, means, stds
 
 
 def masked_sigmoid(z):

@@ -18,15 +18,14 @@ import numpy as np
 import pytest
 
 from frugal import rig, synth
-from frugal.baselines import (_standardize, logistic_gradient,
-                              nb_score_dataset, nb_train)
+from frugal.baselines import logistic_gradient, nb_score_dataset, nb_train
 from frugal.dataset import LabelRule, binarize, load_csv
 from frugal.fft import grow, render, tree_from_dict, tree_to_dict
 from frugal.metrics import (Confusion, a12, dis2heaven, mann_whitney, popt,
                             score_function)
 
 import oracles
-from conftest import dataset_rows, one_row
+from conftest import dataset_rows, lr_gradient_stack, one_row
 
 D2H = score_function("d2h")
 POPT = score_function("popt")
@@ -262,18 +261,20 @@ def test_7_cross_validation_is_reproducible(tmp_path):
 def test_8_baseline_numerics(five_rows_lr, eight_rows):
     with verdict(8, "logistic gradient and bayes posteriors match "
                     "independent math", "1e-4 relative / 1e-9"):
-        X, _, _ = _standardize(five_rows_lr.values)
-        y = five_rows_lr.labels.astype(float)
+        X, y, params = lr_gradient_stack(five_rows_lr)
+        for weights, bias in params:
+            gw, gb = logistic_gradient(weights, bias, X, y)
+            for k in range(len(X)):
 
-        def loss(weights, bias):
-            return oracles.logistic_loss(np.asarray(weights, dtype=float), bias, X, y)
+                def loss(w, b, _k=k):
+                    return oracles.logistic_loss(np.asarray(w, dtype=float),
+                                                 b, X[_k], y[_k])
 
-        for weights, bias in [([0.0, 0.0], 0.0), ([0.5, -0.25], 0.1),
-                              ([-1.0, 2.0], -0.7), ([0.03, 0.4], 1.5)]:
-            gw, gb = logistic_gradient(np.array(weights), bias, X, y)
-            fw, fb = oracles.finite_difference_gradient(loss, weights, bias)
-            for got, want in zip(list(gw) + [gb], fw + [fb]):
-                assert abs(got - want) <= 1e-4 * max(1.0, abs(want))
+                fw, fb = oracles.finite_difference_gradient(
+                    loss, weights[k, :, 0].tolist(), float(bias[k, 0]))
+                for got, want in zip(gw[k, :, 0].tolist() + [gb[k, 0]],
+                                     fw + [fb]):
+                    assert abs(got - want) <= 1e-4 * max(1.0, abs(want))
 
         model = nb_train(eight_rows)
         train_rows = dataset_rows(eight_rows)

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from frugal.baselines import (logistic_gradient, lr_predict_dataset,
-                              lr_score_dataset, lr_train, nb_predict_dataset,
-                              nb_score_dataset, nb_train, _sigmoid,
-                              _standardize)
-from frugal import synth
-from frugal.dataset import LabelRule, binarize
+                              lr_score_dataset, lr_train, lr_train_many,
+                              nb_predict_dataset, nb_score_dataset, nb_train,
+                              _sigmoid)
+from frugal import operational, synth
+from frugal.dataset import LabelRule, binarize, merge
 from frugal.errors import TrainingError
+from frugal.rig import cross_val_plans
 
 import oracles
-from conftest import dataset_rows, make_dataset, one_row
+from conftest import (dataset_rows, lr_gradient_stack, make_dataset,
+                      one_row)
 
 
 # ------------------------------------------------------------- naive bayes
@@ -112,20 +114,90 @@ def test_nb_dataset_scoring_matches_row_scoring(eight_rows):
 # ------------------------------------------------------ logistic regression
 
 def test_lr_gradient_matches_finite_differences(five_rows_lr):
-    X, _, _ = _standardize(five_rows_lr.values)
-    y = five_rows_lr.labels.astype(float)
+    X, y, params = lr_gradient_stack(five_rows_lr)
+    for weights, bias in params:
+        gw, gb = logistic_gradient(weights, bias, X, y)
+        assert gw.shape == weights.shape and gb.shape == bias.shape
+        for k in range(len(X)):
 
-    def loss(weights, bias):
-        return oracles.logistic_loss(np.asarray(weights, dtype=float), bias, X, y)
+            def loss(w, b, _k=k):
+                return oracles.logistic_loss(np.asarray(w, dtype=float), b,
+                                             X[_k], y[_k])
 
-    for weights, bias in [([0.0, 0.0], 0.0),
-                          ([0.5, -0.25], 0.1),
-                          ([-1.0, 2.0], -0.7),
-                          ([0.03, 0.4], 1.5)]:
-        gw, gb = logistic_gradient(np.array(weights), bias, X, y)
-        fw, fb = oracles.finite_difference_gradient(loss, weights, bias)
-        for got, want in zip(list(gw) + [gb], fw + [fb]):
-            assert abs(got - want) <= 1e-4 * max(1.0, abs(want))
+            fw, fb = oracles.finite_difference_gradient(
+                loss, weights[k, :, 0].tolist(), float(bias[k, 0]))
+            for got, want in zip(gw[k, :, 0].tolist() + [gb[k, 0]],
+                                 fw + [fb]):
+                assert abs(got - want) <= 1e-4 * max(1.0, abs(want))
+            # a fit's gradient does not depend on the batch it is in
+            one = logistic_gradient(weights[k:k + 1], bias[k:k + 1],
+                                    X[k:k + 1], y[k:k + 1])
+            assert np.array_equal(one[0], gw[k:k + 1])
+            assert np.array_equal(one[1], gb[k:k + 1])
+
+
+def _assert_is_oracle_fit(model, train):
+    weights, bias, means, stds = oracles.lr_train_oracle(train)
+    assert model.attributes == train.attributes
+    assert np.array_equal(model.weights, weights)
+    assert model.bias == bias and isinstance(model.bias, float)
+    assert np.array_equal(model.feature_means, means)
+    assert np.array_equal(model.feature_stds, stds)
+
+
+def _cv_folds():
+    """Ten 194/195-row training folds of a 216-row set with missing
+    cells."""
+    raw = synth.make_corpus(names=("ant",), seed=6, rows=80)["ant"]
+    data = merge([binarize(v, LabelRule.bug_counts()) for v in raw])
+    data = data.subset(np.arange(216))
+    assert np.isnan(data.values).any()
+    return [data.subset(train) for _, _, train, _ in
+            cross_val_plans(len(data), bins=10, repeats=1, seed=3)]
+
+
+def test_lr_train_many_equals_the_per_fit_loop():
+    folds = _cv_folds()
+    assert sorted({len(f) for f in folds}) == [194, 195]
+    models = lr_train_many(folds)
+    assert len(models) == len(folds)
+    for model, fold in zip(models, folds):
+        _assert_is_oracle_fit(model, fold)
+    # a batch of one, through both entries
+    _assert_is_oracle_fit(lr_train_many(folds[3:4])[0], folds[3])
+    _assert_is_oracle_fit(lr_train(folds[3]), folds[3])
+
+
+def test_lr_train_many_keeps_input_order_over_mixed_shapes():
+    folds = _cv_folds()
+    # a projected set is column-major, and BLAS rounds its products
+    # differently from a row-major one's
+    narrow = [operational.project(f, f.attributes[:5]) for f in folds[:3]]
+    assert np.isfortran(narrow[0].values)
+    rng = np.random.default_rng(16)
+    values = rng.normal(size=(40, 3))
+    values[:, 1] = 7.0                                  # a constant column
+    values[rng.random((40, 3)) < 0.1] = np.nan          # missing cells
+    constant = make_dataset(("a", "c", "b"), values.tolist(),
+                            labels=(rng.random(40) < 0.4).tolist(),
+                            name="constant")
+    trains = [folds[0], narrow[0], constant, folds[1], narrow[1], folds[2],
+              narrow[2], folds[9]]
+    models = lr_train_many(trains)
+    for model, train in zip(models, trains):
+        _assert_is_oracle_fit(model, train)
+    assert models[2].weights[1] == 0.0      # zero column after scaling
+
+
+def test_lr_train_many_checks_every_set_in_input_order(five_rows_lr):
+    single = make_dataset(("a",), [[1], [2]], labels=[True, True],
+                          name="single")
+    empty = make_dataset(("a",), [], labels=[], name="empty")
+    with pytest.raises(TrainingError, match="single: .*both classes"):
+        lr_train_many([five_rows_lr, single, empty])
+    with pytest.raises(TrainingError, match="empty: empty training set"):
+        lr_train_many([five_rows_lr, empty, single])
+    assert lr_train_many([]) == []
 
 
 def test_lr_learns_separable_data(five_rows_lr):

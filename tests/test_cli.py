@@ -452,6 +452,25 @@ def test_eval_model_rejects_top_changed(project_dir, tmp_path, capsys):
         assert "--top-changed" in err and len(err.splitlines()) == 1
 
 
+def test_eval_model_rejects_depth(project_dir, tmp_path, capsys):
+    # a saved model's depth is fixed; the flag once changed nothing here
+    _, paths = project_dir
+    model_path = tmp_path / "m.json"
+    model_path.write_text(json.dumps(PERFECT_MODEL))
+    for depth in ("0", "4", "99"):
+        capsys.readouterr()
+        assert main(["eval", str(paths["1.2"]), "--model", str(model_path),
+                     "--depth", depth]) == 5
+        err = capsys.readouterr().err
+        assert "--depth" in err and len(err.splitlines()) == 1
+    assert main(["eval", str(paths["1.2"]), "--model", str(model_path)]) == 0
+    # when eval trains, the flag still sets the depth
+    capsys.readouterr()
+    assert main(["eval", str(paths["1.0"]), str(paths["1.1"]), "--depth", "1",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == 1
+
+
 def test_eval_needs_two_csvs_without_model(project_dir, capsys):
     _, paths = project_dir
     assert main(["eval", str(paths["1.0"])]) == 5
@@ -614,6 +633,7 @@ def test_rig_config_error_paths(project_dir, tmp_path, capsys):
     {"effort": ""},
     {"label": ""},
     {"effort": "  "},
+    {"repeats": rig.MAX_REPEATS + 1, "mode": "cv"},
 ], ids=["depth four", "learners 5", "project entry 5", "project path 5",
         "projects list", "top_fraction word", "exclude 5", "bins infinite",
         "depth infinite", "negative seed", "depth above the cap",
@@ -621,7 +641,8 @@ def test_rig_config_error_paths(project_dir, tmp_path, capsys):
         "learners string", "attribute_sets string", "exclude list with 5",
         "depth float", "depth bool", "bins float", "seed string",
         "effort list", "label number", "top_fraction bool", "score aliases",
-        "effort empty", "label empty", "effort blank"])
+        "effort empty", "label empty", "effort blank",
+        "repeats above the cap"])
 def test_rig_rejects_malformed_config_values(project_dir, capsys, override):
     tmp_path, paths = project_dir
     config = _write_rig_config(tmp_path, paths, **override)
@@ -631,7 +652,7 @@ def test_rig_rejects_malformed_config_values(project_dir, capsys, override):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     # the message names the key, not one character of a string
     named = {"learners", "scores", "attribute_sets", "exclude", "depth",
-             "bins", "seed", "effort", "label", "top_fraction"}
+             "bins", "repeats", "seed", "effort", "label", "top_fraction"}
     for key in named & set(override):
         assert key in err
 

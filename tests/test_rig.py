@@ -14,7 +14,8 @@ from frugal.dataset import LabelRule, binarize
 from frugal.errors import (ConfigError, TrainingError, UnsupportedScoreError)
 from frugal.fft import FFTree
 from frugal.metrics import DIS2HEAVEN, POPT
-from frugal.rig import (ComparisonRow, EvalResult, RigConfig, attribute_set_deltas,
+from frugal.rig import (MAX_REPEATS, ComparisonRow, EvalResult, RigConfig,
+                        attribute_set_deltas,
                         compare, cross_val_plans, cross_val_splits, evaluate,
                         fit_learner, plan_fingerprint, policy_histogram, run,
                         version_split, write_reports)
@@ -79,6 +80,11 @@ def test_config_numeric_bounds():
         RigConfig(bins=1)
     with pytest.raises(ConfigError, match="repeats"):
         RigConfig(repeats=0)
+    # a huge value would build repeats x bins index arrays before a fold runs
+    with pytest.raises(ConfigError, match=f"repeats between 1 and "
+                                          f"{MAX_REPEATS}"):
+        RigConfig(mode="cv", repeats=MAX_REPEATS + 1)
+    RigConfig(mode="cv", repeats=MAX_REPEATS)   # the cap itself is allowed
     with pytest.raises(ConfigError, match="top_fraction"):
         RigConfig(top_fraction=0.0)
     with pytest.raises(ConfigError, match="top_fraction"):
@@ -286,11 +292,23 @@ def test_run_fits_score_blind_learners_once_per_cell(corpus, monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(rig_module, name, counted)
+    batches = []
+
+    def batched(trains, _fn=rig_module.lr_train_many):
+        batches.append([(len(t), t.attributes) for t in trains])
+        return _fn(trains)
+    monkeypatch.setattr(rig_module, "lr_train_many", batched)
     config = RigConfig(scores=("d2h", "popt"),
                        attribute_sets=("full", "top25"))
     result = run({"ant": corpus["ant"]}, config)
-    # 1 split x 2 attribute sets = 2 cells; fft is grown once per score
-    assert calls == {"grow": 4, "nb_train": 2, "lr_train": 2}
+    # 1 split x 2 attribute sets = 2 cells; fft is grown once per score,
+    # and one batched call per project fits each cell's training set once
+    assert calls == {"grow": 4, "nb_train": 2}
+    train = rig_module.version_split(corpus["ant"]).train
+    assert len(batches) == 1 and len(batches[0]) == 2
+    assert batches[0][0] == (len(train), train.attributes)
+    assert batches[0][1][0] == len(train)
+    assert len(batches[0][1][1]) < len(train.attributes)
     assert len(result.results) == 12
     assert [(r.attribute_set, r.score, r.learner)
             for r in result.results] == [
@@ -326,6 +344,27 @@ def test_run_reports_a_failing_shared_fit_under_the_first_score():
     with pytest.raises(TrainingError,
                        match=r"\[p/sl/popt/full/version:2\] .*both classes"):
         run({"p": one_class}, config)
+
+
+def test_run_checks_each_sl_cell_under_its_prefix_before_fitting(
+        monkeypatch):
+    # two positives in ten rows: some fold trains on negatives only
+    data = make_dataset(("m",), [[i] for i in range(10)],
+                        labels=[i in (2, 7) for i in range(10)], name="p",
+                        effort=list(range(1, 11)))
+    plans = cross_val_plans(10, bins=5, repeats=2, seed=10)
+    bad = [f"cv:r{r}:b{b}" for r, b, train, _ in plans
+           if not data.labels[train].any()]
+    assert bad == ["cv:r1:b3"]      # the ninth of ten cells
+    batches = []
+    monkeypatch.setattr(rig_module, "lr_train_many",
+                        lambda trains: batches.append(trains))
+    config = RigConfig(mode="cv", learners=("nb", "sl"), scores=("d2h",),
+                       bins=5, repeats=2, seed=10)
+    with pytest.raises(TrainingError, match=rf"\[p/sl/dis2heaven/full/"
+                                            rf"{bad[0]}\] .*both classes"):
+        run({"p": [data]}, config)
+    assert batches == []
 
 
 def test_run_requires_binary_labels(corpus):

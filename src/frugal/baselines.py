@@ -139,7 +139,12 @@ def logistic_gradient(weights: np.ndarray, bias: np.ndarray, X: np.ndarray,
 
 def _standardize(values: np.ndarray, out: np.ndarray | None = None):
     """(design, means, stds): each column centred and scaled, missing
-    cells at 0; written into ``out`` when given."""
+    cells at 0; written into ``out`` when given.  A column with no
+    observed cell reads as zeros, so its mean is 0 and its std 1 without
+    the nan-reductions' empty-slice warnings."""
+    observed = ~np.isnan(values).all(axis=0)
+    if not observed.all():
+        values = np.where(observed, values, 0.0)
     means = np.nanmean(values, axis=0)
     stds = np.nanstd(values, axis=0)
     means = np.where(np.isnan(means), 0.0, means)
@@ -172,21 +177,15 @@ def lr_train_many(trains: list[Dataset]) -> list[LogisticModel]:
     no regularization.  Missing cells standardize to 0 (the attribute
     mean).  Every set is checked before any descent runs.
 
-    Sets whose designs share a shape and a memory layout descend together
-    as one stacked block, so each model equals the one its set gives
-    alone.  A design keeps the row- or column-major layout that numpy
-    gives ``values - means`` (a projected set is column-major), because
-    BLAS can round the two layouts' products differently."""
+    Sets whose designs share a shape descend together as one stacked
+    block, so each model equals the one its set gives alone."""
     targets = [lr_targets(train) for train in trains]
     groups: dict[tuple, list[int]] = {}
     for i, train in enumerate(trains):
-        rows_stride, cols_stride = train.values.strides
-        column_major = abs(rows_stride) < abs(cols_stride)
-        groups.setdefault((*train.values.shape, column_major), []).append(i)
+        groups.setdefault(train.values.shape, []).append(i)
     models: list[LogisticModel] = [None] * len(trains)
-    for (rows, n_attrs, column_major), members in groups.items():
-        X = (np.empty((len(members), n_attrs, rows)).transpose(0, 2, 1)
-             if column_major else np.empty((len(members), rows, n_attrs)))
+    for (rows, n_attrs), members in groups.items():
+        X = np.empty((len(members), rows, n_attrs))
         y = np.empty((len(members), rows))
         scales = []
         for k, i in enumerate(members):

@@ -42,11 +42,9 @@ def parse_rule(text: str) -> LabelRule:
         raise ConfigError(f"cannot parse rule {text!r}; expected forms "
                           "like '>0', '<30', or '>365'")
     op, value = m.group(1), float(m.group(2))
-    if op == ">" and value == 0:
-        return LabelRule.bug_counts()
-    if value <= 0:
+    if op == "<" and value == 0:
         raise ConfigError(f"rule {text!r} needs a positive threshold")
-    return LabelRule.days("less-than" if op == "<" else "greater-than", value)
+    return LabelRule(op, value)
 
 
 def _load_versions(paths, label, effort, exclude, rule) -> list[Dataset]:

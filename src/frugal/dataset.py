@@ -35,38 +35,27 @@ _CHUNK_ROWS = 4096
 # them.  Matched by header name, so duplicated headers are covered too.
 DEFAULT_EXCLUDE = ("name", "version")
 
+_COMPARE = {"<": np.less, ">": np.greater}
+
 
 @dataclass(frozen=True)
 class LabelRule:
-    """How a raw numeric label column becomes a boolean target.
-
-    ``bug-count-positive`` marks a row positive when its defect count exceeds
-    zero.  ``days-threshold`` compares a duration against ``threshold_days``
-    in the given ``direction`` ("less-than" or "greater-than").
+    """How a raw numeric label column becomes a boolean target: a row is
+    positive when its label compares ``op`` ("<" or ">") to ``threshold``.
+    The default, ``> 0``, marks a row with any defects; ``< 30`` marks an
+    issue closed within 30 days.
     """
 
-    kind: str
-    threshold_days: float = 0.0
-    direction: str = ""
+    op: str = ">"
+    threshold: float = 0.0
 
     def __post_init__(self):
-        if self.kind == "bug-count-positive":
-            return
-        if self.kind != "days-threshold":
-            raise DatasetError(f"unknown label rule kind: {self.kind!r}")
-        if self.direction not in ("less-than", "greater-than"):
-            raise DatasetError(f"bad direction: {self.direction!r}")
-        if not self.threshold_days > 0:
-            raise DatasetError("threshold_days must be > 0")
+        if self.op not in _COMPARE:
+            raise DatasetError(f"bad label rule op: {self.op!r}")
 
     @classmethod
     def bug_counts(cls) -> "LabelRule":
-        return cls(kind="bug-count-positive")
-
-    @classmethod
-    def days(cls, direction: str, threshold: float) -> "LabelRule":
-        return cls(kind="days-threshold", threshold_days=threshold,
-                   direction=direction)
+        return cls()
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -78,7 +67,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class Dataset:
     """Immutable table: attribute matrix, labels, optional effort.
 
-    ``values`` has shape (rows, attributes); NaN marks a missing cell.
+    ``values`` has shape (rows, attributes) and is stored C-contiguous
+    whatever the layout it is given in, so every reader sees one layout;
+    NaN marks a missing cell.
     No two attributes share a name.
     ``labels`` is a float array before binarization and a bool array after.
     ``effort`` values must be strictly positive when present.
@@ -96,7 +87,7 @@ class Dataset:
     row_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.ascontiguousarray(self.values, dtype=float)
         if values.shape[1] != len(self.attributes):
             raise DatasetError(
                 f"{self.name}: rows have {values.shape[1]} values for "
@@ -266,8 +257,12 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
     unparsed; every other non-label, non-effort column must be numeric
     ("?", an empty cell or ``nan`` marks a missing value).  An infinite cell
     in any attribute, label or effort column is an error, and so is a label
-    or effort name that heads more than one column.
+    or effort name that heads more than one column, and so is one column
+    named as both the label and the effort.
     """
+    if effort_column is not None and effort_column == label_column:
+        raise DatasetError(f"{path}: column {label_column!r} cannot be both "
+                           "the label and the effort")
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -305,7 +300,7 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
         name=name if name is not None else str(path),
         version=version,
         attributes=tuple(attributes),
-        values=table[:, :n_attr].copy(),
+        values=table[:, :n_attr],
         labels=table[:, n_attr].copy(),
         effort=table[:, n_attr + 1].copy() if effort_idx is not None else None)
 
@@ -360,13 +355,7 @@ def binarize(ds: Dataset, rule: LabelRule) -> Dataset:
         raise DatasetError(
             f"{ds.name}: data row {bad + 1} has a missing label (data rows "
             "count from 1 after the header and skip blank lines)")
-    if rule.kind == "bug-count-positive":
-        flags = raw > 0
-    elif rule.direction == "less-than":
-        flags = raw < rule.threshold_days
-    else:
-        flags = raw > rule.threshold_days
-    return replace(ds, labels=flags.astype(bool))
+    return replace(ds, labels=_COMPARE[rule.op](raw, rule.threshold))
 
 
 def merge(versions: list[Dataset]) -> Dataset:

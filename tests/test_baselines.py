@@ -1,7 +1,9 @@
 """Tests for the two in-repo baselines: Gaussian naive bayes and batch
 gradient-descent logistic regression."""
 
+import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -170,10 +172,9 @@ def test_lr_train_many_equals_the_per_fit_loop():
 
 def test_lr_train_many_keeps_input_order_over_mixed_shapes():
     folds = _cv_folds()
-    # a projected set is column-major, and BLAS rounds its products
-    # differently from a row-major one's
+    # a projected set is stored row-major, like every dataset
     narrow = [operational.project(f, f.attributes[:5]) for f in folds[:3]]
-    assert np.isfortran(narrow[0].values)
+    assert narrow[0].values.flags.c_contiguous
     rng = np.random.default_rng(16)
     values = rng.normal(size=(40, 3))
     values[:, 1] = 7.0                                  # a constant column
@@ -187,6 +188,27 @@ def test_lr_train_many_keeps_input_order_over_mixed_shapes():
     for model, train in zip(models, trains):
         _assert_is_oracle_fit(model, train)
     assert models[2].weights[1] == 0.0      # zero column after scaling
+
+
+def test_lr_all_missing_column_has_zero_weight_and_no_warning():
+    folds = _cv_folds()
+    trains = []
+    for fold in folds[:3]:
+        values = np.array(fold.values)
+        values[:, 2] = np.nan
+        trains.append(dataclasses.replace(fold, values=values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        models = [lr_train(trains[0])] + lr_train_many(trains[1:])
+    for model, train in zip(models, trains):
+        assert model.feature_means[2] == 0.0
+        assert model.feature_stds[2] == 1.0
+        assert model.weights[2] == 0.0
+        # the oracle's nan-reductions warn on the empty column; its other
+        # columns must match bit for bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _assert_is_oracle_fit(model, train)
 
 
 def test_lr_train_many_checks_every_set_in_input_order(five_rows_lr):

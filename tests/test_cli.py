@@ -2,11 +2,14 @@
 report shapes)."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import warnings
 
+import numpy as np
 import pytest
 
 from frugal import rig, synth
@@ -16,6 +19,7 @@ from frugal.errors import ConfigError
 from frugal.fft import grow, render, tree_from_dict
 
 import oracles
+from conftest import make_dataset
 
 
 @pytest.fixture
@@ -55,17 +59,29 @@ PERFECT_MODEL = {
 # -------------------------------------------------------------- parse_rule
 
 def test_parse_rule_forms():
-    assert parse_rule(">0") == LabelRule.bug_counts()
-    assert parse_rule("<30") == LabelRule.days("less-than", 30)
-    assert parse_rule(">365") == LabelRule.days("greater-than", 365)
-    assert parse_rule(" < 14 ") == LabelRule.days("less-than", 14)
-    assert parse_rule("<0.5") == LabelRule.days("less-than", 0.5)
+    assert parse_rule(">0") == LabelRule.bug_counts() == LabelRule(">", 0)
+    assert parse_rule("<30") == LabelRule("<", 30)
+    assert parse_rule(">365") == LabelRule(">", 365)
+    assert parse_rule(" < 14 ") == LabelRule("<", 14)
+    assert parse_rule("<0.5") == LabelRule("<", 0.5)
 
 
 @pytest.mark.parametrize("bad", ["", "30", ">=3", "<-2", "< 0", "days>3"])
 def test_parse_rule_rejects_garbage(bad):
     with pytest.raises(ConfigError):
         parse_rule(bad)
+
+
+@pytest.mark.parametrize("text, op, value", [
+    (">0", ">", 0.0), ("> 0.0", ">", 0.0), (">365", ">", 365.0),
+    (">0.5", ">", 0.5), ("<30", "<", 30.0), ("<0.5", "<", 0.5),
+    ("<1", "<", 1.0)])
+def test_parse_rule_binarizes_with_one_strict_comparison(text, op, value):
+    labels = [0, 0.25, 0.5, 1, 2, 29.5, 30, 30.5, 365, 366]
+    raw = make_dataset(("a",), [[i] for i in range(len(labels))],
+                       labels=labels, binary=False)
+    want = [x > value if op == ">" else x < value for x in labels]
+    assert binarize(raw, parse_rule(text)).labels.tolist() == want
 
 
 # --------------------------------------------------------------------- fit
@@ -171,6 +187,21 @@ def test_fit_popt_without_effort_is_unsupported(project_dir, capsys):
     _, paths = project_dir
     assert main(["fit", str(paths["1.0"]), "--score", "popt"]) == 4
     assert "effort" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("fit", ["--label", "loc", "--effort", "loc"]),
+    ("eval", ["--effort", "bug"])])
+def test_one_column_as_label_and_effort_is_a_data_error(project_dir, capsys,
+                                                        command, flags):
+    _, paths = project_dir
+    csvs = [str(paths["1.0"])] + ([str(paths["1.1"])] if command == "eval"
+                                  else [])
+    assert main([command, *csvs, *flags]) == 2
+    err = capsys.readouterr().err
+    column = flags[-1]
+    assert err == (f"error: {paths['1.0']}: column {column!r} cannot be "
+                   "both the label and the effort\n")
 
 
 def test_fit_unknown_score(project_dir, capsys):
@@ -669,6 +700,30 @@ def test_rig_missing_csv_is_a_data_error(project_dir, capsys):
 def test_rig_missing_config_file(tmp_path, capsys):
     assert main(["rig", "--config", str(tmp_path / "none.json"),
                  "--out-dir", str(tmp_path / "x")]) == 2
+
+
+def test_rig_with_an_all_missing_column_warns_nothing(tmp_path, capsys):
+    # every logistic fit standardizes a training column with no cell
+    names = []
+    for ds in synth.make_corpus(names=("ant",), seed=7, rows=60)["ant"]:
+        values = np.array(ds.values)
+        values[:, ds.attributes.index("cbo")] = np.nan
+        path = tmp_path / f"{ds.name}.csv"
+        save_csv(dataclasses.replace(ds, values=values), path,
+                 effort_column="effort")
+        names.append(path.name)
+    assert np.isnan(load_csv(path, "bug").column("cbo")).all()
+    config = _write_rig_config(tmp_path, {n: tmp_path / n for n in names},
+                               learners=["fft", "nb", "sl"],
+                               scores=["d2h", "popt"],
+                               attribute_sets=["full", "top25"],
+                               effort="effort")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["rig", "--config", str(config),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
 
 
 # --------------------------------------------------------------- changefreq

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frugal import dataset, synth
+from frugal.baselines import lr_train
 from frugal.dataset import (Dataset, LabelRule, binarize, load_csv, merge,
                             save_csv)
 from frugal.errors import DatasetError
@@ -66,6 +67,20 @@ def test_load_csv_effort_column_is_removed_from_attributes(toy_csv):
     ds = load_csv(toy_csv, label_column="bug", effort_column="loc")
     assert ds.attributes == ("wmc", "cbo")
     assert ds.effort.tolist() == [120.0, 340.0, 80.0, 210.0]
+    # the three arrays are detached from the parse table and each other
+    arrays = (ds.values, ds.labels, ds.effort)
+    assert all(a.base is None for a in arrays)
+    assert ds.values.flags.c_contiguous
+
+
+@pytest.mark.parametrize("label", ["loc", "bug"])
+def test_load_csv_rejects_one_column_as_label_and_effort(tmp_path, label):
+    path = tmp_path / "both.csv"
+    path.write_text("wmc,loc,bug\n1,5\nx,y,z\n")     # rows are never read
+    with pytest.raises(DatasetError) as err:
+        load_csv(path, label_column=label, effort_column=label)
+    assert str(err.value) == (f"{path}: column {label!r} cannot be both the "
+                              "label and the effort")
 
 
 def test_load_csv_name_and_version_overrides(toy_csv):
@@ -343,12 +358,10 @@ def test_load_csv_read_error_and_a_bad_row_in_one_chunk(tmp_path, body,
 # --------------------------------------------------------------- LabelRule
 
 def test_label_rule_validation():
-    with pytest.raises(DatasetError, match="unknown label rule kind"):
-        LabelRule(kind="quantile")
-    with pytest.raises(DatasetError, match="bad direction"):
-        LabelRule(kind="days-threshold", threshold_days=30, direction="below")
-    with pytest.raises(DatasetError, match="threshold_days"):
-        LabelRule.days("less-than", 0)
+    assert LabelRule.bug_counts() == LabelRule() == LabelRule(">", 0.0)
+    for op in ("<=", "=", "less-than", ""):
+        with pytest.raises(DatasetError, match="bad label rule op"):
+            LabelRule(op, 30)
 
 
 # ---------------------------------------------------------------- binarize
@@ -362,9 +375,9 @@ def test_binarize_bug_counts(toy_csv):
 def test_binarize_days_thresholds_are_strict():
     raw = make_dataset(("a",), [[1], [2], [3]], labels=[400, 10, 30],
                        binary=False)
-    lt = binarize(raw, LabelRule.days("less-than", 30))
+    lt = binarize(raw, LabelRule("<", 30))
     assert lt.labels.tolist() == [False, True, False]
-    gt = binarize(raw, LabelRule.days("greater-than", 30))
+    gt = binarize(raw, LabelRule(">", 30))
     assert gt.labels.tolist() == [True, False, False]
 
 
@@ -389,6 +402,30 @@ def test_dataset_arrays_are_write_locked(six_rows):
         six_rows.labels[0] = False
     with pytest.raises(ValueError):
         six_rows.effort[0] = 1.0
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_dataset_stores_c_contiguous_values(layout):
+    # a logistic fit's bits must not depend on the layout it was given
+    raw = synth.make_corpus(names=("ant",), seed=7, rows=600)["ant"][0]
+    ds = binarize(raw, LabelRule.bug_counts())
+    values, labels = ds.values, ds.labels
+    if layout == "fortran":
+        values = np.asfortranarray(values)
+    else:
+        values, labels = values[::2], labels[::2]
+    assert not values.flags.c_contiguous
+    given = Dataset(name="g", version="", attributes=ds.attributes,
+                    values=values, labels=labels)
+    copy = Dataset(name="c", version="", attributes=ds.attributes,
+                   values=np.array(values, order="C"), labels=labels)
+    assert given.values.flags.c_contiguous
+    assert np.array_equal(given.values, values, equal_nan=True)
+    got, want = lr_train(given), lr_train(copy)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.bias == want.bias
+    assert np.array_equal(got.feature_means, want.feature_means)
+    assert np.array_equal(got.feature_stds, want.feature_stds)
 
 
 def test_dataset_shape_validation():

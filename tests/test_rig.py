@@ -268,7 +268,7 @@ def test_run_cv_mode_counts_and_reproducibility(corpus):
 def test_run_flags_folds_without_positives_and_compare_drops_them():
     # 8 of 400 rows close within a day, so half the test folds hold none
     data = binarize(synth.make_issue_dataset(seed=11, rows=400),
-                    LabelRule.days("less-than", 1))
+                    LabelRule("<", 1))
     assert int(data.labels.sum()) == 8
     empty = {f"cv:r{r}:b{b}"
              for r, b, _, test in cross_val_plans(len(data), 10, 5, 11)

@@ -47,11 +47,13 @@ def parse_rule(text: str) -> LabelRule:
     return LabelRule(op, value)
 
 
-def _load_versions(paths, label, effort, exclude, rule) -> list[Dataset]:
+def _load_versions(paths, label, effort, exclude, rule,
+                   attributes=None) -> list[Dataset]:
     out = []
     for path in paths:
         ds = load_csv(path, label_column=label, effort_column=effort,
-                      exclude=exclude, name=Path(path).stem)
+                      exclude=exclude, name=Path(path).stem,
+                      attributes=attributes)
         out.append(binarize(ds, rule))
     return out
 
@@ -67,13 +69,14 @@ def _flag_column(flag: str, value: str) -> str:
         raise ConfigError(f"bad {flag} value {value!r} ({exc})") from exc
 
 
-def _args_versions(args) -> list[Dataset]:
-    """The CSVs named on a ``fit`` or ``eval`` command line, binarized."""
+def _args_data(args) -> tuple:
+    """The ``_load_versions`` arguments that the data flags of a ``fit`` or
+    ``eval`` command line give, checked before any file is opened."""
     rule = parse_rule(args.positive_if)
     effort = (None if args.effort is None
               else _flag_column("--effort", args.effort))
-    return _load_versions(args.csv, _flag_column("--label", args.label),
-                          effort, _split_exclude(args.exclude), rule)
+    return (_flag_column("--label", args.label), effort,
+            _split_exclude(args.exclude), rule)
 
 
 def _write_or_print(text: str, out: str | None):
@@ -84,8 +87,8 @@ def _write_or_print(text: str, out: str | None):
 
 
 def _cmd_fit(args) -> int:
-    train = merge(_args_versions(args))
     fn = score_function(args.score)
+    train = merge(_load_versions(args.csv, *_args_data(args)))
     best, _ = grow(train, depth=args.depth, fn=fn)
     model_json = json.dumps(tree_to_dict(best), indent=2, sort_keys=True)
     if args.out is not None:
@@ -101,10 +104,13 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    versions = _args_versions(args)
     fn = score_function(args.score)
+    if fn.kind == "popt" and args.effort is None:
+        raise UnsupportedScoreError("popt scoring needs an effort column "
+                                    "(--effort)")
+    data = _args_data(args)
     if args.model is not None:
-        if len(versions) != 1:
+        if len(args.csv) != 1:
             raise ConfigError("--model evaluates exactly one test CSV")
         if args.top_changed is not None:
             raise ConfigError("--top-changed cannot apply to --model: a "
@@ -112,29 +118,29 @@ def _cmd_eval(args) -> int:
         if args.depth is not None:
             raise ConfigError("--depth cannot apply to --model: a saved "
                               "model's depth is fixed")
-        with open(args.model) as fh:
+        try:
+            fh = open(args.model)
+        except OSError as exc:
+            raise DatasetError(
+                f"cannot read model {args.model}: {exc}") from exc
+        with fh:
             try:
                 payload = json.load(fh)
             except ValueError as exc:
                 raise DatasetError(
                     f"{args.model}: not valid JSON ({exc})") from exc
         tree = tree_from_dict(payload)
-        train, test = None, versions[0]
-        missing = [a for a in tree.attributes if a not in test.attributes]
-        if missing:
-            raise DatasetError(f"{test.name}: model needs attributes "
-                               f"{missing} that the test data lacks")
+        # the test CSV's other columns are never parsed
+        [test] = _load_versions(args.csv, *data, attributes=tree.attributes)
+        train = None
     else:
-        split = rig.version_split(versions)
+        split = rig.version_split(_load_versions(args.csv, *data))
         if args.top_changed is not None:
             split = rig.top_changed_split(split, args.top_changed)
         train, test = split.train, split.test
         tree = grow(train, depth=4 if args.depth is None else args.depth,
                     fn=fn)[0]
 
-    if fn.kind == "popt" and test.effort is None:
-        raise UnsupportedScoreError(
-            f"{test.name}: popt scoring needs an effort column")
     predicted = predict_dataset(tree, test)
     c = Confusion.from_predictions(predicted, test.labels)
     report = {

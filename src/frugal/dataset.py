@@ -250,7 +250,7 @@ def _parse_rows(reader, path, header, numeric: list[int],
 
 def load_csv(path, label_column: str, effort_column: str | None = None,
              exclude=DEFAULT_EXCLUDE, name: str | None = None,
-             version: str = "") -> Dataset:
+             version: str = "", attributes=None) -> Dataset:
     """Load one CSV into a Dataset.
 
     The first row is the header.  Columns named in ``exclude`` are skipped,
@@ -259,6 +259,13 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
     in any attribute, label or effort column is an error, and so is a label
     or effort name that heads more than one column, and so is one column
     named as both the label and the effort.
+
+    ``attributes``, when given, names the attribute columns to keep, in the
+    order the dataset will hold them.  Every other column is then skipped
+    unparsed too, so a bad or infinite cell, or a repeated header, in a
+    column outside them is not an error.  A name that is not an attribute
+    column (absent, excluded, the label or the effort) is.  Ragged rows,
+    blank rows and the label and effort rules apply to every row either way.
     """
     if effort_column is not None and effort_column == label_column:
         raise DatasetError(f"{path}: column {label_column!r} cannot be both "
@@ -280,15 +287,25 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
         label_idx = header.index(label_column)
         effort_idx = header.index(effort_column) if effort_column else None
         attr_cols = [j for j, col in enumerate(header)
-                     if j not in (label_idx, effort_idx) and col not in exclude]
-        attributes = [header[j] for j in attr_cols]
-        if len(set(attributes)) != len(attributes):
-            dupes = sorted({a for a in attributes if attributes.count(a) > 1})
+                     if j not in (label_idx, effort_idx) and col not in exclude
+                     and (attributes is None or col in attributes)]
+        names = [header[j] for j in attr_cols]
+        if len(set(names)) != len(names):
+            dupes = sorted({a for a in names if names.count(a) > 1})
             raise DatasetError(f"{path}: duplicate attribute columns {dupes}")
         for needed in (label_column, effort_column):
             if header.count(needed) > 1:
                 raise DatasetError(f"{path}: {header.count(needed)} columns "
                                    f"are named {needed!r}")
+        if attributes is not None:
+            for attr in attributes:
+                if attr not in names:
+                    why = ("is the label column" if attr == label_column
+                           else "is the effort column" if attr == effort_column
+                           else "is excluded" if attr in header
+                           else "is not in the header")
+                    raise DatasetError(f"{path}: attribute {attr!r} {why}")
+            attr_cols = [attr_cols[names.index(attr)] for attr in attributes]
 
         numeric = attr_cols + [label_idx]
         if effort_idx is not None:
@@ -299,7 +316,7 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
     return Dataset(
         name=name if name is not None else str(path),
         version=version,
-        attributes=tuple(attributes),
+        attributes=tuple(header[j] for j in attr_cols),
         values=table[:, :n_attr],
         labels=table[:, n_attr].copy(),
         effort=table[:, n_attr + 1].copy() if effort_idx is not None else None)

@@ -1,8 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from frugal.dataset import Dataset, LabelRule, binarize
 from frugal import synth
+
+
+# Spliced into CSV text: separators, line ends, quotes, missing markers (bare
+# and padded), non-numbers, a number with an underscore, bytes that are not
+# UTF-8 and a cell past the csv module's 131072-character field limit.
+CSV_TOKENS = [b",", b"\n", b"\r\n", b'"', b"?", b" ? ", b"", b"nan", b"inf",
+              b"-1e999", b"1_0", b"x", b"\xff", b"\xc3", b"wmc", b"bug",
+              b"1" * 131073]
+
+
+@st.composite
+def spliced(draw, data):
+    """``data`` (CSV bytes) with up to 8 bytes replaced by one token."""
+    start = draw(st.integers(0, len(data)))
+    end = draw(st.integers(start, min(len(data), start + 8)))
+    token = draw(st.one_of(st.sampled_from(CSV_TOKENS),
+                           st.text(max_size=4).map(str.encode)))
+    return data[:start] + token + data[end:]
 
 
 def make_dataset(attributes, rows, labels, effort=None, name="toy",

@@ -299,6 +299,37 @@ def test_eval_output_matches_golden_digests(tmp_path, capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EVAL[case]
 
 
+# SHA-256 of `eval --model`'s stdout on a seeded synth release, scoring a
+# model that `fit --out` saved from an older release; recorded while `eval
+# --model` still parsed every column of its test CSV.
+GOLDEN_EVAL_MODEL = {
+    "text-effort": "510e916a8436e0f2aec85c2eadecc16e4be5d3175efd971f3f93b7f1e4d42f5f",
+    "text-plain": "c1f5b59ac0ea9ff3e3fff4dcdf3e4b2ee9539cc29bba1c3a6bc908ad9b5d6e43",
+    "json-effort": "43de20d3fb082608f50c6a8fdcccef28ab8a3c1340479f0aaf1806f1efaff2e6",
+    "json-plain": "b65a73747aa0665ed8502f463340c4170954704323170df97a14a21cc0602e9a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EVAL_MODEL))
+def test_eval_model_output_matches_golden_digests(tmp_path, capsys, case):
+    fmt, effort = case.split("-")
+    paths = []
+    for ds in synth.make_corpus(names=("ant",), seed=7, versions=3,
+                                rows=70)["ant"]:
+        path = tmp_path / f"{ds.name}.csv"
+        save_csv(ds, path, effort_column="effort")
+        paths.append(str(path))
+    model = str(tmp_path / "model.json")
+    assert main(["fit", paths[0], "--effort", "effort", "--out", model]) == 0
+    capsys.readouterr()
+    argv = ["eval", paths[-1], "--model", model, "--format", fmt]
+    if effort == "effort":
+        argv += ["--effort", "effort"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EVAL_MODEL[case]
+
+
 @pytest.mark.parametrize("score", ["d2h", "popt"])
 def test_eval_matches_a_version_mode_rig_cell(tmp_path, capsys, score):
     raw = synth.make_corpus(names=("ant",), seed=5, versions=3, rows=60)
@@ -500,6 +531,153 @@ def test_eval_model_rejects_depth(project_dir, tmp_path, capsys):
     assert main(["eval", str(paths["1.0"]), str(paths["1.1"]), "--depth", "1",
                  "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["nodes"] == 1
+
+
+@pytest.mark.parametrize("flags, code, named", [
+    (["{csv}", "--model", "{model}"], 5, "--model"),
+    (["--model", "{model}", "--top-changed", "0.5"], 5, "--top-changed"),
+    (["--model", "{model}", "--depth", "2"], 5, "--depth"),
+    (["{csv}", "--score", "auc"], 4, "'auc'"),
+    (["--model", "{model}", "--score", "auc"], 4, "'auc'"),
+    (["{csv}", "--score", "popt"], 4, "--effort"),
+    (["--model", "{model}", "--score", "popt"], 4, "--effort"),
+], ids=["two csvs with a model", "top-changed with a model",
+        "depth with a model", "unknown score", "unknown score with a model",
+        "popt without effort", "popt without effort with a model"])
+def test_eval_checks_its_flags_before_opening_a_file(tmp_path, capsys, flags,
+                                                     code, named):
+    # neither file exists, so any read would exit 2 first
+    files = {"csv": str(tmp_path / "ghost.csv"),
+             "model": str(tmp_path / "ghost.json")}
+    argv = ["eval", files["csv"], *(f.format(**files) for f in flags)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert named in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_eval_names_an_unreadable_model_file(project_dir, tmp_path, capsys,
+                                             where):
+    _, paths = project_dir
+    model_path = tmp_path / "m.json"
+    if where == "directory":
+        model_path.mkdir()
+    assert main(["eval", str(paths["1.2"]), "--model", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read model {model_path}: ")
+    assert len(err.splitlines()) == 1
+
+
+def _eval_perfect_model(tmp_path, csv_text, capsys):
+    """(exit code, stdout, stderr) of ``eval --model`` with a model that
+    reads only wmc, on ``csv_text`` saved under the fixture's test name."""
+    model_path = tmp_path / "perfect.json"
+    model_path.write_text(json.dumps(PERFECT_MODEL))
+    path = tmp_path / "edited" / "alpha-1.2.csv"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(csv_text)
+    code = main(["eval", str(path), "--model", str(model_path),
+                 "--effort", "loc"])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _with_cell(text: str, column: str, cell: str, line: int = 4) -> str:
+    """``text`` with ``column``'s cell on ``line`` set to ``cell``."""
+    lines = text.splitlines()
+    j = lines[0].split(",").index(column)
+    cells = lines[line - 1].split(",")
+    cells[j] = cell
+    lines[line - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+# the fixture's header is name,version,wmc,cbo,loc,bug; the model reads wmc
+@pytest.mark.parametrize("edit", [
+    lambda text: _with_cell(text, "cbo", "x"),
+    lambda text: _with_cell(text, "cbo", "inf"),
+    lambda text: text.replace("version,", "cbo,", 1),
+], ids=["bad cell", "infinite cell", "repeated header"])
+def test_eval_model_skips_faults_in_columns_it_never_reads(project_dir,
+                                                           tmp_path, capsys,
+                                                           edit):
+    _, paths = project_dir
+    clean = paths["1.2"].read_text()
+    want = _eval_perfect_model(tmp_path, clean, capsys)
+    assert want[0] == 0
+    assert _eval_perfect_model(tmp_path, edit(clean), capsys) == want
+    # a full load of the same file fails
+    assert main(["fit", str(tmp_path / "edited" / "alpha-1.2.csv")]) == 2
+
+
+@pytest.mark.parametrize("column", ["wmc", "bug", "loc"])
+@pytest.mark.parametrize("cell, fault", [
+    ("x", "cell 'x' is neither numeric nor a missing marker"),
+    ("inf", "cell value inf is not finite"),
+])
+def test_eval_model_rejects_faults_in_columns_it_reads(project_dir, tmp_path,
+                                                       capsys, column, cell,
+                                                       fault):
+    _, paths = project_dir
+    code, out, err = _eval_perfect_model(
+        tmp_path, _with_cell(paths["1.2"].read_text(), column, cell), capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: {tmp_path / 'edited' / 'alpha-1.2.csv'}: line 4, "
+                   f"column {column!r}: {fault}\n")
+
+
+@pytest.mark.parametrize("column, message", [
+    ("wmc", "duplicate attribute columns ['wmc']"),
+    ("bug", "2 columns are named 'bug'"),
+    ("loc", "2 columns are named 'loc'"),
+])
+def test_eval_model_rejects_a_repeated_header_it_reads(project_dir, tmp_path,
+                                                       capsys, column,
+                                                       message):
+    _, paths = project_dir
+    code, _, err = _eval_perfect_model(
+        tmp_path, paths["1.2"].read_text().replace("cbo,", f"{column},", 1),
+        capsys)
+    assert code == 2
+    assert err == (f"error: {tmp_path / 'edited' / 'alpha-1.2.csv'}: "
+                   f"{message}\n")
+
+
+@pytest.mark.parametrize("edit, cells", [
+    (lambda line: line + ",9", 7),
+    (lambda line: line.rsplit(",", 1)[0], 5),
+    (lambda line: line.replace(",", "", 1), 5),
+], ids=["extra cell", "label cell missing", "unread cell missing"])
+def test_eval_model_rejects_a_ragged_row_anywhere(project_dir, tmp_path,
+                                                  capsys, edit, cells):
+    _, paths = project_dir
+    lines = paths["1.2"].read_text().splitlines()
+    lines[3] = edit(lines[3])
+    code, _, err = _eval_perfect_model(tmp_path, "\n".join(lines) + "\n",
+                                       capsys)
+    assert code == 2
+    assert err.endswith(f": line 4 has {cells} cells, header has 6\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_eval_model_reads_its_test_csv_from_a_pipe(project_dir, tmp_path,
+                                                   capsys):
+    _, paths = project_dir
+    model_path = tmp_path / "perfect.json"
+    model_path.write_text(json.dumps(PERFECT_MODEL))
+    argv = ["--model", str(model_path), "--effort", "loc", "--format", "json"]
+    assert main(["eval", str(paths["1.2"]), *argv]) == 0
+    want = json.loads(capsys.readouterr().out)
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write(paths["1.2"].read_text())
+    try:
+        assert main(["eval", f"/dev/fd/{read_end}", *argv]) == 0
+    finally:
+        os.close(read_end)
+    got = json.loads(capsys.readouterr().out)
+    assert got["test"] == {"name": str(read_end), "rows": 8}
+    assert dict(got, test=None) == dict(want, test=None)
 
 
 def test_eval_needs_two_csvs_without_model(project_dir, capsys):

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from frugal.cli import main
 
+from conftest import spliced
+
 EXIT_CODES = {0, 2, 3, 4, 5}
 
 _VERSIONS = [
@@ -23,13 +25,6 @@ _VERSIONS = [
     for k, v in enumerate(("1.0", "1.1", "1.2"))
 ]
 _CSV_NAMES = [f"v{k}.csv" for k in range(len(_VERSIONS))]
-
-# Spliced into CSV text: separators, line ends, quotes, missing markers (bare
-# and padded), non-numbers, a number with an underscore, bytes that are not
-# UTF-8 and a cell past the csv module's 131072-character field limit.
-_CSV_TOKENS = [b",", b"\n", b"\r\n", b'"', b"?", b" ? ", b"", b"nan", b"inf",
-               b"-1e999", b"1_0", b"x", b"\xff", b"\xc3", b"wmc", b"bug",
-               b"1" * 131073]
 
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
                   st.sampled_from([math.inf, -math.inf, math.nan, 2.5,
@@ -101,15 +96,6 @@ _MODEL = {
 
 
 @st.composite
-def _spliced(draw, data):
-    start = draw(st.integers(0, len(data)))
-    end = draw(st.integers(start, min(len(data), start + 8)))
-    token = draw(st.one_of(st.sampled_from(_CSV_TOKENS),
-                           st.text(max_size=4).map(str.encode)))
-    return data[:start] + token + data[end:]
-
-
-@st.composite
 def _mutated(draw, base, values):
     obj = json.loads(json.dumps(base))
     for _ in range(draw(st.integers(0, 3))):
@@ -150,7 +136,7 @@ def _invocation(draw, command):
     files = {name: text.encode() for name, text in zip(_CSV_NAMES, _VERSIONS)}
     for _ in range(draw(st.integers(0, 2))):
         name = draw(st.sampled_from(_CSV_NAMES))
-        files[name] = draw(_spliced(files[name]))
+        files[name] = draw(spliced(files[name]))
     csvs = draw(st.one_of(
         st.just(_CSV_NAMES),
         st.lists(st.sampled_from(_CSV_NAMES * 3 + ["ghost.csv"]), min_size=1,

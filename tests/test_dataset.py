@@ -15,8 +15,9 @@ from frugal.baselines import lr_train
 from frugal.dataset import (Dataset, LabelRule, binarize, load_csv, merge,
                             save_csv)
 from frugal.errors import DatasetError
+from frugal.operational import project
 
-from conftest import make_dataset
+from conftest import make_dataset, spliced
 from oracles import load_csv_oracle
 
 
@@ -353,6 +354,64 @@ def test_load_csv_read_error_and_a_bad_row_in_one_chunk(tmp_path, body,
     new, old = _load_both(path, None)
     assert new == old
     assert re.search(message, new)
+
+
+_PROJECTABLE = ("name,wmc,cbo,rfc,loc,bug\n"
+                + "".join(f"m{i},{i % 4},{(3 * i) % 7},?,{10 + i},{i % 3}\n"
+                          for i in range(7))).encode()
+
+
+@pytest.mark.parametrize("chunk_rows", [3, dataset._CHUNK_ROWS])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_csv_of_some_attributes_is_the_full_load_projected(chunk_rows,
+                                                                data):
+    content = _PROJECTABLE
+    for _ in range(data.draw(st.integers(0, 2))):
+        content = data.draw(spliced(content))
+    effort = data.draw(st.sampled_from([None, "loc"]))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.csv")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        with mock.patch.object(dataset, "_CHUNK_ROWS", chunk_rows):
+            try:
+                full = load_csv(path, "bug", effort_column=effort)
+            except DatasetError:
+                return
+            attrs = data.draw(st.permutations(full.attributes).flatmap(
+                lambda names: st.integers(0, len(names)).map(
+                    lambda k: tuple(names[:k]))))
+            some = load_csv(path, "bug", effort_column=effort,
+                            attributes=attrs)
+    _assert_same_load(some, project(full, attrs))
+
+
+@pytest.mark.parametrize("attr, why", [
+    ("rfc", "is not in the header"), ("name", "is excluded"),
+    ("bug", "is the label column"), ("loc", "is the effort column")])
+def test_load_csv_rejects_an_attribute_it_cannot_keep(tmp_path, attr, why):
+    path = tmp_path / "t.csv"
+    path.write_text("name,wmc,loc,bug\nm,1,5,0\n")
+    with pytest.raises(DatasetError) as info:
+        load_csv(path, "bug", effort_column="loc", attributes=("wmc", attr))
+    assert str(info.value) == f"{path}: attribute {attr!r} {why}"
+
+
+def test_load_csv_keeps_attributes_in_the_order_given(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("wmc,x,cbo,bug\n1,junk,2,0\n3,1e999,4,1\n")
+    ds = load_csv(path, "bug", attributes=("cbo", "wmc"))
+    assert ds.attributes == ("cbo", "wmc")
+    assert ds.values.tolist() == [[2.0, 1.0], [4.0, 3.0]]
+
+
+def test_load_csv_rejects_a_kept_attribute_heading_two_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("wmc,cbo,cbo,wmc,bug\n1,2,3,4,0\n")
+    with pytest.raises(DatasetError, match=r"duplicate attribute columns "
+                                           r"\['cbo'\]"):
+        load_csv(path, "bug", attributes=("cbo",))
 
 
 # --------------------------------------------------------------- LabelRule

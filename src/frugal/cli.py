@@ -86,8 +86,18 @@ def _write_or_print(text: str, out: str | None):
         Path(out).write_text(text + "\n")
 
 
-def _cmd_fit(args) -> int:
+def _score(args):
+    """The score function ``--score`` names; popt also needs ``--effort``.
+    Checked before any file is opened."""
     fn = score_function(args.score)
+    if fn.kind == "popt" and args.effort is None:
+        raise UnsupportedScoreError("popt scoring needs an effort column "
+                                    "(--effort)")
+    return fn
+
+
+def _cmd_fit(args) -> int:
+    fn = _score(args)
     train = merge(_load_versions(args.csv, *_args_data(args)))
     best, _ = grow(train, depth=args.depth, fn=fn)
     model_json = json.dumps(tree_to_dict(best), indent=2, sort_keys=True)
@@ -104,10 +114,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    fn = score_function(args.score)
-    if fn.kind == "popt" and args.effort is None:
-        raise UnsupportedScoreError("popt scoring needs an effort column "
-                                    "(--effort)")
+    fn = _score(args)
     data = _args_data(args)
     if args.model is not None:
         if len(args.csv) != 1:
@@ -134,6 +141,12 @@ def _cmd_eval(args) -> int:
         [test] = _load_versions(args.csv, *data, attributes=tree.attributes)
         train = None
     else:
+        if len(args.csv) < 2:
+            raise ConfigError("eval without --model needs at least two "
+                              "CSVs: the older ones train, the newest tests")
+        if args.top_changed is not None and len(args.csv) < 3:
+            raise ConfigError("--top-changed needs at least two training "
+                              "versions, so three CSVs")
         split = rig.version_split(_load_versions(args.csv, *data))
         if args.top_changed is not None:
             split = rig.top_changed_split(split, args.top_changed)

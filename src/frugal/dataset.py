@@ -88,6 +88,14 @@ class Dataset:
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
+        labels = np.asarray(self.labels)
+        effort = (None if self.effort is None
+                  else np.asarray(self.effort, dtype=float))
+        for field, arr, ndim in (("values", values, 2), ("labels", labels, 1),
+                                 ("effort", effort, 1)):
+            if arr is not None and arr.ndim != ndim:
+                raise DatasetError(f"{self.name}: {field} must be {ndim}-D, "
+                                   f"got shape {arr.shape}")
         if values.shape[1] != len(self.attributes):
             raise DatasetError(
                 f"{self.name}: rows have {values.shape[1]} values for "
@@ -97,15 +105,12 @@ class Dataset:
                             if self.attributes.count(a) > 1})
             raise DatasetError(f"{self.name}: repeated attribute names "
                                f"{dupes}")
-        labels = np.asarray(self.labels)
         if labels.dtype != bool:
             labels = labels.astype(float)
         if len(labels) != values.shape[0]:
             raise DatasetError(f"{self.name}: {len(labels)} labels for "
                                f"{values.shape[0]} rows")
-        effort = self.effort
         if effort is not None:
-            effort = np.asarray(effort, dtype=float)
             if len(effort) != values.shape[0]:
                 raise DatasetError(f"{self.name}: effort length mismatch")
             if not np.all(effort > 0):

@@ -15,6 +15,15 @@ policies.  Only the subsets on the current path stay alive.  A search
 scores all of a subset's candidate ranges as arrays and picks the winner
 with one sort.
 
+A Popt search first prefilters.  One cumsum per subset gives every
+candidate's lift-curve area in closed form, for both exit classes, and
+only the candidates whose closed-form Popt is within a rounding slack of
+the best, 64 (n + 2) eps / (s_opt - s_worst) on n rows, are ranked by the
+exact path; a lone survivor wins unranked.  The slack bounds the two
+paths' rounding in any summation order (derived at ``_AREA_SLACK``), so
+no candidate that could win or tie is dropped, and every recorded score
+still comes from the exact path.
+
 Each tree's training score is read off the same walk: the rows each node
 exits are known there, so a d2h score sums the exits' counts and a Popt
 score joins their effort-ordered rows into the tree's ranking.  No row is
@@ -23,6 +32,7 @@ routed through a finished tree again.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
@@ -171,8 +181,37 @@ def score_range(rng: Range, data: Dataset, exit_class: bool,
 # 2-vCPU Xeon, scoring a 1320-row subset's candidates in one batch made a
 # Popt grow slower and raised peak RSS by 4.2 MB (+9% on a whole rig run);
 # batches of 1024-8192 cells kept the rise under 1 MB, and 4096 ran fastest.
-# grow scores its finished trees in batches of the same size.
+# grow scores its finished trees in batches of the same size.  The Popt
+# prefilter (``_Subset._closed_areas``) works on blocks of about
+# _POPT_CLOSED_CELLS (rows x candidates) cells: a whole 1320-row block
+# raised rig-version's peak RSS by about 0.6 MB more than these blocks.
 _POPT_BATCH_CELLS = 4096
+_POPT_CLOSED_CELLS = 16384
+
+# The prefilter's slack, in area units per row (plus two).  With u = eps/2,
+# a sum or dot product of n terms, in any order and so under any BLAS, is
+# within n*u of the sum of their magnitudes (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., 3.1 and 4.2).  To first
+# order in u, on an n-row subset with effort T and D defects:
+# - the exact area (``metrics._curve_area``): each lift-chart x is within
+#   2n*u of its value and the y rise monotonically to 1, so summing by parts
+#   costs 4n*u on the doubled area; the y add 2u, the products and the
+#   final sum 2(n+2)*u.  So |exact - true| <= 3(n+1)*u.
+# - the closed form: its terms lie in [0, T*D] with weights summing to 6.5,
+#   their rounding errors sum to (7.5n+1)*u*T*D, the additions add
+#   32.5*u*T*D, the exit-False identity (3n+19)*u*T*D and the division by
+#   T*D (n+1)*u.  So |closed - true| <= (11.5n+54)*u.
+# - Popt maps an area A to 1 - (s_opt - A) / g, g = s_opt - s_worst <= 1,
+#   which divides the difference by g and adds at most 3u/g on each path.
+# So a candidate's closed-form Popt is within 15(n+5)*u/g of its exact
+# Popt, and a candidate that ties the exact best is within 15(n+5)*eps/g of
+# the closed-form best.  The slack, 64(n+2)*eps/g, exceeds that for every n
+# (1.7 times at n = 0, over 4 times past n = 100), so it also covers the
+# second-order terms.  The bounds need normal, finite arithmetic:
+# ``_closed_areas`` keeps every candidate unless each effort is a normal
+# float and 8*n*n*max(effort) is finite.  Underflow in the exact path's
+# lift-chart steps adds at most n*2**-1074 to an area, far below eps.
+_AREA_SLACK = 64 * sys.float_info.epsilon
 
 
 def _candidates(data: Dataset, rows: np.ndarray):
@@ -197,7 +236,7 @@ class _Subset:
     row index), and every child subset keeps it.  Each part of the split
     search is computed once, on first use, and shared by both exit bits:
     every attribute's median split and, for Popt, the optimal/worst curve
-    areas."""
+    areas and the candidates' closed-form areas."""
 
     def __init__(self, data: Dataset, fn: ScoreFunction, rows: np.ndarray):
         self.data, self.fn, self.rows = data, fn, rows
@@ -226,6 +265,68 @@ class _Subset:
     @cached_property
     def candidates(self):
         return _candidates(self.data, self.rows)
+
+    @cached_property
+    def _closed_areas(self):
+        """(2, candidates) lift-curve areas of every candidate's ranking,
+        for exit False then exit True, in closed form; None when the bounds
+        are degenerate or the efforts leave the range where ``_AREA_SLACK``
+        holds.
+
+        For exit True a ranking is the first set F (the matching rows),
+        then the rest U, each in effort order.  Its area times T*D is the
+        sum over rows k of e_k * (defects ranked before k + d_k/2).  With
+        c_k the defects of F at or before k and a_k all defects at or
+        before k, that is c_k - d_k/2 for k in F and D_F + a_k - c_k - d_k/2
+        for k in U, so the area is (2 sum_F e*c - sum e*c + D_F*E_U
+        + sum_U e*a - e.d/2) / (T*D).  Ranking U first instead moves D_F*E_U
+        to D_U*E_F: one cumsum of c serves both exit classes."""
+        defects, efforts, bounds = self._popt
+        n = len(defects)
+        if (bounds is None or efforts.min() < sys.float_info.min
+                or efforts.max() > sys.float_info.max / (8.0 * n * n)):
+            return None
+        match = self.candidates[3]
+        m = match.shape[1]
+        upto = np.cumsum(defects)
+        weights = np.stack([efforts, efforts * upto, defects])
+        # rows: E_F, sum_F e*a, D_F, sum e*c, sum_F e*c
+        sums = np.empty((5, m))
+        # equal blocks of at most about _POPT_CLOSED_CELLS cells
+        blocks = -(-n * m // _POPT_CLOSED_CELLS)
+        step = -(-m // blocks)
+        for lo in range(0, m, step):
+            cols = slice(lo, lo + step)
+            first = match[:, cols]
+            ahead = np.cumsum(first & self.labels[:, None], axis=0,
+                              dtype=float)
+            first = first.astype(float)
+            sums[:3, cols] = weights @ first
+            sums[3, cols] = efforts @ ahead
+            ahead *= first
+            sums[4, cols] = efforts @ ahead
+        e_first, ea_first, d_first, ec_all, ec_first = sums
+        total_e, total_d = efforts.sum(), defects.sum()
+        moved = d_first * (total_e - e_first)
+        s_true = (2.0 * ec_first - ec_all + moved
+                  + (efforts @ upto - ea_first) - (efforts @ defects) / 2.0)
+        s_false = s_true - moved + (total_d - d_first) * e_first
+        return np.stack([s_false, s_true]) / (total_e * total_d)
+
+    def _near_best(self, exit_class: bool):
+        """The candidates that could win or tie the exact search for one
+        exit class, as an index array (or a slice of all of them): those
+        whose closed-form Popt, clamped as ``popt_values`` clamps, is within
+        the slack of the best.  Popt grows with the area, so no candidate
+        whose exact score wins or ties is left out."""
+        areas = self._closed_areas
+        if areas is None:
+            return slice(None)
+        s_opt, s_worst = self._popt[2]
+        value = 1.0 - (s_opt - areas[int(exit_class)]) / (s_opt - s_worst)
+        value = np.minimum(1.0, np.fmax(0.0, value))
+        slack = _AREA_SLACK * (len(self.rows) + 2) / (s_opt - s_worst)
+        return np.flatnonzero(value >= value.max() - slack)
 
     def scores(self, match: np.ndarray, exit_class: bool) -> np.ndarray:
         """Score of each column of a (rows x candidates) match block, read
@@ -269,10 +370,17 @@ class _Subset:
         attr, op, cut, match, n_match = self.candidates
         if not len(attr):
             return None
-        key = self.fn.sort_key(self.scores(match, exit_class))
-        # object, not str, dtype: numpy's str compare drops trailing NULs
-        names = np.array(self.data.attributes, dtype=object)[attr]
-        best = np.lexsort((op, names, n_match, key))[0]
+        if self.fn.kind == "popt":
+            # only the candidates that could win or tie are ranked exactly
+            keep = self._near_best(exit_class)
+            attr, op, cut, match, n_match = (
+                a[..., keep] for a in self.candidates)
+        best = 0  # a lone candidate needs no ranking
+        if len(attr) > 1:
+            key = self.fn.sort_key(self.scores(match, exit_class))
+            # object, not str, dtype: numpy's str compare drops trailing NULs
+            names = np.array(self.data.attributes, dtype=object)[attr]
+            best = np.lexsort((op, names, n_match, key))[0]
         rng = Range(self.data.attributes[attr[best]], ("<=", ">")[op[best]],
                     float(cut[best]))
         node = Node(range=rng, exit_class=exit_class,

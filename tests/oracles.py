@@ -3,10 +3,11 @@
 Everything here is plain Python (lists, dicts, Fraction-free float math) so
 that agreement with the numpy-based package code is meaningful.  The tree
 oracle enumerates every (attribute, cut, polarity) candidate at every level
-and every exit policy outright.  The one numpy function, ``masked_sigmoid``,
-is a bit-level reference: it is the formula ``baselines._sigmoid`` must
-reproduce exactly, and Python's ``math.exp`` may round differently from
-numpy's.
+and every exit policy outright; ``split_oracle`` is one level of it, the
+exact all-candidates search that Popt's prefilter must agree with.  The
+one numpy function, ``masked_sigmoid``, is a bit-level reference: it is
+the formula ``baselines._sigmoid`` must reproduce exactly, and Python's
+``math.exp`` may round differently from numpy's.
 
 ``lr_train_oracle`` is the per-fit gradient descent that
 ``baselines.lr_train_many`` replaced, also numpy and also a bit-level
@@ -219,21 +220,30 @@ def _candidates(rows, labels, efforts, indices, exit_class, kind):
     return out
 
 
+def split_oracle(rows, labels, efforts, indices, exit_class, kind):
+    """(node dict, indices the node does not match) of the best split of
+    the rows at ``indices``, every candidate scored exactly; None when no
+    range matches a row."""
+    cands = _candidates(rows, labels, efforts, indices, exit_class, kind)
+    if not cands:
+        return None
+    key, attr, op, cut, matched = min(cands, key=lambda c: c[0])
+    node = {"attribute": attr, "op": op, "cut": cut, "class": exit_class,
+            "support": sum(matched)}
+    return node, [i for i, m in zip(indices, matched) if not m]
+
+
 def build_tree_oracle(rows, labels, efforts, bits, kind):
     """Level-by-level greedy build; returns a plain dict tree."""
     indices = list(range(len(rows)))
     nodes = []
     for bit in bits:
-        if not indices:
+        split = indices and split_oracle(rows, labels, efforts, indices, bit,
+                                         kind)
+        if not split:
             break
-        cands = _candidates(rows, labels, efforts, indices, bit, kind)
-        if not cands:
-            break
-        key, attr, op, cut, matched = min(cands, key=lambda c: c[0])
-        support = sum(matched)
-        nodes.append({"attribute": attr, "op": op, "cut": cut,
-                      "class": bit, "support": support})
-        indices = [i for i, m in zip(indices, matched) if not m]
+        node, indices = split
+        nodes.append(node)
     leaf_class = (not nodes[-1]["class"]) if nodes else (not bits[0])
     return {"nodes": nodes, "leaf_class": leaf_class,
             "leaf_support": len(indices), "bits": list(bits)}

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from frugal import rig, synth
+from frugal import cli, rig, synth
 from frugal.cli import main, parse_rule
 from frugal.dataset import LabelRule, binarize, load_csv, save_csv
 from frugal.errors import ConfigError
@@ -186,7 +186,35 @@ def test_fit_missing_file(capsys):
 def test_fit_popt_without_effort_is_unsupported(project_dir, capsys):
     _, paths = project_dir
     assert main(["fit", str(paths["1.0"]), "--score", "popt"]) == 4
-    assert "effort" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: popt scoring needs an effort "
+                                       "column (--effort)\n")
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--score", "popt"], "--effort"),
+    (["--score", "auc"], "'auc'"),
+], ids=["popt without effort", "unknown score"])
+def test_fit_checks_its_score_before_opening_a_file(tmp_path, capsys, flags,
+                                                    named):
+    # the file does not exist, so a read would exit 2 first
+    assert main(["fit", str(tmp_path / "ghost.csv"), *flags]) == 4
+    err = capsys.readouterr().err
+    assert named in err and len(err.splitlines()) == 1
+
+
+def test_flag_errors_leave_a_valid_csv_unread(project_dir, monkeypatch,
+                                              capsys):
+    _, paths = project_dir
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a CSV was read before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_csv", unread)
+    assert main(["fit", str(paths["1.0"]), "--score", "popt"]) == 4
+    assert main(["eval", str(paths["1.2"])]) == 5
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: eval without --model needs at least two CSVs: the older "
+        "ones train, the newest tests")
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -541,9 +569,12 @@ def test_eval_model_rejects_depth(project_dir, tmp_path, capsys):
     (["--model", "{model}", "--score", "auc"], 4, "'auc'"),
     (["{csv}", "--score", "popt"], 4, "--effort"),
     (["--model", "{model}", "--score", "popt"], 4, "--effort"),
+    ([], 5, "at least two CSVs"),
+    (["{csv}", "--top-changed", "0.5"], 5, "three CSVs"),
 ], ids=["two csvs with a model", "top-changed with a model",
         "depth with a model", "unknown score", "unknown score with a model",
-        "popt without effort", "popt without effort with a model"])
+        "popt without effort", "popt without effort with a model",
+        "one csv without a model", "top-changed with one training csv"])
 def test_eval_checks_its_flags_before_opening_a_file(tmp_path, capsys, flags,
                                                      code, named):
     # neither file exists, so any read would exit 2 first

@@ -496,6 +496,24 @@ def test_dataset_shape_validation():
                 values=np.zeros((2, 1)), labels=np.array([True, False]))
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("values", np.zeros(2), "values must be 2-D, got shape (2,)"),
+    ("values", np.zeros((2, 1, 1)), "values must be 2-D, got shape (2, 1, 1)"),
+    ("labels", np.zeros((2, 1), dtype=bool),
+     "labels must be 1-D, got shape (2, 1)"),
+    ("labels", np.float64(1.0), "labels must be 1-D, got shape ()"),
+    ("effort", np.float64(3.0), "effort must be 1-D, got shape ()"),
+    ("effort", np.ones((2, 2)), "effort must be 1-D, got shape (2, 2)"),
+], ids=["values 1-D", "values 3-D", "labels 2-D", "labels 0-D", "effort 0-D",
+        "effort 2-D"])
+def test_dataset_rejects_arrays_of_the_wrong_rank(field, bad, message):
+    fields = {"values": np.zeros((2, 1)), "labels": np.array([True, False]),
+              "effort": np.ones(2), field: bad}
+    with pytest.raises(DatasetError) as err:
+        Dataset(name="t", version="", attributes=("a",), **fields)
+    assert str(err.value) == f"t: {message}"
+
+
 def test_dataset_rejects_repeated_attribute_names():
     # routing reads the first column of a name, so a split found on a
     # later one could not be told apart from it

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from frugal import fft, metrics, synth
 from frugal.dataset import Dataset, LabelRule, binarize
@@ -526,6 +526,125 @@ def test_grow_validates_input(six_rows):
     no_effort = make_dataset(("a",), [[1], [2]], labels=[True, False])
     with pytest.raises(UnsupportedScoreError, match="effort"):
         grow(no_effort, fn=POPT)
+
+
+# ------------------------------------------------------- the Popt prefilter
+
+@st.composite
+def _popt_data(draw):
+    """A small dataset with effort and what the prefilter must survive:
+    integer-valued, identical and NaN-heavy columns, tied or constant
+    efforts, and as few as one positive (or none)."""
+    n = draw(st.integers(2, 30))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["integers", "floats", "copy", "nan"]))
+        if kind == "copy" and columns:
+            columns.append(list(columns[-1]))
+            continue
+        cells = (st.floats(-50, 50, allow_nan=False) if kind == "floats"
+                 else st.integers(0, 3).map(float))
+        if kind == "nan":
+            cells = st.one_of(st.none(), st.none(), st.none(), cells)
+        columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    efforts = draw(st.sampled_from([
+        st.just([3.0] * n),
+        st.lists(st.integers(1, 3).map(float), min_size=n, max_size=n),
+        st.lists(st.floats(1e-3, 1e4), min_size=n, max_size=n)]))
+    if draw(st.booleans()):
+        positive = draw(st.integers(0, n - 1))
+        labels = [i == positive for i in range(n)]
+    else:
+        labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return make_dataset([f"a{j}" for j in range(len(columns))],
+                        list(zip(*columns)), labels=labels,
+                        effort=draw(efforts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_popt_data())
+def test_popt_split_equals_the_all_candidates_oracle(data):
+    """At the root and one level down, for both exit classes, the
+    prefiltered search picks the split that exact scoring of every
+    candidate picks."""
+    rows = dataset_rows(data)
+    labels, efforts = data.labels.tolist(), data.effort.tolist()
+    root = fft._Subset.root(data, POPT, np.arange(len(data)))
+    for bit in (False, True):
+        subset, indices = root, list(range(len(data)))
+        for level_bit in (bit, not bit):
+            want = oracles.split_oracle(rows, labels, efforts, indices,
+                                        level_bit, "popt")
+            got = subset.split(level_bit)
+            if want is None:
+                assert got is None
+                break
+            node, subset, _ = got
+            assert {"attribute": node.range.attribute, "op": node.range.op,
+                    "cut": node.range.cut, "class": node.exit_class,
+                    "support": node.support} == want[0]
+            indices = want[1]
+            assert sorted(subset.rows.tolist()) == indices
+            if not indices:
+                break
+
+
+def _assert_closed_areas_within_slack(data):
+    root = fft._Subset.root(data, POPT, np.arange(len(data)))
+    defects, efforts, _ = root._popt
+    match, n = root.candidates[3], len(data)
+    areas = root._closed_areas
+    assert areas is not None
+    for bit in (False, True):
+        # each candidate's ranking, as the exact path builds it
+        later = (~match if bit else match).T
+        order = np.argsort(later, axis=1, kind="stable")
+        exact = metrics._curve_area(defects[order], efforts[order])
+        # the prefilter needs each area within half its slack
+        assert np.all(np.abs(areas[int(bit)] - exact)
+                      <= fft._AREA_SLACK * (n + 2) / 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_popt_data())
+def test_closed_form_areas_are_within_the_slack_of_curve_area(data):
+    root = fft._Subset.root(data, POPT, np.arange(len(data)))
+    assume(root._popt[2] is not None and len(root.candidates[0]))
+    _assert_closed_areas_within_slack(data)
+
+
+@pytest.mark.parametrize("seed, n_rows", [(3, 150), (7, 440), (11, 1320)])
+def test_closed_form_areas_on_synthetic_releases(seed, n_rows):
+    raw = synth.make_corpus(names=("ant",), seed=seed, versions=1,
+                            rows=n_rows)["ant"][0]
+    _assert_closed_areas_within_slack(binarize(raw, LabelRule.bug_counts()))
+
+
+def test_popt_prefilter_ranks_few_candidates_exactly():
+    """On a synthetic release the slack is far below the gaps between
+    candidates' scores, so the root's searches leave one candidate for the
+    exact path, not every one."""
+    raw = synth.make_corpus(names=("ant",), seed=7, versions=1, rows=300)
+    train = binarize(raw["ant"][0], LabelRule.bug_counts())
+    root = fft._Subset.root(train, POPT, np.arange(len(train)))
+    assert len(root.candidates[0]) > 10
+    for bit in (False, True):
+        assert len(root._near_best(bit)) == 1
+
+
+@pytest.mark.parametrize("negatives, positives", [(1e-310, 1.0),
+                                                   (1e305, 1e305)],
+                         ids=["subnormal", "near overflow"])
+def test_popt_prefilter_steps_aside_outside_its_error_bound(negatives,
+                                                            positives):
+    data = _tie_heavy_data(3, 40)
+    data = Dataset(name=data.name, version=data.version,
+                   attributes=data.attributes, values=data.values,
+                   labels=data.labels,
+                   effort=np.where(data.labels, positives, negatives))
+    root = fft._Subset.root(data, POPT, np.arange(len(data)))
+    assert root._closed_areas is None
+    assert root._near_best(True) == slice(None)
 
 
 # --------------------------------------------------------- routing/predict

@@ -28,8 +28,8 @@ from .dataset import DEFAULT_EXCLUDE, Dataset, LabelRule, binarize, load_csv, me
 from .errors import (ConfigError, DatasetError, FrugalError,
                      UnsupportedScoreError, json_integer, json_number,
                      json_string)
-from .fft import (grow, predict_dataset, rank_for_popt, render,
-                  tree_from_dict, tree_to_dict)
+from .fft import (check_depth, grow, predict_dataset, rank_for_popt,
+                  render, tree_from_dict, tree_to_dict)
 from .metrics import (Confusion, dis2heaven, far, popt, recall, recall_at_20,
                       score_function)
 
@@ -98,6 +98,7 @@ def _score(args):
 
 def _cmd_fit(args) -> int:
     fn = _score(args)
+    check_depth(args.depth)
     train = merge(_load_versions(args.csv, *_args_data(args)))
     best, _ = grow(train, depth=args.depth, fn=fn)
     model_json = json.dumps(tree_to_dict(best), indent=2, sort_keys=True)
@@ -144,15 +145,18 @@ def _cmd_eval(args) -> int:
         if len(args.csv) < 2:
             raise ConfigError("eval without --model needs at least two "
                               "CSVs: the older ones train, the newest tests")
-        if args.top_changed is not None and len(args.csv) < 3:
-            raise ConfigError("--top-changed needs at least two training "
-                              "versions, so three CSVs")
+        if args.top_changed is not None:
+            if len(args.csv) < 3:
+                raise ConfigError("--top-changed needs at least two training "
+                                  "versions, so three CSVs")
+            operational.check_fraction(args.top_changed)
+        depth = 4 if args.depth is None else args.depth
+        check_depth(depth)
         split = rig.version_split(_load_versions(args.csv, *data))
         if args.top_changed is not None:
             split = rig.top_changed_split(split, args.top_changed)
         train, test = split.train, split.test
-        tree = grow(train, depth=4 if args.depth is None else args.depth,
-                    fn=fn)[0]
+        tree = grow(train, depth=depth, fn=fn)[0]
 
     predicted = predict_dataset(tree, test)
     c = Confusion.from_predictions(predicted, test.labels)
@@ -280,6 +284,7 @@ def _cmd_rig(args) -> int:
 
 
 def _cmd_changefreq(args) -> int:
+    operational.check_threshold(args.threshold)
     exclude = _split_exclude(args.exclude)
     label = _flag_column("--label", args.label)
     sequences = []
@@ -348,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--score", default="d2h",
                      help="score to optimize: d2h or popt")
     fit.add_argument("--format", choices=("text", "json"), default="text")
-    fit.add_argument("--out", default=None, help="write here instead of stdout")
+    fit.add_argument("--out", default=None,
+                     help="also save the model JSON here (the tree is "
+                          "printed either way)")
     fit.set_defaults(func=_cmd_fit)
 
     ev = subs.add_parser("eval",

@@ -24,10 +24,10 @@ paths' rounding in any summation order (derived at ``_AREA_SLACK``), so
 no candidate that could win or tie is dropped, and every recorded score
 still comes from the exact path.
 
-Each tree's training score is read off the same walk: the rows each node
-exits are known there, so a d2h score sums the exits' counts and a Popt
-score joins their effort-ordered rows into the tree's ranking.  No row is
-routed through a finished tree again.
+Each tree's training score, d2h or Popt, is read off the rows each node
+exits on the same walk: joined, they are the tree's ranking, which Popt
+scores, and d2h counts the rows of its true exits and their positives.  No
+row is routed through a finished tree again.
 """
 
 from __future__ import annotations
@@ -339,30 +339,25 @@ class _Subset:
             if not exit_class:
                 tp, called = pos - tp, n - called
             return dis2heaven_values(tp, called, pos, n - pos)
-        defects, efforts, bounds = self._popt
         # Predicted positives first, then effort order: a stable partition
         # of the rows, one ranking per candidate.
         later = (~match if exit_class else match).T
         step = max(1, _POPT_BATCH_CELLS // max(1, n))
-        out = []
-        for lo in range(0, len(later), step):
-            order = np.argsort(later[lo:lo + step], axis=1, kind="stable")
-            out.append(popt_values(defects[order], efforts[order], bounds))
-        return np.concatenate(out)
+        return np.concatenate([
+            self._popt_values(self.rows[np.argsort(later[lo:lo + step],
+                                                   axis=1, kind="stable")])
+            for lo in range(0, len(later), step)])
 
-    def exit(self, rows=slice(None)):
-        """What a tree's training score needs of the rows (a mask or slice)
-        that leave it at one node: their positives and count for d2h, the
-        rows themselves, in effort order, for Popt."""
-        if self.fn.kind == "popt":
-            return self.rows[rows]
-        labels = self.labels[rows]
-        return int(np.count_nonzero(labels)), len(labels)
+    def _popt_values(self, rankings: np.ndarray) -> np.ndarray:
+        """Popt of each ranking of this subset's rows, given as row indices
+        along the last axis."""
+        return popt_values(self.data.labels[rankings].astype(float),
+                           self.data.effort[rankings], self._popt[2])
 
     def split(self, exit_class: bool):
-        """(node, child subset of the rows it leaves, the node's ``exit``)
-        of the best split for one exit class, or None when no range matches
-        any row.
+        """(node, child subset of the rows it leaves, the rows it exits) of
+        the best split for one exit class, or None when no range matches any
+        row.
 
         Ties break on (score, fewer rows consumed, attribute name, <= before
         >).
@@ -387,32 +382,30 @@ class _Subset:
                     support=int(n_match[best]))
         hit = match[:, best]
         rest = _Subset(self.data, self.fn, self.rows[~hit])
-        return node, rest, self.exit(hit)
+        return node, rest, self.rows[hit]
 
     def scored(self, batch) -> list[FFTree]:
         """Each tree of a batch of (tree, exits) pairs from ``_walk`` with
         its score on this subset's rows, which must be all of the data.
         The exits (one per node, then the leaf's) hold every row once, so
         no row is routed again."""
-        classes = [(*(n.exit_class for n in tree.nodes), tree.leaf_class)
-                   for tree, _ in batch]
-        if self.fn.kind == "dis2heaven":
-            true_exits = [[e for e, c in zip(exits, cls) if c]
-                          for (_, exits), cls in zip(batch, classes)]
-            tp = [sum(t for t, _ in ex) for ex in true_exits]
-            called = [sum(n for _, n in ex) for ex in true_exits]
-            pos = int(np.count_nonzero(self.labels))
-            scores = dis2heaven_values(tp, called, pos, len(self.rows) - pos)
+        # rank_for_popt's order: rows leaving through true exits, earliest
+        # exit first, then through false exits, latest first
+        rankings, called = [], []
+        for tree, exits in batch:
+            classes = (*(n.exit_class for n in tree.nodes), tree.leaf_class)
+            true = [e for e, c in zip(exits, classes) if c]
+            false = [e for e, c in zip(exits, classes) if not c]
+            rankings.append(np.concatenate(true + false[::-1]))
+            called.append(sum(map(len, true)))
+        rankings, called = np.stack(rankings), np.array(called)
+        if self.fn.kind == "popt":
+            scores = self._popt_values(rankings)
         else:
-            # rank_for_popt's order: rows leaving through true exits,
-            # earliest exit first, then through false exits, latest first
-            rankings = np.stack([
-                np.concatenate([e for e, c in zip(exits, cls) if c]
-                               + [e for e, c in zip(exits[::-1], cls[::-1])
-                                  if not c])
-                for (_, exits), cls in zip(batch, classes)])
-            scores = popt_values(self.data.labels[rankings].astype(float),
-                                 self.data.effort[rankings], self._popt[2])
+            n, pos = len(self.rows), int(np.count_nonzero(self.labels))
+            tp = np.count_nonzero(self.data.labels[rankings]
+                                  & (np.arange(n) < called[:, None]), axis=1)
+            scores = dis2heaven_values(tp, called, pos, n - pos)
         return [replace(tree, train_score=score)
                 for (tree, _), score in zip(batch, scores.tolist())]
 
@@ -421,15 +414,15 @@ def _walk(subset: _Subset, depth: int, policy: tuple[bool, ...],
           nodes: tuple[Node, ...], exits: tuple):
     """Yield (tree, exits) for every exit policy that starts with
     ``policy``, in ascending binary order; the trees are not scored yet.
-    ``subset`` holds the rows that ``nodes`` leave, and ``exits`` the
-    ``exit`` of each node.  A level with no rows left, or with no range
-    that matches a row, adds no node, nor does any level below."""
+    ``subset`` holds the rows that ``nodes`` leave, and ``exits`` the rows
+    each node exits.  A level with no rows left, or with no range that
+    matches a row, adds no node, nor does any level below."""
     if len(policy) == depth:
         leaf_class = not (nodes[-1].exit_class if nodes else policy[0])
         tree = FFTree(policy=policy, nodes=nodes, leaf_class=leaf_class,
                       leaf_support=len(subset.rows),
                       score_kind=subset.fn.kind)
-        yield tree, (*exits, subset.exit())
+        yield tree, (*exits, subset.rows)
         return
     for bit in (False, True):
         split = subset.split(bit) if len(subset.rows) else None
@@ -439,6 +432,13 @@ def _walk(subset: _Subset, depth: int, policy: tuple[bool, ...],
             node, rest, out = split
             yield from _walk(rest, depth, (*policy, bit), (*nodes, node),
                              (*exits, out))
+
+
+def check_depth(depth: int):
+    """TrainingError unless ``grow`` can train trees of this depth."""
+    if not 1 <= depth <= MAX_DEPTH:
+        raise TrainingError(
+            f"depth must be between 1 and {MAX_DEPTH}, got {depth}")
 
 
 def build_tree(train: Dataset, policy: tuple[bool, ...],
@@ -472,9 +472,7 @@ def grow(train: Dataset, depth: int = 4,
     between equally scored trees go to the smaller policy string.  Returns
     (best tree, all candidates in policy order).
     """
-    if not 1 <= depth <= MAX_DEPTH:
-        raise TrainingError(
-            f"depth must be between 1 and {MAX_DEPTH}, got {depth}")
+    check_depth(depth)
     if not train.binary:
         raise TrainingError(f"{train.name}: labels must be binarized first")
     if len(train) < 2:

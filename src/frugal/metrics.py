@@ -141,8 +141,9 @@ def popt_bounds(defects, efforts) -> tuple[float, float] | None:
     set is degenerate: no rows, no defects, or no gap between the two.
 
     The optimal curve visits rows by defect density, descending; the worst
-    ascending.  Both depend only on the multiset of (defect, effort) pairs,
-    so one call serves every ranking of the same rows.
+    ascending; both break ties by ascending effort, then row order.  Both
+    depend only on the multiset of (defect, effort) pairs, so one call
+    serves every ranking of the same rows.
     """
     defects = np.asarray(defects, dtype=float)
     efforts = np.asarray(efforts, dtype=float)
@@ -152,9 +153,16 @@ def popt_bounds(defects, efforts) -> tuple[float, float] | None:
         raise UnsupportedScoreError("popt needs effort > 0 for every row")
     if defects.sum() <= 0:
         return None
-    density = defects / efforts
-    best = effort_order_from_scores(density, efforts)
-    worst = effort_order_from_scores(-density, efforts)
+    # each density d/e as its sign, signed exponent and fraction (lexsort
+    # reads its last key first): exact where d/e would overflow, as on a
+    # subnormal effort, and in the order of d/e wherever that is normal
+    frac_d, exp_d = np.frexp(defects)
+    frac_e, exp_e = np.frexp(efforts)
+    frac, exp = np.frexp(frac_d / frac_e)
+    sign = np.sign(frac)
+    density = (frac, sign * (exp + exp_d - exp_e), sign)
+    best = np.lexsort((efforts, *(-key for key in density)))
+    worst = np.lexsort((efforts, *density))
     s_opt = float(_curve_area(defects[best], efforts[best]))
     s_worst = float(_curve_area(defects[worst], efforts[worst]))
     if s_opt - s_worst <= 1e-12:
@@ -218,7 +226,7 @@ def effort_order_from_predictions(predicted, efforts) -> np.ndarray:
 def effort_order_from_scores(scores, efforts) -> np.ndarray:
     """Row order for effort curves given real-valued suspicion scores:
     higher score first, then smaller effort, then lower row index (the
-    sort is stable).  Every Popt ranking in the package is made here."""
+    sort is stable).  Every model's test ranking is made here."""
     scores = np.asarray(scores, dtype=float)
     efforts = np.asarray(efforts, dtype=float)
     return np.lexsort((efforts, -scores))

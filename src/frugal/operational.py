@@ -49,6 +49,20 @@ def _shift(old: Dataset, new: Dataset, attr: str) -> float | None:
     return abs(a12(xs, ys) - 0.5)
 
 
+def check_threshold(threshold: float):
+    """ConfigError unless ``threshold`` is in (0, 0.5]; see
+    ``change_frequency``."""
+    if not 0 < threshold <= 0.5:
+        raise ConfigError(f"threshold must be a finite number > 0 and "
+                          f"<= 0.5, got {threshold}")
+
+
+def check_fraction(fraction: float):
+    """ConfigError unless ``fraction`` is in (0, 1]; see ``top_changed``."""
+    if not 0 < fraction <= 1:
+        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
+
+
 def change_frequency(version_sequences: list[list[Dataset]],
                      threshold: float = SMALL_EFFECT) -> ChangeStats:
     """Count, over every adjacent version pair in every sequence, how often
@@ -60,9 +74,7 @@ def change_frequency(version_sequences: list[list[Dataset]],
     data counts as a change, even two identical versions, and since
     ``|a12 - 0.5|`` never exceeds 0.5, above it no pair can.
     """
-    if not 0 < threshold <= 0.5:
-        raise ConfigError(f"threshold must be a finite number > 0 and "
-                          f"<= 0.5, got {threshold}")
+    check_threshold(threshold)
     total = 0
     changed: dict[str, int] = {}
     for sequence in version_sequences:
@@ -92,8 +104,7 @@ def top_changed(old: Dataset, new: Dataset, fraction: float = 0.25) -> tuple[str
     name as the tie-break."""
     if old.attributes != new.attributes:
         raise DatasetError(f"attribute mismatch: {old.name} vs {new.name}")
-    if not 0 < fraction <= 1:
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
+    check_fraction(fraction)
     scored = []
     for attr in old.attributes:
         shift = _shift(old, new, attr)

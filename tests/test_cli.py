@@ -190,14 +190,27 @@ def test_fit_popt_without_effort_is_unsupported(project_dir, capsys):
                                        "column (--effort)\n")
 
 
-@pytest.mark.parametrize("flags, named", [
-    (["--score", "popt"], "--effort"),
-    (["--score", "auc"], "'auc'"),
-], ids=["popt without effort", "unknown score"])
+def test_fit_popt_with_subnormal_efforts_warns_nothing(tmp_path, capsys):
+    # 1e-310 is a valid effort, but a positive row's density d/e would
+    # overflow a float; under this suite's filter a RuntimeWarning raises
+    path = tmp_path / "tiny.csv"
+    path.write_text("wmc,loc,bug\n1,1e-310,1\n2,10,0\n3,1e-310,2\n"
+                    "4,20,0\n5,5,1\n6,30,0\n")
+    assert main(["fit", str(path), "--score", "popt", "--effort", "loc"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "train popt" in out
+
+
+@pytest.mark.parametrize("flags, code, named", [
+    (["--score", "popt"], 4, "--effort"),
+    (["--score", "auc"], 4, "'auc'"),
+    (["--depth", "0"], 3, "depth must be between 1 and 12, got 0"),
+    (["--depth", "13"], 3, "depth must be between 1 and 12, got 13"),
+], ids=["popt without effort", "unknown score", "depth 0", "depth 13"])
 def test_fit_checks_its_score_before_opening_a_file(tmp_path, capsys, flags,
-                                                    named):
+                                                    code, named):
     # the file does not exist, so a read would exit 2 first
-    assert main(["fit", str(tmp_path / "ghost.csv"), *flags]) == 4
+    assert main(["fit", str(tmp_path / "ghost.csv"), *flags]) == code
     err = capsys.readouterr().err
     assert named in err and len(err.splitlines()) == 1
 
@@ -215,6 +228,16 @@ def test_flag_errors_leave_a_valid_csv_unread(project_dir, monkeypatch,
     assert capsys.readouterr().err.splitlines()[-1] == (
         "error: eval without --model needs at least two CSVs: the older "
         "ones train, the newest tests")
+    csvs = [str(paths[v]) for v in ("1.0", "1.1", "1.2")]
+    assert main(["fit", csvs[0], "--depth", "13"]) == 3
+    assert main(["eval", *csvs, "--depth", "0"]) == 3
+    assert main(["eval", *csvs, "--top-changed", "2"]) == 5
+    assert main(["changefreq", *csvs, "--threshold", "2"]) == 5
+    assert capsys.readouterr().err.splitlines() == [
+        "error: depth must be between 1 and 12, got 13",
+        "error: depth must be between 1 and 12, got 0",
+        "error: fraction must be in (0, 1], got 2.0",
+        "error: threshold must be a finite number > 0 and <= 0.5, got 2.0"]
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -571,10 +594,21 @@ def test_eval_model_rejects_depth(project_dir, tmp_path, capsys):
     (["--model", "{model}", "--score", "popt"], 4, "--effort"),
     ([], 5, "at least two CSVs"),
     (["{csv}", "--top-changed", "0.5"], 5, "three CSVs"),
+    (["{csv}", "{csv}", "--top-changed", "2"], 5,
+     "fraction must be in (0, 1], got 2.0"),
+    (["{csv}", "{csv}", "--top-changed", "0"], 5,
+     "fraction must be in (0, 1], got 0.0"),
+    (["{csv}", "{csv}", "--top-changed", "nan"], 5,
+     "fraction must be in (0, 1], got nan"),
+    (["{csv}", "--depth", "0"], 3, "depth must be between 1 and 12, got 0"),
+    (["{csv}", "--depth", "13"], 3,
+     "depth must be between 1 and 12, got 13"),
 ], ids=["two csvs with a model", "top-changed with a model",
         "depth with a model", "unknown score", "unknown score with a model",
         "popt without effort", "popt without effort with a model",
-        "one csv without a model", "top-changed with one training csv"])
+        "one csv without a model", "top-changed with one training csv",
+        "top-changed 2", "top-changed 0", "top-changed nan", "depth 0",
+        "depth 13"])
 def test_eval_checks_its_flags_before_opening_a_file(tmp_path, capsys, flags,
                                                      code, named):
     # neither file exists, so any read would exit 2 first
@@ -981,6 +1015,17 @@ def test_changefreq_threshold_above_one_half_is_a_config_error(project_dir,
                    "<= 0.5, got 0.51\n")
     assert main([*argv, "0.5"]) == 0
     assert capsys.readouterr().out.startswith("attribute")
+
+
+@pytest.mark.parametrize("threshold", ["2", "0", "nan"])
+def test_changefreq_checks_its_threshold_before_opening_a_file(
+        tmp_path, capsys, threshold):
+    # neither file exists, so any read would exit 2 first
+    assert main(["changefreq", str(tmp_path / "a.csv"),
+                 str(tmp_path / "b.csv"), "--threshold", threshold]) == 5
+    assert capsys.readouterr().err == (
+        "error: threshold must be a finite number > 0 and <= 0.5, got "
+        f"{float(threshold)}\n")
 
 
 def test_changefreq_csv_and_json_formats(project_dir, capsys):

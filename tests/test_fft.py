@@ -378,18 +378,32 @@ def _tied_data(seed, rows):
 @pytest.mark.parametrize("seed, n_rows", [(5, 80), (7, 120), (11, 150)])
 def test_trie_scores_equal_routed_scores(seed, n_rows, fn):
     """grow reads each tree's training score off the rows its nodes exit;
-    routing every row through the finished tree must give the same float."""
+    routing every row through the finished tree must give the same float,
+    also for trees cut short and for leaves that exit no rows."""
     train = _tied_data(seed, n_rows)
     assert np.isnan(train.values).any()
     assert (train.values[:, train.attributes.index("const")] == 7.0).all()
-    names = set()
-    for depth in range(1, 7):
-        _, trees = grow(train, depth, fn)
-        for tree in trees:
-            assert tree.train_score == tree_score(tree, train, fn), \
-                tree.policy_string
-            names.update(n.range.attribute for n in tree.nodes)
+    # rows with no values match no range, so a subset of only such rows
+    # ends its trees early with rows still in the leaf; twelve rows run
+    # out within a few levels, which leaves trees with empty leaves
+    values = train.values.copy()
+    values[::4] = np.nan
+    blank = Dataset(name=train.name, version=train.version,
+                    attributes=train.attributes, values=values,
+                    labels=train.labels, effort=train.effort)
+    names, shapes = set(), set()
+    for data in (train, blank, train.subset(range(12))):
+        for depth in range(1, 7):
+            _, trees = grow(data, depth, fn)
+            for tree in trees:
+                assert tree.train_score == tree_score(tree, data, fn), \
+                    tree.policy_string
+                assert all(n.support > 0 for n in tree.nodes)
+                shapes.add((tree.truncated, tree.leaf_support == 0))
+                if data is train:
+                    names.update(n.range.attribute for n in tree.nodes)
     assert "awmc" in names and "wmc" not in names
+    assert shapes >= {(True, False), (True, True), (False, True)}
 
 
 def test_tie_break_prefers_the_smaller_name_in_a_later_column():
@@ -632,9 +646,10 @@ def test_popt_prefilter_ranks_few_candidates_exactly():
         assert len(root._near_best(bit)) == 1
 
 
-@pytest.mark.parametrize("negatives, positives", [(1e-310, 1.0),
-                                                   (1e305, 1e305)],
-                         ids=["subnormal", "near overflow"])
+@pytest.mark.parametrize("negatives, positives", [
+    (1e-310, 1.0), (1e305, 1e305), (1.0, 1e-310), (1e-310, 5e-311)],
+    ids=["subnormal", "near overflow", "subnormal positives",
+         "all subnormal"])
 def test_popt_prefilter_steps_aside_outside_its_error_bound(negatives,
                                                             positives):
     data = _tie_heavy_data(3, 40)

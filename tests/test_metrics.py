@@ -153,8 +153,8 @@ def test_popt_optimal_and_worst_orders(popt_fixture):
     assert worst == [2, 3, 4, 1, 0]
     assert popt(d[best], e[best]).value == 1.0
     assert popt(d[worst], e[worst]).value == 0.0
-    # popt_bounds ranks through effort_order_from_scores; equal efforts
-    # leave ties that only the row index breaks
+    # popt_bounds orders as effort_order_from_scores does on the
+    # densities; equal efforts leave ties that only the row index breaks
     for defects, efforts in ((defects, efforts),
                              ([1.0, 0.0, 2.0, 0.0, 1.0, 2.0], [4.0] * 6),
                              ([0.0, 1.0, 0.0, 1.0], [2.0] * 4)):
@@ -230,6 +230,22 @@ def test_popt_batch_equals_popt_exactly(defects, efforts, degenerate):
     for k in range(len(orders)):
         again = metrics.popt_bounds(d[k], e[k])
         assert again == bounds or np.array_equal(again, bounds, equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 50)),
+                min_size=1, max_size=12))
+def test_popt_bounds_order_subnormal_efforts_by_exact_density(pairs):
+    """Efforts of k * 2**-1070 are subnormal, so d / e overflows to inf for
+    every positive row.  Scaling all efforts by one power of two moves no
+    lift-chart x, so the bounds must equal those of the integer efforts k,
+    with no overflow warning (an error under this suite's filter)."""
+    defects = np.array([float(d) for d, _ in pairs])
+    efforts = np.array([float(k) for _, k in pairs])
+    tiny = efforts * 2.0 ** -1070
+    assert tiny.max() < np.finfo(float).tiny
+    assert metrics.popt_bounds(defects, tiny) \
+        == metrics.popt_bounds(defects, efforts)
 
 
 def test_popt_invariant_under_effort_rescaling(popt_fixture):

@@ -72,7 +72,7 @@ class Dataset:
     NaN marks a missing cell.
     No two attributes share a name.
     ``labels`` is a float array before binarization and a bool array after.
-    ``effort`` values must be strictly positive when present.
+    ``effort`` values must be > 0 when present, with a finite total.
     ``row_names`` is set only by ``synth.make_version`` and read only by
     ``save_csv``, which writes it as a leading ``name`` column; no load,
     subset, merge or projection carries it.
@@ -118,6 +118,10 @@ class Dataset:
                 raise DatasetError(
                     f"{self.name}: effort must be > 0 (row {bad + 1} "
                     f"has {effort[bad]!r})")
+            with np.errstate(over="ignore"):
+                if np.isinf(effort.sum()):
+                    raise DatasetError(f"{self.name}: effort total overflows;"
+                                       " rescale the effort column")
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "labels", _freeze(labels))
@@ -255,7 +259,7 @@ def _parse_rows(reader, path, header, numeric: list[int],
 
 def load_csv(path, label_column: str, effort_column: str | None = None,
              exclude=DEFAULT_EXCLUDE, name: str | None = None,
-             version: str = "", attributes=None) -> Dataset:
+             attributes=None) -> Dataset:
     """Load one CSV into a Dataset.
 
     The first row is the header.  Columns named in ``exclude`` are skipped,
@@ -320,7 +324,7 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
     n_attr = len(attr_cols)
     return Dataset(
         name=name if name is not None else str(path),
-        version=version,
+        version="",
         attributes=tuple(header[j] for j in attr_cols),
         values=table[:, :n_attr],
         labels=table[:, n_attr].copy(),

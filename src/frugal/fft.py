@@ -133,7 +133,8 @@ class FFTree:
 def _medians(block: np.ndarray) -> np.ndarray:
     """Per-column median of a (rows x columns) block over its non-missing
     values; NaN for a column with none.  Even counts take the mean of the
-    two middle values, exactly as ``np.median`` does."""
+    two middle values, exactly as ``np.median`` does, except that a finite
+    pair whose sum overflows takes the sum of its halves."""
     if len(block) == 0:
         return np.full(block.shape[1], np.nan)
     counts = len(block) - np.count_nonzero(np.isnan(block), axis=0)
@@ -141,7 +142,13 @@ def _medians(block: np.ndarray) -> np.ndarray:
     ordered = np.sort(block, axis=0)  # missing values sort last
     cols = np.arange(block.shape[1])
     low, high = ordered[lo, cols], ordered[hi, cols]
-    return np.where(lo == hi, low, (low + high) / 2.0)
+    with np.errstate(over="ignore"):
+        mean = (low + high) / 2.0
+    spill = np.isinf(mean)
+    if spill.any():
+        spill &= np.isfinite(low) & np.isfinite(high)
+        mean[spill] = low[spill] / 2.0 + high[spill] / 2.0
+    return np.where(lo == hi, low, mean)
 
 
 def discretize(data: Dataset, attribute: str, subset=None) -> list[Range]:

@@ -34,7 +34,7 @@ from .baselines import (LogisticModel, NBModel, lr_predict_dataset,
 from .dataset import Dataset, merge
 from .errors import (ConfigError, FrugalError, TrainingError,
                      UnsupportedScoreError)
-from .fft import MAX_DEPTH, FFTree, grow, predict_dataset, rank_for_popt
+from .fft import FFTree, check_depth, grow, predict_dataset, rank_for_popt
 from .metrics import (Confusion, ScoreFunction, dis2heaven,
                       effort_order_from_scores, mann_whitney, popt,
                       score_function)
@@ -85,13 +85,15 @@ class RigConfig:
         if self.mode == "cv" and "top25" in self.attribute_sets:
             raise ConfigError("top25 attribute filtering needs version "
                               "history; it cannot run under cross-validation")
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise ConfigError(f"depth must be between 1 and {MAX_DEPTH}")
+        for key, check in (("depth", check_depth),
+                           ("top_fraction", operational.check_fraction)):
+            try:
+                check(getattr(self, key))
+            except FrugalError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
         if self.bins < 2 or not 1 <= self.repeats <= MAX_REPEATS:
             raise ConfigError("cross-validation needs bins >= 2 and repeats "
                               f"between 1 and {MAX_REPEATS}")
-        if not 0.0 < self.top_fraction <= 1.0:
-            raise ConfigError("top_fraction must be in (0, 1]")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -365,47 +367,31 @@ def compare(results: list[EvalResult]) -> list[ComparisonRow]:
     A learner is *better* only when it significantly beats every other
     learner in the group, *worse* as soon as any learner beats it.
     Degenerate results are left out, and ``n`` counts the values kept; a
-    group with fewer than three per learner is inconclusive.
+    group with one learner, or fewer than three values for any learner, is
+    inconclusive.
     """
-    values: dict[tuple, list[float]] = {}
+    groups: dict[tuple, dict[str, list[float]]] = {}
     for r in results:
-        sample = values.setdefault(
-            (r.project, r.score, r.attribute_set, r.learner), [])
+        kept = groups.setdefault((r.project, r.score, r.attribute_set),
+                                 {}).setdefault(r.learner, [])
         if not r.degenerate:
-            sample.append(r.value)
-    groups: dict[tuple, list[str]] = {}
-    for (project, score, attr_set, learner) in values:
-        groups.setdefault((project, score, attr_set), []).append(learner)
+            kept.append(r.value)
 
     rows = []
-    for (project, score, attr_set) in sorted(groups):
-        learners = sorted(groups[(project, score, attr_set)])
+    for (project, score, attr_set), samples in sorted(groups.items()):
         fn = score_function(score)
-        samples = {name: values[(project, score, attr_set, name)]
-                   for name in learners}
-        too_small = min(len(s) for s in samples.values()) < 3
-        for learner in learners:
-            opponents = [l for l in learners if l != learner]
-            if too_small or not opponents:
-                rows.append(ComparisonRow(project, score, attr_set, learner,
-                                          len(samples[learner]), 0, 0,
-                                          "inconclusive"))
-                continue
-            wins = sum(_beats(samples[learner], samples[o], fn)
-                       for o in opponents)
-            losses = sum(_beats(samples[o], samples[learner], fn)
-                         for o in opponents)
-            if wins == len(opponents):
-                verdict = "better"
-            elif losses > 0:
-                verdict = "worse"
-            elif wins > 0:
-                verdict = "mixed"
-            else:
-                verdict = "tied"
+        small = len(samples) < 2 or min(map(len, samples.values())) < 3
+        for learner, mine in sorted(samples.items()):
+            others = [] if small else [s for name, s in samples.items()
+                                       if name != learner]
+            wins = sum(_beats(mine, other, fn) for other in others)
+            losses = sum(_beats(other, mine, fn) for other in others)
+            verdict = ("inconclusive" if small
+                       else "better" if wins == len(others)
+                       else "worse" if losses else "mixed" if wins
+                       else "tied")
             rows.append(ComparisonRow(project, score, attr_set, learner,
-                                      len(samples[learner]), wins, losses,
-                                      verdict))
+                                      len(mine), wins, losses, verdict))
     return rows
 
 

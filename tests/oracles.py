@@ -16,6 +16,10 @@ reference: the batched fits must equal it with ``==``.
 ``load_csv_oracle`` is the cell-by-cell CSV loader that
 ``dataset.load_csv`` replaced: one ``float()`` call per cell, rows checked
 in file order.
+
+``compare_oracle`` is the two-pass grouping that ``rig.compare`` replaced;
+it calls the package's ``mann_whitney``, so it checks the grouping and the
+verdicts, not the test statistic.
 """
 
 import csv
@@ -25,6 +29,7 @@ import numpy as np
 
 from frugal.dataset import DEFAULT_EXCLUDE, MISSING_MARKERS, Dataset
 from frugal.errors import DatasetError
+from frugal.metrics import mann_whitney
 
 
 # --- confusion-matrix metrics ----------------------------------------------
@@ -66,12 +71,17 @@ def d2h_from_predictions(predicted, actual):
 # --- medians ----------------------------------------------------------------
 
 def median_of(values):
-    ordered = sorted(values)
+    """A finite middle pair whose sum overflows takes the sum of its
+    halves, as ``fft._medians`` does."""
+    ordered = sorted(map(float, values))
     n = len(ordered)
     mid = n // 2
     if n % 2 == 1:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
+        return ordered[mid]
+    low, high = ordered[mid - 1], ordered[mid]
+    if math.isinf(low + high) and math.isfinite(low) and math.isfinite(high):
+        return low / 2.0 + high / 2.0
+    return (low + high) / 2.0
 
 
 # --- rank statistics ---------------------------------------------------------
@@ -114,6 +124,55 @@ def ranks_of(pooled):
             ranks[indexed[k]] = avg
         i = j + 1
     return ranks
+
+
+# --- learner comparison -----------------------------------------------------
+
+def compare_oracle(results):
+    """``rig.compare``'s rows as tuples, from per-learner samples regrouped
+    by (project, score, attribute set).  The significance test is the
+    package's ``mann_whitney`` (``u_pairwise`` is its reference); medians
+    are ``median_of``."""
+    values = {}
+    for r in results:
+        sample = values.setdefault(
+            (r.project, r.score, r.attribute_set, r.learner), [])
+        if not r.degenerate:
+            sample.append(r.value)
+    groups = {}
+    for (project, score, attr_set, learner) in values:
+        groups.setdefault((project, score, attr_set), []).append(learner)
+
+    def beats(xs, ys, score):
+        if not mann_whitney(xs, ys).different:
+            return False
+        if score == "popt":
+            return median_of(xs) > median_of(ys)
+        return median_of(xs) < median_of(ys)
+
+    rows = []
+    for key in sorted(groups):
+        learners = sorted(groups[key])
+        samples = {name: values[(*key, name)] for name in learners}
+        too_small = min(len(s) for s in samples.values()) < 3
+        for learner in learners:
+            mine = samples[learner]
+            opponents = [o for o in learners if o != learner]
+            if too_small or not opponents:
+                rows.append((*key, learner, len(mine), 0, 0, "inconclusive"))
+                continue
+            wins = sum(beats(mine, samples[o], key[1]) for o in opponents)
+            losses = sum(beats(samples[o], mine, key[1]) for o in opponents)
+            if wins == len(opponents):
+                verdict = "better"
+            elif losses > 0:
+                verdict = "worse"
+            elif wins > 0:
+                verdict = "mixed"
+            else:
+                verdict = "tied"
+            rows.append((*key, learner, len(mine), wins, losses, verdict))
+    return rows
 
 
 # --- effort-aware Popt -------------------------------------------------------

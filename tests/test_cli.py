@@ -201,6 +201,22 @@ def test_fit_popt_with_subnormal_efforts_warns_nothing(tmp_path, capsys):
     assert err == "" and "train popt" in out
 
 
+def test_fit_splits_a_column_of_huge_finite_values(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("big,bug\n1e308,1\n1.2e308,1\n1.5e308,0\n1.7e308,0\n")
+    assert main(["fit", str(path), "--depth", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "if big > 1.35e+308 then false" in out
+
+
+def test_fit_rejects_an_effort_total_that_overflows(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("wmc,loc,bug\n1,1e308,1\n2,1e308,0\n3,5,1\n")
+    assert main(["fit", str(path), "--score", "popt", "--effort", "loc"]) == 2
+    assert capsys.readouterr().err == ("error: huge: effort total overflows; "
+                                       "rescale the effort column\n")
+
+
 @pytest.mark.parametrize("flags, code, named", [
     (["--score", "popt"], 4, "--effort"),
     (["--score", "auc"], 4, "'auc'"),
@@ -584,6 +600,22 @@ def test_eval_model_rejects_depth(project_dir, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["nodes"] == 1
 
 
+def test_fit_splits_a_column_of_huge_finite_values(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("big,bug\n1e308,1\n1.2e308,1\n1.5e308,0\n1.7e308,0\n")
+    assert main(["fit", str(path), "--depth", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "if big > 1.35e+308 then false" in out
+
+
+def test_fit_rejects_an_effort_total_that_overflows(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("wmc,loc,bug\n1,1e308,1\n2,1e308,0\n3,5,1\n")
+    assert main(["fit", str(path), "--score", "popt", "--effort", "loc"]) == 2
+    assert capsys.readouterr().err == ("error: huge: effort total overflows; "
+                                       "rescale the effort column\n")
+
+
 @pytest.mark.parametrize("flags, code, named", [
     (["{csv}", "--model", "{model}"], 5, "--model"),
     (["--model", "{model}", "--top-changed", "0.5"], 5, "--top-changed"),
@@ -850,6 +882,29 @@ def test_rig_seed_override_must_be_non_negative(project_dir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, value, flags, code, rule", [
+    ("depth", 13, ["fit", "{csv}", "--depth", "13"], 3,
+     "depth must be between 1 and 12, got 13"),
+    ("top_fraction", 0.0, ["eval", "{csv}", "{csv}", "{csv}",
+                           "--top-changed", "0"], 5,
+     "fraction must be in (0, 1], got 0.0"),
+], ids=["depth", "top_fraction"])
+def test_rig_config_ranges_are_the_flag_rules(project_dir, capsys, key, value,
+                                              flags, code, rule):
+    # one check per rule: a config's error is its flag's, after the key,
+    # and the rig still exits 5 on it
+    tmp_path, paths = project_dir
+    assert main([f.format(csv=paths["1.0"]) for f in flags]) == code
+    assert capsys.readouterr().err == f"error: {rule}\n"
+    with pytest.raises(ConfigError) as err:
+        rig.RigConfig(**{key: value})
+    assert str(err.value) == f"{key}: {rule}"
+    config = _write_rig_config(tmp_path, paths, **{key: value})
+    assert main(["rig", "--config", str(config),
+                 "--out-dir", str(tmp_path / "x")]) == 5
+    assert capsys.readouterr().err == f"error: {key}: {rule}\n"
 
 
 def test_rig_config_error_paths(project_dir, tmp_path, capsys):

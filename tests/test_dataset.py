@@ -84,10 +84,9 @@ def test_load_csv_rejects_one_column_as_label_and_effort(tmp_path, label):
                               "label and the effort")
 
 
-def test_load_csv_name_and_version_overrides(toy_csv):
-    ds = load_csv(toy_csv, label_column="bug", name="proj", version="1.0")
+def test_load_csv_name_override(toy_csv):
+    ds = load_csv(toy_csv, label_column="bug", name="proj")
     assert ds.name == "proj"
-    assert ds.version == "1.0"
 
 
 def test_load_csv_missing_file():
@@ -526,6 +525,25 @@ def test_dataset_rejects_repeated_attribute_names():
 def test_dataset_rejects_nonpositive_effort():
     with pytest.raises(DatasetError, match="effort must be > 0"):
         make_dataset(("a",), [[1], [2]], labels=[True, False], effort=[5, 0])
+
+
+def test_dataset_rejects_an_effort_total_that_overflows():
+    # Popt reads efforts only as shares of their total, so a total beyond
+    # the float range must be rescaled; the check itself warns nothing
+    with pytest.raises(DatasetError) as err:
+        make_dataset(("a",), [[1], [2]], labels=[True, False],
+                     effort=[1e308, 1e308], name="huge")
+    assert str(err.value) == ("huge: effort total overflows; rescale the "
+                              "effort column")
+    halves = [make_dataset(("a",), [[v]], labels=[v > 1], effort=[1e308],
+                           name=name) for v, name in ((1, "old"), (2, "new"))]
+    with pytest.raises(DatasetError, match="^old\\+new: effort total "
+                                           "overflows"):
+        merge(halves)
+    for effort in ([1e305] * 40, [8.9e307, 8.9e307]):   # these totals fit
+        assert len(make_dataset(("a",), [[1]] * len(effort),
+                                labels=[True] * len(effort),
+                                effort=effort)) == len(effort)
 
 
 def test_dataset_column_row_subset(six_rows):

@@ -102,6 +102,21 @@ def test_infinite_medians_give_no_cut():
                 assert all(np.isfinite(n.range.cut) for n in tree.nodes)
 
 
+def test_huge_finite_medians_halve_before_adding():
+    # the middle pair sums past the float range; under the suite's
+    # RuntimeWarning-as-error filter an overflow warning would raise
+    values = [1e308, 1.2e308, 1.5e308, 1.7e308]
+    ds = make_dataset(("big",), [[v] for v in values],
+                      labels=[True, True, False, False], effort=[1, 2, 3, 4])
+    cut = 1.2e308 / 2 + 1.5e308 / 2
+    assert oracles.median_of(values) == cut
+    assert [r.cut for r in discretize(ds, "big")] == [cut, cut]
+    for fn in (DIS2HEAVEN, POPT):
+        tree = grow(ds, depth=1, fn=fn)[0]
+        assert [(n.range.attribute, n.range.cut) for n in tree.nodes] \
+            == [("big", cut)]
+
+
 def test_discretize_constant_column():
     ds = make_dataset(("c",), [[4], [4], [4]], labels=[True, False, True])
     lo, hi = discretize(ds, "c")

@@ -3,10 +3,11 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frugal import rig as rig_module, synth
 from frugal.baselines import LogisticModel, NBModel
@@ -20,6 +21,7 @@ from frugal.rig import (MAX_REPEATS, ComparisonRow, EvalResult, RigConfig,
                         fit_learner, plan_fingerprint, policy_histogram, run,
                         version_split, write_reports)
 
+import oracles
 from conftest import make_dataset
 
 
@@ -370,8 +372,13 @@ def test_run_checks_each_sl_cell_under_its_prefix_before_fitting(
 def test_run_requires_binary_labels(corpus):
     raw = make_dataset(("m",), [[1], [2], [3], [4]], labels=[0, 1, 2, 0],
                        binary=False, name="raw", version="1")
-    with pytest.raises(TrainingError, match="binarized"):
-        run({"raw": [raw, raw]}, RigConfig(learners=("fft",),
+    # every learner checks only its training rows, so raw labels on the
+    # newest (test) version alone are caught here or not at all
+    *train, newest = corpus["ant"]
+    raw_test = replace(newest, labels=newest.labels * 2.0)
+    for versions in ([raw, raw], [*train, raw_test]):
+        with pytest.raises(TrainingError, match="binarized"):
+            run({"p": versions}, RigConfig(learners=("fft",),
                                            scores=("d2h",)))
 
 
@@ -504,6 +511,40 @@ def test_compare_groups_by_project_score_and_attribute_set():
     assert keys == {("p", "d2h", "full"), ("p", "popt", "full")}
     solo = [r for r in rows if r.score == "popt"]
     assert [r.verdict for r in solo] == ["inconclusive"]   # no opponents
+
+
+@st.composite
+def _comparison_results(draw):
+    """Results in up to three (project, score, attribute set) groups of one
+    to four learners, each with up to ten values, some degenerate.  A
+    learner's values lie at or above its own base, so some pairs differ
+    significantly and some overlap."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(["p", "q"]),
+                                   st.sampled_from(["dis2heaven", "popt"]),
+                                   st.sampled_from(["full", "top25"])),
+                         min_size=1, max_size=3, unique=True))
+    results = []
+    for project, score, attr_set in keys:
+        learners = draw(st.lists(st.sampled_from(["fft", "nb", "sl", "svm"]),
+                                 min_size=1, max_size=4, unique=True))
+        for learner in learners:
+            base = draw(st.sampled_from([0.0, 0.3, 0.6]))
+            value = st.one_of(st.just(base), st.floats(base, base + 0.4))
+            cells = draw(st.lists(st.tuples(
+                value, st.sampled_from([False, False, False, True])),
+                max_size=10))
+            results += [_result(learner=learner, score=score, value=v,
+                                split=f"cv:r0:b{i}", project=project,
+                                attr_set=attr_set, degenerate=degenerate)
+                        for i, (v, degenerate) in enumerate(cells)]
+    return draw(st.permutations(results))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_comparison_results())
+def test_compare_equals_the_per_learner_oracle(results):
+    assert [astuple(row) for row in compare(results)] \
+        == oracles.compare_oracle(results)
 
 
 # -------------------------------------------------------------------- deltas

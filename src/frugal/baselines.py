@@ -1,12 +1,13 @@
 """In-repo comparison learners: Gaussian Naive Bayes and a simple logistic
-regression, sharing the train/predict surface of the tree code.
+regression.
 
-Each learner has one array scorer over a (rows x attributes) block, which
-its ``*_score_dataset`` function calls on a dataset.  Missing cells add
-nothing to a naive-bayes log joint and standardize to the attribute mean
-for logistic regression.  Logistic fits have one path, ``lr_train_many``,
-which descends same-shaped training sets as one stacked block;
-``lr_train`` is a batch of one.
+Each ``*_score_dataset`` gives P(positive) per row, the per-row score of
+every learner (``fft.score_dataset`` for trees): 0.5 or more predicts
+true, and Popt ranks rows by it.  Missing cells add nothing to a
+naive-bayes log joint and standardize to the attribute mean for logistic
+regression; a column whose statistics overflow is treated the same way.
+Logistic fits have one path, ``lr_train_many``, which descends same-shaped
+sets as one stacked block; ``lr_train`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ def nb_train(train: Dataset) -> NBModel:
     """Fit Gaussian likelihoods per class and attribute.
 
     Missing cells are ignored per attribute; variances are floored at
-    ``VARIANCE_FLOOR`` so constant columns survive.
+    ``VARIANCE_FLOOR`` so constant columns survive.  A column whose mean
+    or variance for a class overflows reads as unobserved for that class.
     """
     _check_trainable(train)
     n_attrs = len(train.attributes)
@@ -61,8 +63,11 @@ def nb_train(train: Dataset) -> NBModel:
             col = col[~np.isnan(col)]
             if len(col) == 0:
                 continue
-            means[k, j] = col.mean()
-            variances[k, j] = max(float(col.var()), VARIANCE_FLOOR)
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, var = col.mean(), float(col.var())
+            if np.isfinite(mean) and np.isfinite(var):
+                means[k, j] = mean
+                variances[k, j] = max(var, VARIANCE_FLOOR)
     return NBModel(attributes=train.attributes, log_priors=log_priors,
                    means=means, variances=variances)
 
@@ -72,29 +77,27 @@ def nb_score_dataset(model: NBModel, data: Dataset) -> np.ndarray:
     attributes' terms to the log prior one column at a time, so it scores
     the same alone or in any batch.  ``np.float_power`` squares with the C
     library's ``pow``, like scalar ``**``; array ``**`` multiplies, which
-    can round differently."""
+    can round differently.  A term that overflows is -inf, and a row
+    whose log joint is infinite scores by which classes stay finite."""
     _check_schema(model.attributes, data)
     log_vars = [[math.log(v) for v in row] for row in model.variances.tolist()]
     joint = np.tile(model.log_priors, (len(data), 1))
-    for j, col in enumerate(data.values.T):
-        missing = np.isnan(col)
-        for k in range(2):
-            mu = model.means[k, j]
-            if np.isnan(mu):
-                continue
-            var = model.variances[k, j]
-            term = (-0.5 * (LOG_2PI + log_vars[k][j])
-                    - np.float_power(col - mu, 2.0) / (2 * var))
-            joint[:, k] += np.where(missing, 0.0, term)
+    with np.errstate(over="ignore"):
+        for j, col in enumerate(data.values.T):
+            missing = np.isnan(col)
+            for k in range(2):
+                mu = model.means[k, j]
+                if np.isnan(mu):
+                    continue
+                var = model.variances[k, j]
+                term = (-0.5 * (LOG_2PI + log_vars[k][j])
+                        - np.float_power(col - mu, 2.0) / (2 * var))
+                joint[:, k] += np.where(missing, 0.0, term)
     scores = np.where(np.isfinite(joint[:, 1]), 1.0, 0.0)
     both = np.isfinite(joint).all(axis=1)
     weights = np.exp(joint[both] - joint[both].max(axis=1, keepdims=True))
     scores[both] = weights[:, 1] / (weights[:, 0] + weights[:, 1])
     return scores
-
-
-def nb_predict_dataset(model: NBModel, data: Dataset) -> np.ndarray:
-    return nb_score_dataset(model, data) >= 0.5
 
 
 @dataclass(frozen=True)
@@ -140,15 +143,20 @@ def logistic_gradient(weights: np.ndarray, bias: np.ndarray, X: np.ndarray,
 def _standardize(values: np.ndarray, out: np.ndarray | None = None):
     """(design, means, stds): each column centred and scaled, missing
     cells at 0; written into ``out`` when given.  A column with no
-    observed cell reads as zeros, so its mean is 0 and its std 1 without
-    the nan-reductions' empty-slice warnings."""
+    observed cell, or whose mean or std overflows, reads as zeros, so its
+    mean is 0 and its std 1 (without the nan-reductions' empty-slice
+    warnings) and its weight stays 0."""
     observed = ~np.isnan(values).all(axis=0)
     if not observed.all():
         values = np.where(observed, values, 0.0)
-    means = np.nanmean(values, axis=0)
-    stds = np.nanstd(values, axis=0)
-    means = np.where(np.isnan(means), 0.0, means)
-    stds = np.where((stds == 0) | np.isnan(stds), 1.0, stds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.nanmean(values, axis=0)
+        stds = np.nanstd(values, axis=0)
+    finite = np.isfinite(means) & np.isfinite(stds)
+    if not finite.all():
+        values = np.where(finite, values, 0.0)
+        means, stds = np.where(finite, means, 0.0), np.where(finite, stds, 0.0)
+    stds = np.where(stds == 0, 1.0, stds)
     return _scaled(values, means, stds, out), means, stds
 
 
@@ -215,10 +223,6 @@ def lr_score_dataset(model: LogisticModel, data: Dataset) -> np.ndarray:
     _check_schema(model.attributes, data)
     X = _scaled(data.values, model.feature_means, model.feature_stds)
     return _sigmoid(X @ model.weights + model.bias)
-
-
-def lr_predict_dataset(model: LogisticModel, data: Dataset) -> np.ndarray:
-    return lr_score_dataset(model, data) >= 0.5
 
 
 def _check_trainable(train: Dataset):

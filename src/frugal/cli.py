@@ -28,8 +28,8 @@ from .dataset import DEFAULT_EXCLUDE, Dataset, LabelRule, binarize, load_csv, me
 from .errors import (ConfigError, DatasetError, FrugalError,
                      UnsupportedScoreError, json_integer, json_number,
                      json_string)
-from .fft import (check_depth, grow, predict_dataset, rank_for_popt,
-                  render, tree_from_dict, tree_to_dict)
+from .fft import (check_depth, grow, rank_for_popt, render, route_dataset,
+                  tree_from_dict, tree_to_dict)
 from .metrics import (Confusion, dis2heaven, far, popt, recall, recall_at_20,
                       score_function)
 
@@ -158,8 +158,7 @@ def _cmd_eval(args) -> int:
         train, test = split.train, split.test
         tree = grow(train, depth=depth, fn=fn)[0]
 
-    predicted = predict_dataset(tree, test)
-    c = Confusion.from_predictions(predicted, test.labels)
+    c = Confusion.from_predictions(route_dataset(tree, test)[1], test.labels)
     report = {
         "selection_score": tree.score_kind,
         "policy": tree.policy_string,

@@ -134,7 +134,8 @@ def _medians(block: np.ndarray) -> np.ndarray:
     """Per-column median of a (rows x columns) block over its non-missing
     values; NaN for a column with none.  Even counts take the mean of the
     two middle values, exactly as ``np.median`` does, except that a finite
-    pair whose sum overflows takes the sum of its halves."""
+    pair whose sum overflows takes the sum of its halves; a (-inf, +inf)
+    pair gives NaN."""
     if len(block) == 0:
         return np.full(block.shape[1], np.nan)
     counts = len(block) - np.count_nonzero(np.isnan(block), axis=0)
@@ -142,7 +143,7 @@ def _medians(block: np.ndarray) -> np.ndarray:
     ordered = np.sort(block, axis=0)  # missing values sort last
     cols = np.arange(block.shape[1])
     low, high = ordered[lo, cols], ordered[hi, cols]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = (low + high) / 2.0
     spill = np.isinf(mean)
     if spill.any():
@@ -465,7 +466,7 @@ def tree_score(tree: FFTree, data: Dataset, fn: ScoreFunction) -> float:
                     data.effort[order]).value
     if fn.kind == "dis2heaven":
         return dis2heaven(Confusion.from_predictions(
-            predict_dataset(tree, data), data.labels))
+            route_dataset(tree, data)[1], data.labels))
     raise UnsupportedScoreError(f"unknown score function {fn.kind!r}")
 
 
@@ -515,25 +516,24 @@ def route_dataset(tree: FFTree, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return exit_idx, classes
 
 
-def predict_dataset(tree: FFTree, data: Dataset) -> np.ndarray:
-    return route_dataset(tree, data)[1]
+def score_dataset(tree: FFTree, data: Dataset) -> np.ndarray:
+    """Per-row suspicion score in [0, 1], 0.5 or more exactly where the row
+    exits true, like the baselines' scores.  True exits score above 0.5,
+    earlier exits higher; false exits below it, later exits higher (the
+    longer a row survived, the closer it came to a true exit)."""
+    exit_idx, classes = route_dataset(tree, data)
+    # true exits k+1..2k+1, earliest highest; false exits 0..k, latest
+    k = len(tree.nodes)
+    return np.where(classes, 2 * k + 1 - exit_idx, exit_idx) / (2 * k + 1)
 
 
 def rank_for_popt(tree: FFTree, data: Dataset) -> np.ndarray:
-    """Most-suspicious-first row order implied by the tree's exits.
-
-    Rows leaving through true exits come first (earlier exits first), then
-    rows leaving through false exits (later exits first — the longer a row
-    survived, the closer it came to a true exit).  Ties break on ascending
-    effort, then row index, as in ``effort_order_from_scores``.
-    """
+    """Most-suspicious-first row order of ``score_dataset``'s scores; ties
+    break on ascending effort, then row index, as in
+    ``effort_order_from_scores``."""
     if data.effort is None:
         raise UnsupportedScoreError(f"{data.name}: ranking needs effort")
-    exit_idx, classes = route_dataset(tree, data)
-    # true exits score k+1..2k+1, earliest highest; false exits 0..k, latest
-    k = len(tree.nodes)
-    return effort_order_from_scores(
-        np.where(classes, 2 * k + 1 - exit_idx, exit_idx), data.effort)
+    return effort_order_from_scores(score_dataset(tree, data), data.effort)
 
 
 # --- text and JSON forms --------------------------------------------------

@@ -28,13 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import operational
-from .baselines import (LogisticModel, NBModel, lr_predict_dataset,
-                        lr_score_dataset, lr_targets, lr_train, lr_train_many,
-                        nb_predict_dataset, nb_score_dataset, nb_train)
+from .baselines import (LogisticModel, NBModel, lr_score_dataset, lr_targets,
+                        lr_train, lr_train_many, nb_score_dataset, nb_train)
 from .dataset import Dataset, merge
 from .errors import (ConfigError, FrugalError, TrainingError,
                      UnsupportedScoreError)
-from .fft import FFTree, check_depth, grow, predict_dataset, rank_for_popt
+from .fft import FFTree, check_depth, grow, score_dataset
 from .metrics import (Confusion, ScoreFunction, dis2heaven,
                       effort_order_from_scores, mann_whitney, popt,
                       score_function)
@@ -211,24 +210,19 @@ def fit_learner(name: str, train: Dataset, fn: ScoreFunction,
 def evaluate(model: FFTree | NBModel | LogisticModel, test: Dataset,
              fn: ScoreFunction) -> tuple[float, bool]:
     """Score a fitted model on held-out rows; returns (value, degenerate).
-    A d2h cell is degenerate when its test rows hold one class only."""
-    tree, nb = isinstance(model, FFTree), isinstance(model, NBModel)
+    d2h thresholds its per-row scores at 0.5, and Popt ranks by them; a
+    d2h cell is degenerate when its test rows hold one class only."""
+    if fn.kind == "popt" and test.effort is None:
+        raise UnsupportedScoreError(
+            f"{test.name}: popt scoring needs an effort column")
+    scores = (score_dataset(model, test) if isinstance(model, FFTree)
+              else nb_score_dataset(model, test) if isinstance(model, NBModel)
+              else lr_score_dataset(model, test))
     if fn.kind == "popt":
-        if test.effort is None:
-            raise UnsupportedScoreError(
-                f"{test.name}: popt scoring needs an effort column")
-        if tree:
-            order = rank_for_popt(model, test)
-        else:
-            scores = (nb_score_dataset(model, test) if nb
-                      else lr_score_dataset(model, test))
-            order = effort_order_from_scores(scores, test.effort)
+        order = effort_order_from_scores(scores, test.effort)
         res = popt(test.labels[order].astype(float), test.effort[order])
         return res.value, res.degenerate
-    predicted = (predict_dataset(model, test) if tree
-                 else nb_predict_dataset(model, test) if nb
-                 else lr_predict_dataset(model, test))
-    c = Confusion.from_predictions(predicted, test.labels)
+    c = Confusion.from_predictions(scores >= 0.5, test.labels)
     return dis2heaven(c), bool(test.labels.all() or not test.labels.any())
 
 

@@ -20,6 +20,11 @@ in file order.
 ``compare_oracle`` is the two-pass grouping that ``rig.compare`` replaced;
 it calls the package's ``mann_whitney``, so it checks the grouping and the
 verdicts, not the test statistic.
+
+``evaluate_oracle`` is the per-learner dispatch that ``rig.evaluate``
+replaced: a tree predicts by routing and ranks by its integer exit order,
+and only the baselines rank and threshold their scores.  It calls the
+package's scorers and metrics, so it checks the dispatch.
 """
 
 import csv
@@ -27,9 +32,12 @@ import math
 
 import numpy as np
 
+from frugal.baselines import NBModel, lr_score_dataset, nb_score_dataset
 from frugal.dataset import DEFAULT_EXCLUDE, MISSING_MARKERS, Dataset
 from frugal.errors import DatasetError
-from frugal.metrics import mann_whitney
+from frugal.fft import FFTree, route_dataset
+from frugal.metrics import (Confusion, dis2heaven, effort_order_from_scores,
+                            mann_whitney, popt)
 
 
 # --- confusion-matrix metrics ----------------------------------------------
@@ -175,6 +183,26 @@ def compare_oracle(results):
     return rows
 
 
+def evaluate_oracle(model, test, kind):
+    """``rig.evaluate``'s (value, degenerate) for a test set with an
+    effort column, learner by learner."""
+    if isinstance(model, FFTree):
+        exit_idx, predicted = route_dataset(model, test)
+        k = len(model.nodes)
+        order = effort_order_from_scores(
+            np.where(predicted, 2 * k + 1 - exit_idx, exit_idx), test.effort)
+    else:
+        scores = (nb_score_dataset(model, test) if isinstance(model, NBModel)
+                  else lr_score_dataset(model, test))
+        order = effort_order_from_scores(scores, test.effort)
+        predicted = scores >= 0.5
+    if kind == "popt":
+        res = popt(test.labels[order].astype(float), test.effort[order])
+        return res.value, res.degenerate
+    c = Confusion.from_predictions(predicted, test.labels)
+    return dis2heaven(c), bool(test.labels.all() or not test.labels.any())
+
+
 # --- effort-aware Popt -------------------------------------------------------
 
 def curve_area(defects, efforts):
@@ -267,6 +295,8 @@ def _candidates(rows, labels, efforts, indices, exit_class, kind):
         if not values:
             continue
         cut = median_of(values)
+        if not math.isfinite(cut):
+            continue
         for op_rank, op in enumerate(("<=", ">")):
             matched = [_matches(rows[i], attr, op, cut) for i in indices]
             n_match = sum(matched)

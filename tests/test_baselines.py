@@ -8,9 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from frugal.baselines import (logistic_gradient, lr_predict_dataset,
-                              lr_score_dataset, lr_train, lr_train_many,
-                              nb_predict_dataset, nb_score_dataset, nb_train,
+from frugal.baselines import (logistic_gradient, lr_score_dataset, lr_train,
+                              lr_train_many, nb_score_dataset, nb_train,
                               _sigmoid)
 from frugal import operational, synth
 from frugal.dataset import LabelRule, binarize, merge
@@ -37,7 +36,7 @@ def test_nb_posteriors_match_hand_computed_densities(eight_rows):
 
 def test_nb_separated_clusters_are_classified(six_rows):
     model = nb_train(six_rows)
-    preds = nb_predict_dataset(model, six_rows)
+    preds = nb_score_dataset(model, six_rows) >= 0.5
     assert preds.tolist() == six_rows.labels.tolist()
 
 
@@ -45,7 +44,7 @@ def test_nb_single_class_training():
     pos = make_dataset(("a",), [[1], [2], [3]], labels=[True, True, True])
     model = nb_train(pos)
     assert nb_score_dataset(model, one_row(("a",), {"a": 2.0}))[0] == 1.0
-    assert nb_predict_dataset(model, one_row(("a",), {"a": 99.0}))[0]
+    assert nb_score_dataset(model, one_row(("a",), {"a": 99.0}))[0] >= 0.5
     neg = make_dataset(("a",), [[1], [2], [3]], labels=[False, False, False])
     assert nb_score_dataset(nb_train(neg), one_row(("a",), {"a": 2.0}))[0] \
         == 0.0
@@ -57,7 +56,7 @@ def test_nb_constant_column_survives_variance_floor():
     model = nb_train(ds)
     assert model.variances.min() >= 1e-6
     probe = make_dataset(("c", "x"), [[7, 1.5], [7, 8.5]], labels=[True, False])
-    assert nb_predict_dataset(model, probe).tolist() == [True, False]
+    assert (nb_score_dataset(model, probe) >= 0.5).tolist() == [True, False]
 
 
 def test_nb_ignores_missing_cells_per_class(eight_rows):
@@ -87,6 +86,41 @@ def test_nb_validation(toy_csv):
         nb_train(empty)
 
 
+# a column whose per-class mean overflows, beside two ordinary ones; the
+# suite's RuntimeWarning-as-error filter turns an overflow warning into
+# a failure
+HUGE_ROWS = [[1e308, 1, 5], [1.2e308, 2, 3], [1.5e308, 8, 4],
+             [1.7e308, 9, 1], [1.1e308, 3, 2]]
+HUGE_LABELS = [True, True, False, False, False]
+
+
+def _with_and_without_the_huge_column():
+    return (make_dataset(("big", "x", "y"), HUGE_ROWS, labels=HUGE_LABELS),
+            make_dataset(("x", "y"), [r[1:] for r in HUGE_ROWS],
+                         labels=HUGE_LABELS))
+
+
+def test_nb_reads_an_overflowing_column_as_unobserved():
+    huge, rest = _with_and_without_the_huge_column()
+    model = nb_train(huge)
+    assert np.isnan(model.means[:, 0]).all()
+    assert model.variances[:, 0].tolist() == [1e-6, 1e-6]
+    assert nb_score_dataset(model, huge).tolist() \
+        == nb_score_dataset(nb_train(rest), rest).tolist()
+
+
+def test_nb_scores_a_row_whose_terms_overflow_by_the_finite_classes():
+    # x is observed for negatives only, so a huge x sends the negative
+    # log joint to -inf and leaves the positive one finite
+    ds = make_dataset(("x", "y"), [[None, 1], [None, 2], [8, 7], [9, 8]],
+                      labels=[True, True, False, False])
+    model = nb_train(ds)
+    probe = make_dataset(("x", "y"), [[1e200, 1], [1e200, 1e200], [8.5, 7]],
+                         labels=[True, True, False])
+    assert nb_score_dataset(model, probe)[:2].tolist() == [1.0, 0.0]
+    assert nb_score_dataset(model, probe)[2] < 0.5
+
+
 def test_nb_schema_mismatch(six_rows, eight_rows):
     model = nb_train(six_rows)
     with pytest.raises(TrainingError, match="attribute mismatch"):
@@ -107,8 +141,6 @@ def test_nb_dataset_scoring_matches_row_scoring(eight_rows):
         scores = nb_score_dataset(model, test)
         for i in range(len(test)):
             assert scores[i] == nb_score_dataset(model, test.subset([i]))[0]
-        assert nb_predict_dataset(model, test).tolist() \
-            == [s >= 0.5 for s in scores]
     assert np.isnan(test.values).any()
     assert hashlib.sha256(scores.tobytes()).hexdigest() == NB_SCORES_DIGEST
 
@@ -224,7 +256,7 @@ def test_lr_train_many_checks_every_set_in_input_order(five_rows_lr):
 
 def test_lr_learns_separable_data(five_rows_lr):
     model = lr_train(five_rows_lr)
-    assert lr_predict_dataset(model, five_rows_lr).tolist() \
+    assert (lr_score_dataset(model, five_rows_lr) >= 0.5).tolist() \
         == five_rows_lr.labels.tolist()
 
 
@@ -235,7 +267,7 @@ def test_lr_uninformative_features_fall_back_to_base_rate():
     probe = one_row(("a",), {"a": 3.0})
     assert lr_score_dataset(model, probe)[0] == pytest.approx(2.0 / 3.0,
                                                               abs=1e-3)
-    assert lr_predict_dataset(model, probe)[0]
+    assert lr_score_dataset(model, probe)[0] >= 0.5
 
 
 def test_lr_invariant_to_power_of_two_feature_scaling(five_rows_lr):
@@ -247,6 +279,19 @@ def test_lr_invariant_to_power_of_two_feature_scaling(five_rows_lr):
     for i in range(len(five_rows_lr)):
         assert lr_score_dataset(scaled, scaled_ds.subset([i]))[0] \
             == lr_score_dataset(base, five_rows_lr.subset([i]))[0]
+
+
+def test_lr_standardizes_an_overflowing_column_to_zeros():
+    huge, rest = _with_and_without_the_huge_column()
+    model, alone = lr_train(huge), lr_train(rest)
+    assert (model.weights[0], model.feature_means[0],
+            model.feature_stds[0]) == (0.0, 0.0, 1.0)
+    assert model.feature_means[1:].tolist() == alone.feature_means.tolist()
+    assert model.feature_stds[1:].tolist() == alone.feature_stds.tolist()
+    # the two designs differ in shape, so BLAS may sum in another order
+    assert model.weights[1:] == pytest.approx(alone.weights, abs=1e-12)
+    assert lr_score_dataset(model, huge) \
+        == pytest.approx(lr_score_dataset(alone, rest), abs=1e-12)
 
 
 def test_lr_missing_cells_standardize_to_zero(five_rows_lr):

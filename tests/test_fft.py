@@ -12,7 +12,7 @@ from frugal import fft, metrics, synth
 from frugal.dataset import Dataset, LabelRule, binarize
 from frugal.errors import DatasetError, TrainingError, UnsupportedScoreError
 from frugal.fft import (FFTree, Node, Range, build_tree, discretize, grow,
-                        predict_dataset, rank_for_popt, render, route_dataset,
+                        rank_for_popt, render, route_dataset, score_dataset,
                         score_range, tree_from_dict, tree_score, tree_to_dict)
 from frugal.metrics import DIS2HEAVEN, POPT
 
@@ -100,6 +100,13 @@ def test_infinite_medians_give_no_cut():
         for fn in (DIS2HEAVEN, POPT):
             for tree in grow(ds, depth=depth, fn=fn)[1]:
                 assert all(np.isfinite(n.range.cut) for n in tree.nodes)
+    # a (-inf, +inf) middle pair has a NaN mean, and no cut, without the
+    # invalid-value warning that the suite's filter would raise
+    pair = ds.subset([0, 1, 4, 5])
+    assert discretize(pair, "m") == []
+    for fn in (DIS2HEAVEN, POPT):
+        for tree in grow(pair, depth=2, fn=fn)[1]:
+            assert all(n.range.attribute == "n" for n in tree.nodes)
 
 
 def test_huge_finite_medians_halve_before_adding():
@@ -247,7 +254,7 @@ def test_single_class_data_yields_full_recall():
     ds = make_dataset(("c", "d"), [[7, 1], [7, 2], [7, 3], [7, 4]],
                       labels=[True, True, True, True])
     best, _ = grow(ds, depth=4, fn=DIS2HEAVEN)
-    preds = predict_dataset(best, ds)
+    preds = route_dataset(best, ds)[1]
     assert preds.all()                   # recall 1.0 on the training rows
     assert best.train_score == 0.0       # no negatives, so far defaults to 0
 
@@ -339,6 +346,28 @@ def _trie_data(seed, rows):
                    values=values, labels=raw.labels >= 3, effort=raw.effort)
 
 
+def _grown_like_the_oracle(train, fn):
+    """Every tree ``grow`` trains at depths 1-5, each checked node by node,
+    leaf and training score against the per-policy oracle build."""
+    rows = dataset_rows(train)
+    labels = train.labels.tolist()
+    efforts = train.effort.tolist()
+    trees = [tree for depth in range(1, 6)
+             for tree in grow(train, depth, fn)[1]]
+    for tree in trees:
+        want = oracles.build_tree_oracle(rows, labels, efforts, tree.policy,
+                                         fn.kind)
+        got_nodes = [{"attribute": n.range.attribute, "op": n.range.op,
+                      "cut": n.range.cut, "class": n.exit_class,
+                      "support": n.support} for n in tree.nodes]
+        assert got_nodes == want["nodes"], tree.policy_string
+        assert tree.leaf_class == want["leaf_class"]
+        assert tree.leaf_support == want["leaf_support"]
+        assert tree.train_score == oracles.tree_score_oracle(
+            want, rows, labels, efforts, fn.kind)
+    return trees
+
+
 def _searched_subset_without_positives(tree, data):
     """True when rows left after some node (and searched at the next
     level) include no positive."""
@@ -354,26 +383,23 @@ def _searched_subset_without_positives(tree, data):
 @pytest.mark.parametrize("seed, n_rows", [(3, 40), (5, 80), (7, 120)])
 def test_grow_shared_search_matches_per_policy_builds(seed, n_rows, fn):
     train = _trie_data(seed, n_rows)
-    rows = dataset_rows(train)
-    labels = train.labels.tolist()
-    efforts = train.effort.tolist()
-    assert np.isnan(train.values).any() and 0 < sum(labels) < n_rows
-    saw_no_positives = False
-    for depth in range(1, 6):
-        _, trees = grow(train, depth, fn)
-        for tree in trees:
-            want = oracles.build_tree_oracle(rows, labels, efforts,
-                                             tree.policy, fn.kind)
-            got_nodes = [{"attribute": n.range.attribute, "op": n.range.op,
-                          "cut": n.range.cut, "class": n.exit_class,
-                          "support": n.support} for n in tree.nodes]
-            assert got_nodes == want["nodes"], tree.policy_string
-            assert tree.leaf_class == want["leaf_class"]
-            assert tree.leaf_support == want["leaf_support"]
-            assert tree.train_score == oracles.tree_score_oracle(
-                want, rows, labels, efforts, fn.kind)
-            saw_no_positives |= _searched_subset_without_positives(tree, train)
-    assert saw_no_positives
+    assert np.isnan(train.values).any() and 0 < train.labels.sum() < n_rows
+    trees = _grown_like_the_oracle(train, fn)
+    assert any(_searched_subset_without_positives(t, train) for t in trees)
+
+
+@pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
+@pytest.mark.parametrize("seed", range(10))
+def test_grow_matches_the_oracle_on_infinite_cells(seed, fn):
+    rng = np.random.default_rng(seed)
+    n_rows = 16
+    cells = np.array([-np.inf, np.inf, np.nan, 1.0, 2.0, 3.0])
+    values = rng.choice(cells, size=(n_rows, 3))
+    values[:, 2] = np.where(rng.random(n_rows) < 0.5, -np.inf, np.inf)
+    train = Dataset(name="inf", version="1", attributes=("p", "q", "r"),
+                    values=values, labels=rng.random(n_rows) < 0.4,
+                    effort=rng.integers(1, 5, n_rows).astype(float))
+    _grown_like_the_oracle(train, fn)
 
 
 def _tied_data(seed, rows):
@@ -705,7 +731,7 @@ def test_route_treats_missing_as_no_match(eight_rows):
     all_missing = one_row(eight_rows.attributes,
                           {"x": None, "y": float("nan"), "z": None})
     assert _exit(tree, all_missing)[:2] == (len(tree.nodes), tree.leaf_class)
-    assert predict_dataset(tree, all_missing).tolist() == [tree.leaf_class]
+    assert route_dataset(tree, all_missing)[1].tolist() == [tree.leaf_class]
 
 
 @pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
@@ -723,7 +749,8 @@ def test_routing_matches_oracle_row_by_row(eight_rows, fn):
             assert (exit_idx[i], classes[i]) == (want_idx, want_cls)
             assert _exit(tree, eight_rows.subset([i]))[:2] \
                 == (want_idx, want_cls)
-        assert predict_dataset(tree, eight_rows).tolist() == classes.tolist()
+        assert (score_dataset(tree, eight_rows) >= 0.5).tolist() \
+            == classes.tolist()
 
 
 # ----------------------------------------------------------- rank_for_popt
@@ -784,6 +811,44 @@ def test_rank_for_popt_matches_the_order_oracle(seed):
     for tree in trees:
         for ds in (data, unequal):
             assert rank_for_popt(tree, ds).tolist() == _oracle_order(tree, ds)
+
+
+@st.composite
+def _tree_and_data(draw):
+    """A small dataset with missing and infinite cells, and a tree on its
+    attributes: one ``grow`` trains on it, or one ``tree_from_dict``
+    loads, with from zero nodes to a full policy."""
+    n = draw(st.integers(2, 10))
+    cell = st.sampled_from([np.nan, -np.inf, np.inf, 0.0, 1.0, 2.0, 3.0])
+    data = make_dataset(
+        ("a", "b"), [[draw(cell), draw(cell)] for _ in range(n)],
+        labels=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        effort=draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    depth = draw(st.integers(1, 4))
+    bits = draw(st.lists(st.booleans(), min_size=depth, max_size=depth))
+    if draw(st.booleans()):
+        trees = grow(data, depth, draw(st.sampled_from([DIS2HEAVEN, POPT])))[1]
+        return trees[draw(st.integers(0, len(trees) - 1))], data
+    k = draw(st.integers(0, depth))
+    nodes = [{"attribute": draw(st.sampled_from(["a", "b"])),
+              "op": draw(st.sampled_from(["<=", ">"])),
+              "cut": float(draw(st.integers(-1, 4))), "class": bit,
+              "support": 0} for bit in bits[:k]]
+    policy = "".join("1" if bit else "0" for bit in (*bits, not bits[-1]))
+    payload = {"depth": depth, "policy": policy, "nodes": nodes,
+               "final_leaf": {"class": not (bits[k - 1] if k else bits[0]),
+                              "support": 0}}
+    return tree_from_dict(payload), data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_and_data())
+def test_scores_threshold_to_the_routed_class_and_rank_like_the_oracle(case):
+    tree, data = case
+    scores = score_dataset(tree, data)
+    assert ((scores >= 0.5) == route_dataset(tree, data)[1]).all()
+    assert ((0.0 <= scores) & (scores <= 1.0)).all()
+    assert rank_for_popt(tree, data).tolist() == _oracle_order(tree, data)
 
 
 def test_rank_for_popt_needs_effort(six_rows):

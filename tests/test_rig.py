@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frugal import rig as rig_module, synth
-from frugal.baselines import LogisticModel, NBModel
+from frugal.baselines import LogisticModel, NBModel, lr_score_dataset
 from frugal.dataset import LabelRule, binarize
 from frugal.errors import (ConfigError, TrainingError, UnsupportedScoreError)
-from frugal.fft import FFTree
+from frugal.fft import FFTree, grow
 from frugal.metrics import DIS2HEAVEN, POPT
 from frugal.rig import (MAX_REPEATS, ComparisonRow, EvalResult, RigConfig,
                         attribute_set_deltas,
@@ -224,6 +224,37 @@ def test_evaluate_flags_one_class_d2h_cells(six_rows):
                         DIS2HEAVEN)[1] is True
 
 
+@pytest.mark.parametrize("seed", [3, 7])
+def test_evaluate_equals_the_per_learner_oracle(seed):
+    raw = synth.make_corpus(names=("ant",), seed=seed, versions=2, rows=80)
+    train, test = [binarize(v, LabelRule.bug_counts()) for v in raw["ant"]]
+    positives = np.flatnonzero(test.labels)
+    negatives = np.flatnonzero(~test.labels)
+    tests = [test, test.subset(positives), test.subset(negatives),
+             test.subset(np.arange(0, len(test), 3))]
+    assert len(positives) and len(negatives)
+    # twelve rows run out within a few levels, so some trees are cut short
+    models = [tree for fn in (DIS2HEAVEN, POPT)
+              for data in (train, train.subset(range(12)))
+              for tree in grow(data, 4, fn)[1]]
+    assert any(t.truncated for t in models)
+    models += [FFTree(policy=(bit,), nodes=(), leaf_class=not bit,
+                      leaf_support=0) for bit in (False, True)]
+    models += [fit_learner(name, train, DIS2HEAVEN) for name in ("nb", "sl")]
+    # constant columns and balanced labels leave weights and bias at 0, so
+    # every row scores exactly 0.5, which predicts true
+    flat = replace(train.subset([0, 1]),
+                   values=np.ones((2, len(train.attributes))),
+                   labels=np.array([True, False]))
+    models.append(fit_learner("sl", flat, DIS2HEAVEN))
+    assert (lr_score_dataset(models[-1], test) == 0.5).all()
+    for model in models:
+        for data in tests:
+            for fn in (DIS2HEAVEN, POPT):
+                assert evaluate(model, data, fn) \
+                    == oracles.evaluate_oracle(model, data, fn.kind)
+
+
 # --------------------------------------------------------------------- run
 
 def test_run_version_mode_result_grid(corpus):
@@ -321,8 +352,7 @@ def test_run_fits_score_blind_learners_once_per_cell(corpus, monkeypatch):
 def test_run_reaches_the_model_functions_by_their_module_names(corpus,
                                                               monkeypatch):
     # A tracer rebinds these names; the rig must look them up per call.
-    names = ("predict_dataset", "rank_for_popt", "nb_predict_dataset",
-             "nb_score_dataset", "lr_predict_dataset", "lr_score_dataset")
+    names = ("score_dataset", "nb_score_dataset", "lr_score_dataset")
     calls = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, _name=name, _fn=getattr(rig_module, name)):
@@ -332,8 +362,8 @@ def test_run_reaches_the_model_functions_by_their_module_names(corpus,
     config = RigConfig(scores=("d2h", "popt"),
                        attribute_sets=("full", "top25"))
     run({"ant": corpus["ant"]}, config)
-    # 2 cells x 1 evaluation per (learner, score)
-    assert calls == dict.fromkeys(names, 2)
+    # 2 cells x 2 scores: one scoring per evaluation
+    assert calls == dict.fromkeys(names, 4)
 
 
 def test_run_reports_a_failing_shared_fit_under_the_first_score():
@@ -380,6 +410,23 @@ def test_run_requires_binary_labels(corpus):
         with pytest.raises(TrainingError, match="binarized"):
             run({"p": versions}, RigConfig(learners=("fft",),
                                            scores=("d2h",)))
+
+
+def test_run_scores_a_column_of_huge_finite_values_without_warnings():
+    # under the suite's RuntimeWarning-as-error filter, an overflow in any
+    # learner's fit or scoring would raise
+    rng = np.random.default_rng(5)
+    versions = []
+    for v in (1, 2):
+        big = rng.uniform(1e308, 1.7e308, 12)
+        small = rng.integers(0, 9, 12)
+        versions.append(make_dataset(
+            ("big", "small"), np.column_stack([big, small]).tolist(),
+            labels=(small > 4).tolist(), effort=rng.integers(1, 9, 12),
+            name="p", version=str(v)))
+    result = run({"p": versions}, RigConfig())
+    assert len(result.results) == 6
+    assert all(0.0 <= r.value <= 1.0 for r in result.results)
 
 
 def test_run_rejects_empty_project():

@@ -28,6 +28,7 @@ import numpy as np
 
 from frugal import rig, synth
 from frugal.dataset import LabelRule, binarize, load_csv
+from frugal.errors import FrugalError
 from frugal.metrics import score_function
 
 PUBLIC_PROJECTS = ("camel", "ivy", "jedit", "log4j", "lucene",
@@ -120,7 +121,14 @@ def main(argv=None) -> int:
     ap.add_argument("--rows", type=int, default=90,
                     help="synthetic rows in the oldest release")
     args = ap.parse_args(argv)
+    try:
+        return experiment(args)
+    except (FrugalError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)    # OSError: unwritable reports
 
+
+def experiment(args) -> int:
     if args.synthetic:
         projects = synthetic_projects(args.seed, args.rows)
         print(f"synthetic corpus: {len(projects)} projects, seed {args.seed}")

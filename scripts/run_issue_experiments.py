@@ -22,6 +22,7 @@ import numpy as np
 from frugal import rig, synth
 from frugal.cli import parse_rule
 from frugal.dataset import binarize, load_csv
+from frugal.errors import FrugalError
 
 THRESHOLDS = (">365", "<180", "<90", "<30", "<14", "<7", "<1")
 
@@ -76,7 +77,14 @@ def main(argv=None) -> int:
     ap.add_argument("--rows", type=int, default=400,
                     help="synthetic table size when no --csv is given")
     args = ap.parse_args(argv)
+    try:
+        return experiment(args)
+    except (FrugalError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)    # OSError: unwritable reports
 
+
+def experiment(args) -> int:
     if args.csv:
         raw = load_csv(args.csv, label_column=args.label)
         print(f"loaded {raw.name}: {len(raw)} issues")

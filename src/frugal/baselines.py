@@ -221,8 +221,9 @@ def lr_train(train: Dataset) -> LogisticModel:
 def lr_score_dataset(model: LogisticModel, data: Dataset) -> np.ndarray:
     """P(positive) for each row; missing cells standardize to 0."""
     _check_schema(model.attributes, data)
-    X = _scaled(data.values, model.feature_means, model.feature_stds)
-    return _sigmoid(X @ model.weights + model.bias)
+    with np.errstate(over="ignore"):    # a logit past the range is +-inf
+        X = _scaled(data.values, model.feature_means, model.feature_stds)
+        return _sigmoid(X @ model.weights + model.bias)
 
 
 def _check_trainable(train: Dataset):

@@ -169,11 +169,22 @@ def _parse_column(cells, n: int) -> np.ndarray | None:
             return None
 
 
-def _csv_rows(fh, path):
+def _csv_rows(reader, path):
     try:
-        yield from csv.reader(fh)
+        yield from reader
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc
+
+
+def _first_lines(records, start: int) -> list[int]:
+    """The line each record starts on, the first on ``start``: a record
+    spans one line plus one per line break in its quoted cells."""
+    lines = []
+    for cells in records:
+        lines.append(start)
+        start += 1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n")
+                         for c in cells)
+    return lines
 
 
 def _check_rows(rows, lines, path, header, numeric: list[int],
@@ -209,27 +220,30 @@ def _check_rows(rows, lines, path, header, numeric: list[int],
 
 def _parse_rows(reader, path, header, numeric: list[int],
                 effort_idx: int | None) -> np.ndarray:
-    """Parse the data rows a chunk at a time, column by column, into a
-    (rows, len(numeric)) float table.  Blank rows are skipped.  A chunk that
-    breaks a rule (a read error, a ragged row, a bad cell, an effort not > 0)
-    is checked again row by row, which raises the first error.  The first infinite cell in the file is
-    raised only when every chunk passes.
-    """
+    """Parse the rows of a csv reader past the header a chunk at a time,
+    column by column, into a (rows, len(numeric)) float table.  Blank rows
+    are skipped.  A chunk that breaks a rule (a read error, a ragged row, a
+    bad cell, an effort not > 0) is checked again row by row, which raises
+    the first error.  The first infinite cell is raised when all pass."""
+    records = _csv_rows(reader, path)
     blocks = [np.empty((0, len(numeric)))]
     first_inf = None
-    start = 2    # the line of the next chunk's first row
     rejected = f"{path}: the chunk parse rejected rows the row check accepts"
     while True:
+        start = reader.line_num + 1    # the line of the chunk's first row
         chunk, read_error = [], None
         try:
-            chunk.extend(islice(reader, _CHUNK_ROWS))
+            chunk.extend(islice(records, _CHUNK_ROWS))
         except DatasetError as exc:    # the rows read before it come first
             read_error = exc
+        # each record is one line unless the chunk spans more lines
+        firsts = (range(start, start + len(chunk))
+                  if reader.line_num - start < len(chunk)
+                  else _first_lines(chunk, start))
         rows = [cells for cells in chunk if any(map(str.strip, cells))]
-        lines = (range(start, start + len(chunk)) if len(rows) == len(chunk)
-                 else [line for line, cells in enumerate(chunk, start)
+        lines = (firsts if len(rows) == len(chunk)
+                 else [line for line, cells in zip(firsts, chunk)
                        if any(map(str.strip, cells))])
-        start += len(chunk)
         if read_error or set(map(len, rows)) - {len(header)}:
             _check_rows(rows, lines, path, header, numeric, effort_idx)
             raise read_error or RuntimeError(rejected)
@@ -284,9 +298,9 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = _csv_rows(fh, path)
+        reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(_csv_rows(reader, path))]
         except StopIteration:
             raise DatasetError(f"{path}: empty file, no header row")
         for needed in (label_column, effort_column):

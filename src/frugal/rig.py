@@ -2,11 +2,11 @@
 the tree, naive-bayes, and logistic learners.
 
 A learner is its fitted model.  Only ``fft`` reads the score, so a cell
-fits ``nb`` and ``sl`` once and grows ``fft`` once per score.  A project
-runs in three phases: plan its cells, fit their models (every ``sl`` fit
-of the project in one batched call), then evaluate them.  Model
-functions are called through their module-level names, so rebinding one
-(as a tracer does) reaches the rig too.
+fits ``nb`` and ``sl`` once and grows ``fft`` once per score.  A run
+has three phases over all its projects: plan every cell, fit every model
+(all the run's ``sl`` fits in one batched call), then evaluate them in
+plan order.  Model functions are called through their module-level
+names, so rebinding one (as a tracer does) reaches the rig too.
 
 Results are plain dataclasses; every ``EvalResult`` field is a report
 column, and the report writers emit byte-identical files for identical
@@ -41,8 +41,8 @@ from .metrics import (Confusion, ScoreFunction, dis2heaven,
 
 LEARNERS = ("fft", "nb", "sl")
 ATTRIBUTE_SETS = ("full", "top25")
-# A cv plan builds repeats x bins index arrays, and a project's sl fits
-# stack that many designs.
+# A cv plan builds repeats x bins index arrays per project, and the run's
+# sl fits stack that many designs per project.
 MAX_REPEATS = 100
 
 
@@ -226,13 +226,6 @@ def evaluate(model: FFTree | NBModel | LogisticModel, test: Dataset,
     return dis2heaven(c), bool(test.labels.all() or not test.labels.any())
 
 
-def _splits_for(versions: list[Dataset], config: RigConfig) -> list[Split]:
-    if config.mode == "version":
-        return [version_split(versions)]
-    return cross_val_splits(merge(versions), config.bins, config.repeats,
-                            config.seed)
-
-
 @contextmanager
 def _cell_errors(prefix: str):
     """Re-raise a FrugalError with the cell's ``[project/learner/score/
@@ -243,82 +236,72 @@ def _cell_errors(prefix: str):
         raise type(exc)(f"[{prefix}] {exc}") from exc
 
 
-def _run_project(pname: str, splits: list[Split],
-                 config: RigConfig) -> list[EvalResult]:
-    """One project's results in three phases: plan its cells, fit every
-    model they need, then evaluate every model in the order of the plan.
-    Each ``sl`` set is checked where it is planned, under its cell's
-    prefix; the fits then run as one batched call."""
-    cells = [(split.label, attr_set,
-              split if attr_set == "full"
-              else top_changed_split(split, config.top_fraction))
-             for split in splits for attr_set in config.attribute_sets]
-    fns = [score_function(kind) for kind in config.scores]
-    plan = [(c, learner, fn) for c in range(len(cells)) for fn in fns
-            for learner in config.learners]
-
-    def key(c, learner, fn):
-        return c, learner, fn.kind if learner == "fft" else ""
-
-    def prefix(c, learner, fn):
-        label, attr_set, _ = cells[c]
-        return f"{pname}/{learner}/{fn.kind}/{attr_set}/{label}"
-
-    models: dict[tuple[int, str, str], object] = {}
-    sl_keys = []
-    for c, learner, fn in plan:
-        k = key(c, learner, fn)
-        if k in models:
-            continue
-        train = cells[c][2].train
-        with _cell_errors(prefix(c, learner, fn)):
-            if learner == "sl":
-                lr_targets(train)
-                sl_keys.append(k)
-                models[k] = None
-            else:
-                models[k] = fit_learner(learner, train, fn, config.depth)
-    models.update(zip(sl_keys, lr_train_many([cells[c][2].train
-                                              for c, _, _ in sl_keys])))
-
-    results = []
-    for c, learner, fn in plan:
-        label, attr_set, cell = cells[c]
-        model = models[key(c, learner, fn)]
-        with _cell_errors(prefix(c, learner, fn)):
-            value, degenerate = evaluate(model, cell.test, fn)
-        tree = isinstance(model, FFTree)
-        results.append(EvalResult(
-            project=pname, learner=learner, score=fn.kind,
-            attribute_set=attr_set, split=label,
-            n_train=len(cell.train), n_test=len(cell.test),
-            value=value, degenerate=degenerate,
-            policy=model.policy_string if tree else "",
-            n_nodes=len(model.nodes) if tree else 0))
-    return results
-
-
 def run(projects: dict[str, list[Dataset]],
         config: RigConfig = RigConfig()) -> RigResult:
     """Evaluate every learner x score x attribute set on every project.
 
     ``projects`` maps a project name to its version-ordered datasets;
-    labels must already be binary.  Projects run one at a time, so only
-    one project's models are held at once.
+    labels must already be binary.  The run plans every project's cells,
+    fits every model they need (each ``sl`` set checked under its cell's
+    prefix, then all of them in one batched call), and evaluates the
+    models in plan order.  So a plan error in any project is raised
+    before a fit error, and a fit error before an evaluation error.
     """
-    results: list[EvalResult] = []
+    cells = []
     fingerprints: dict[str, str] = {}
     for pname in sorted(projects):
         versions = list(projects[pname])
         if not versions:
             raise ConfigError(f"{pname}: no datasets given")
-        for v in versions:
-            if not v.binary:
-                raise TrainingError(
-                    f"{pname}: labels must be binarized before the rig runs")
-        splits = _splits_for(versions, config)
+        if not all(v.binary for v in versions):
+            raise TrainingError(
+                f"{pname}: labels must be binarized before the rig runs")
+        splits = ([version_split(versions)] if config.mode == "version"
+                  else cross_val_splits(merge(versions), config.bins,
+                                        config.repeats, config.seed))
         fingerprints[pname] = plan_fingerprint(splits)
-        results.extend(_run_project(pname, splits, config))
+        cells += [(pname, attr_set,
+                   split if attr_set == "full"
+                   else top_changed_split(split, config.top_fraction))
+                  for split in splits for attr_set in config.attribute_sets]
+    fns = [score_function(kind) for kind in config.scores]
+    # (cell, learner, score, model key); only fft's key holds the score
+    plan = [(c, learner, fn, (c, learner, fn.kind if learner == "fft" else ""))
+            for c in range(len(cells)) for fn in fns
+            for learner in config.learners]
+
+    def prefix(c, learner, fn):
+        pname, attr_set, split = cells[c]
+        return f"{pname}/{learner}/{fn.kind}/{attr_set}/{split.label}"
+
+    models = {}
+    for c, learner, fn, k in plan:
+        if k in models:
+            continue
+        train = cells[c][2].train
+        with _cell_errors(prefix(c, learner, fn)):
+            if learner == "sl":     # fitted with the run's other sl sets
+                lr_targets(train)
+                models[k] = train
+            else:
+                models[k] = fit_learner(learner, train, fn, config.depth)
+    sl_keys = [k for k in models if k[1] == "sl"]
+    models.update(zip(sl_keys, lr_train_many([models[k] for k in sl_keys])))
+
+    results = []
+    for c, learner, fn, k in plan:
+        pname, attr_set, cell = cells[c]
+        model = models[k]
+        with _cell_errors(prefix(c, learner, fn)):
+            value, degenerate = evaluate(model, cell.test, fn)
+        tree = isinstance(model, FFTree)
+        results.append(EvalResult(
+            project=pname, learner=learner, score=fn.kind,
+            attribute_set=attr_set, split=cell.label,
+            n_train=len(cell.train), n_test=len(cell.test),
+            value=value, degenerate=degenerate,
+            policy=model.policy_string if tree else "",
+            n_nodes=len(model.nodes) if tree else 0))
     return RigResult(config=config, results=results, fingerprints=fingerprints)
 
 

@@ -493,9 +493,9 @@ def _parse_cell_oracle(text: str, path, line_no: int, column: str) -> float:
             f"cell {text!r} is neither numeric nor a missing marker")
 
 
-def _csv_rows_oracle(fh, path):
+def _csv_rows_oracle(reader, path):
     try:
-        yield from csv.reader(fh)
+        yield from reader
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc
 
@@ -516,7 +516,8 @@ def load_csv_oracle(path, label_column: str,
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = _csv_rows_oracle(fh, path)
+        csv_reader = csv.reader(fh)
+        reader = _csv_rows_oracle(csv_reader, path)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -534,11 +535,15 @@ def load_csv_oracle(path, label_column: str,
             dupes = sorted({a for a in attributes if attributes.count(a) > 1})
             raise DatasetError(f"{path}: duplicate attribute columns {dupes}")
 
-        rows, labels, efforts, blank_lines = [], [], [], []
-        for line_no, cells in enumerate(reader, start=2):
+        # a row's line is the one it starts on; a quoted cell can hold
+        # line breaks, so rows and lines need not count alike
+        rows, labels, efforts, row_lines = [], [], [], []
+        next_line = csv_reader.line_num + 1
+        for cells in reader:
+            line_no, next_line = next_line, csv_reader.line_num + 1
             if not cells or all(c.strip() == "" for c in cells):
-                blank_lines.append(line_no)
                 continue
+            row_lines.append(line_no)
             if len(cells) != len(header):
                 raise DatasetError(
                     f"{path}: line {line_no} has {len(cells)} cells, "
@@ -572,11 +577,8 @@ def load_csv_oracle(path, label_column: str,
         in_file_order = sorted(parsed)
         table = np.column_stack([parsed[j] for j in in_file_order])
         i, k = divmod(int(np.flatnonzero(np.isinf(table))[0]), table.shape[1])
-        line_no = i + 2
-        for blank in blank_lines:   # each skipped line before row i shifts it
-            line_no += blank <= line_no
         raise DatasetError(
-            f"{path}: line {line_no}, column "
+            f"{path}: line {row_lines[i]}, column "
             f"{header[in_file_order[k]]!r}: cell value "
             f"{float(table[i, k])!r} is not finite")
     return Dataset(

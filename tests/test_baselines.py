@@ -294,6 +294,21 @@ def test_lr_standardizes_an_overflowing_column_to_zeros():
         == pytest.approx(lr_score_dataset(alone, rest), abs=1e-12)
 
 
+def test_lr_scores_a_logit_past_the_float_range_as_certain():
+    # under the suite's RuntimeWarning-as-error filter, an overflow raises
+    model = lr_train(make_dataset(("x",), [[1], [2], [8], [9]],
+                                  labels=[True, True, False, False]))
+    assert model.weights[0] < 0
+    rows = [[1], [2], [8], [9], [1e308], [1.7e308], [-1.7e308]]
+    scores = lr_score_dataset(model, make_dataset(("x",), rows,
+                                                  labels=[True] * 7))
+    assert scores[4:].tolist() == [0.0, 0.0, 1.0]
+    alone = lr_score_dataset(model, make_dataset(("x",), rows[:4],
+                                                 labels=[True] * 4))
+    assert scores[:4].tolist() == alone.tolist()
+    assert 0.0 < alone.min() and alone.max() < 1.0
+
+
 def test_lr_missing_cells_standardize_to_zero(five_rows_lr):
     model = lr_train(five_rows_lr)
     # a fully missing row sits at the feature means: probability sigmoid(bias)

@@ -600,22 +600,6 @@ def test_eval_model_rejects_depth(project_dir, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["nodes"] == 1
 
 
-def test_fit_splits_a_column_of_huge_finite_values(tmp_path, capsys):
-    path = tmp_path / "huge.csv"
-    path.write_text("big,bug\n1e308,1\n1.2e308,1\n1.5e308,0\n1.7e308,0\n")
-    assert main(["fit", str(path), "--depth", "1"]) == 0
-    out, err = capsys.readouterr()
-    assert err == "" and "if big > 1.35e+308 then false" in out
-
-
-def test_fit_rejects_an_effort_total_that_overflows(tmp_path, capsys):
-    path = tmp_path / "huge.csv"
-    path.write_text("wmc,loc,bug\n1,1e308,1\n2,1e308,0\n3,5,1\n")
-    assert main(["fit", str(path), "--score", "popt", "--effort", "loc"]) == 2
-    assert capsys.readouterr().err == ("error: huge: effort total overflows; "
-                                       "rescale the effort column\n")
-
-
 @pytest.mark.parametrize("flags, code, named", [
     (["{csv}", "--model", "{model}"], 5, "--model"),
     (["--model", "{model}", "--top-changed", "0.5"], 5, "--top-changed"),

@@ -222,9 +222,11 @@ def _assert_same_load(new, old):
         assert new.effort.tobytes() == old.effort.tobytes()
 
 
-_EFFORTS = [b"7", b"2.5e-3", b"1E5", b" 3 ", b"1_0", b"+.5", b'" 4 "']
+# quoted cells may span lines, so a row can start a line past its count
+_EFFORTS = [b"7", b"2.5e-3", b"1E5", b" 3 ", b"1_0", b"+.5", b'" 4 "',
+            b'"5\n"', b'"\r\n6"']
 _NUMBERS = _EFFORTS + [b"-1", b"0", b"nan", b"NaN", b"-nan"]
-_MISSING_CELLS = [b"?", b" ? ", b"", b"  ", b"\t"]
+_MISSING_CELLS = [b"?", b" ? ", b"", b"  ", b"\t", b'" \n "']
 _INFINITE = [b"inf", b"-Infinity", b"1e999"]
 _BAD_CELLS = [b"x", b"1.2.3", b"1__0", b'"1,5"', b'"a,b"', b"\xff"]
 
@@ -318,6 +320,35 @@ def _pipe(text: str) -> int:
     with os.fdopen(write_end, "w") as fh:
         fh.write(text)
     return read_end
+
+
+# A quoted cell spans lines 2-3, so the bad row is the third record but
+# starts on line 5.
+_MULTILINE = 'wmc,loc,bug\n"1\n",5,0\n2,5,1\n'
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("chunk_rows", [2, dataset._CHUNK_ROWS])
+@pytest.mark.parametrize("bad, message", [
+    ("7,5,x\n", r": line 5, column 'bug': cell 'x' is neither"),
+    ("7,5\n", r": line 5 has 2 cells, header has 3"),
+    ("7,inf,0\n", r": line 5, column 'loc': cell value inf is not finite"),
+], ids=["bad cell", "ragged row", "infinite cell"])
+def test_load_csv_error_lines_count_lines_not_rows(tmp_path, monkeypatch,
+                                                   chunk_rows, bad, message):
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "multiline.csv"
+    path.write_text(_MULTILINE + bad + "8,5,0\n")
+    new, old = _load_both(path, "loc")
+    assert new == old
+    assert re.search(message, new)
+    pipe = _pipe(_MULTILINE + bad + "8,5,0\n")
+    try:
+        with pytest.raises(DatasetError, match=message):
+            load_csv(f"/dev/fd/{pipe}", label_column="bug",
+                     effort_column="loc")
+    finally:
+        os.close(pipe)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

@@ -335,7 +335,7 @@ def test_run_fits_score_blind_learners_once_per_cell(corpus, monkeypatch):
                        attribute_sets=("full", "top25"))
     result = run({"ant": corpus["ant"]}, config)
     # 1 split x 2 attribute sets = 2 cells; fft is grown once per score,
-    # and one batched call per project fits each cell's training set once
+    # and the run's one batched call fits each cell's training set once
     assert calls == {"grow": 4, "nb_train": 2}
     train = rig_module.version_split(corpus["ant"]).train
     assert len(batches) == 1 and len(batches[0]) == 2
@@ -347,6 +347,57 @@ def test_run_fits_score_blind_learners_once_per_cell(corpus, monkeypatch):
             for r in result.results] == [
         (a, s, l) for a in ("full", "top25")
         for s in ("dis2heaven", "popt") for l in ("fft", "nb", "sl")]
+
+
+def test_run_fits_every_sl_set_of_the_run_in_one_batch(corpus,
+                                                       monkeypatch):
+    batches = []
+
+    def batched(trains, _fn=rig_module.lr_train_many):
+        batches.append(trains)
+        return _fn(trains)
+    monkeypatch.setattr(rig_module, "lr_train_many", batched)
+    config = RigConfig(attribute_sets=("full", "top25"))
+    whole = run(corpus, config)
+    planned = []
+    for name in sorted(corpus):
+        split = rig_module.version_split(corpus[name])
+        planned += [split, rig_module.top_changed_split(split, 0.25)]
+    # the four projects' same-shaped designs share one call, in plan order
+    assert len(batches) == 1
+    assert [(t.name, t.attributes) for t in batches[0]] \
+        == [(s.train.name, s.train.attributes) for s in planned]
+    assert all(np.array_equal(t.values, s.train.values, equal_nan=True)
+               for t, s in zip(batches[0], planned))
+    alone = [run({name: corpus[name]}, config) for name in sorted(corpus)]
+    assert len(batches) == 1 + len(corpus)
+    assert whole.results == [r for one in alone for r in one.results]
+    assert list(whole.fingerprints.items()) \
+        == [item for one in alone for item in one.fingerprints.items()]
+
+
+def test_run_raises_a_later_plan_error_before_an_earlier_fit_error():
+    rng = np.random.default_rng(3)
+
+    def versions(name, n, labels):
+        return [make_dataset(("m", "n", "o", "p"),
+                             rng.integers(0, 9, (8, 4)).tolist(),
+                             labels=labels(v), name=name, version=str(v),
+                             effort=rng.integers(1, 9, 8))
+                for v in range(1, n + 1)]
+    # a's sl training rows are all positive (a fit-phase error); b has two
+    # versions, too few for top25 (a plan-phase error)
+    projects = {"a": versions("a", 3, lambda v: [v < 3 or i % 2
+                                                 for i in range(8)]),
+                "b": versions("b", 2, lambda v: [i % 2 for i in range(8)])}
+    config = RigConfig(learners=("sl",), attribute_sets=("full", "top25"))
+    with pytest.raises(TrainingError,
+                       match=r"^\[a/sl/dis2heaven/full/version:3\] a: "
+                             r".*both classes"):
+        run({"a": projects["a"]}, config)
+    with pytest.raises(ConfigError, match=r"^b: top-changed attribute "
+                                          r"filtering needs at least two"):
+        run(projects, config)
 
 
 def test_run_reaches_the_model_functions_by_their_module_names(corpus,

@@ -1,7 +1,10 @@
 """Smoke tests for the experiment scripts: each ``main()`` runs to exit 0
-on a small seeded input and writes its report files.  Also checks that
-every function the benchmark's tracer wraps still exists."""
+on a small seeded input and writes its report files, and ends a bad run
+with one error line and its exit code.  Also checks that every function
+the benchmark's tracer wraps still exists, and that no test module defines
+a name twice."""
 
+import ast
 import importlib
 import importlib.util
 import runpy
@@ -34,6 +37,53 @@ def test_script_main_writes_reports(tmp_path, name, argv):
     assert report_dirs
     for folder in report_dirs:
         assert {p.name for p in folder.iterdir()} == REPORTS
+
+
+@pytest.mark.parametrize("name, argv, named", [
+    ("run_defect_experiments", ["--synthetic", "--rows", "30", "--learners",
+                                "fft,xx"], "unknown learner 'xx'"),
+    ("run_issue_experiments", ["--rows", "120", "--depth", "0"], "depth"),
+])
+def test_script_main_reports_a_config_error_in_one_line(tmp_path, capsys,
+                                                        name, argv, named):
+    out_dir = tmp_path / "reports"
+    assert _load(name).main(argv + ["--out-dir", str(out_dir)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert len(err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
+def test_script_main_reports_an_unwritable_out_dir_in_one_line(tmp_path,
+                                                              capsys):
+    taken = tmp_path / "reports"
+    taken.write_text("")
+    assert _load("run_defect_experiments").main(
+        ["--synthetic", "--rows", "30", "--out-dir", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_no_test_module_defines_a_name_twice():
+    # a second def of a test name replaces the first, which then never runs
+    repeated = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        seen = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            repeated += [f"{path.name}:{node.lineno} {n}" for n in names
+                         if n in seen]
+            seen.update(names)
+    assert repeated == []
 
 
 def test_every_traced_name_resolves():

@@ -129,6 +129,11 @@ def main(argv=None) -> int:
 
 
 def experiment(args) -> int:
+    learners = tuple(part.strip() for part in args.learners.split(",")
+                     if part.strip())
+    config = rig.RigConfig(learners=learners, scores=("d2h", "popt"),
+                           attribute_sets=("full", "top25"),
+                           depth=args.depth, mode="version")
     if args.synthetic:
         projects = synthetic_projects(args.seed, args.rows)
         print(f"synthetic corpus: {len(projects)} projects, seed {args.seed}")
@@ -144,11 +149,6 @@ def experiment(args) -> int:
             sizes = "+".join(str(len(v)) for v in versions)
             print(f"  {name}: {len(versions)} releases ({sizes} rows)")
 
-    learners = tuple(part.strip() for part in args.learners.split(",")
-                     if part.strip())
-    config = rig.RigConfig(learners=learners, scores=("d2h", "popt"),
-                           attribute_sets=("full", "top25"),
-                           depth=args.depth, mode="version")
     result = rig.run(projects, config)
     paths = rig.write_reports(result, args.out_dir)
 

@@ -31,24 +31,20 @@ def _slug(rule_text: str) -> str:
     return rule_text.replace(">", "gt").replace("<", "lt").replace(".", "p")
 
 
-def run_threshold(raw, rule_text, args):
-    """One 5x10 CV run; returns (median per learner, verdict per learner)
-    or None when a class is too thin to stratify."""
+def run_threshold(raw, rule_text, config, out_dir):
+    """One repeated CV run; returns the median per learner, or None when a
+    class is too thin to stratify."""
     data = binarize(raw, parse_rule(rule_text))
     positives = int(data.labels.sum())
     minority = min(positives, len(data) - positives)
-    if minority < args.bins:
+    if minority < config.bins:
         print(f"{rule_text:>5}: skipped ({positives} positive rows of "
-              f"{len(data)}; need >= {args.bins} per class)")
+              f"{len(data)}; need >= {config.bins} per class)")
         return None
-    learners = tuple(part.strip() for part in args.learners.split(",")
-                     if part.strip())
-    config = rig.RigConfig(learners=learners, scores=("d2h",),
-                           depth=args.depth, mode="cv", bins=args.bins,
-                           repeats=args.repeats, seed=args.seed)
     result = rig.run({"issues": [data]}, config)
-    rig.write_reports(result, f"{args.out_dir}/{_slug(rule_text)}")
+    rig.write_reports(result, f"{out_dir}/{_slug(rule_text)}")
 
+    learners = config.learners
     medians = {}
     for learner in learners:
         values = [r.value for r in result.results if r.learner == learner]
@@ -85,6 +81,11 @@ def main(argv=None) -> int:
 
 
 def experiment(args) -> int:
+    learners = tuple(part.strip() for part in args.learners.split(",")
+                     if part.strip())
+    config = rig.RigConfig(learners=learners, scores=("d2h",),
+                           depth=args.depth, mode="cv", bins=args.bins,
+                           repeats=args.repeats, seed=args.seed)
     if args.csv:
         raw = load_csv(args.csv, label_column=args.label)
         print(f"loaded {raw.name}: {len(raw)} issues")
@@ -93,7 +94,7 @@ def experiment(args) -> int:
         print(f"synthetic issue table: {len(raw)} rows, seed {args.seed}")
 
     for rule_text in THRESHOLDS:
-        run_threshold(raw, rule_text, args)
+        run_threshold(raw, rule_text, config, args.out_dir)
     print(f"reports under {args.out_dir}/")
     return 0
 

@@ -7,13 +7,12 @@ all 2^d exit-policy variants greedily and keeps the one with the best
 training score.
 
 Policies that share a bit prefix reach the same rows, so they share one
-split search: training walks the prefix trie once, depth first, with one
-median/mask block (and, for Popt, one pair of optimal/worst curve areas)
-per row subset and one search per (subset, exit bit) -- 2^(d+1) - 2
-searches over 2^d - 1 subsets, instead of d searches for each of the 2^d
-policies.  Only the subsets on the current path stay alive.  A search
-scores all of a subset's candidate ranges as arrays and picks the winner
-with one sort.
+split search: training searches the prefix trie one level per step, each
+of a level's 2^l row subsets a segment of one row array, for every
+training set with the same attribute count at once (``grow_many``).  A
+level takes each segment's medians, one match block and segment sums for
+all its candidate ranges, and picks each winner for both exit bits with a
+dense min: 2^(d+1) - 2 searches over 2^d - 1 subsets, in d steps.
 
 A Popt search first prefilters.  One cumsum per subset gives every
 candidate's lift-curve area in closed form, for both exit classes, and
@@ -22,20 +21,19 @@ the best, 64 (n + 2) eps / (s_opt - s_worst) on n rows, are ranked by the
 exact path; a lone survivor wins unranked.  The slack bounds the two
 paths' rounding in any summation order (derived at ``_AREA_SLACK``), so
 no candidate that could win or tie is dropped, and every recorded score
-still comes from the exact path.
+still comes from the exact path.  A subset's optimal and worst orders are
+its set's root orders filtered to its rows.
 
-Each tree's training score, d2h or Popt, is read off the rows each node
-exits on the same walk: joined, they are the tree's ranking, which Popt
-scores, and d2h counts the rows of its true exits and their positives.  No
-row is routed through a finished tree again.
+Each tree's training score is read off the rows each node exits: d2h
+counts the rows of its true exits and their positives, and Popt ranks the
+exits joined.  No row is routed through a finished tree again.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import islice
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -50,14 +48,15 @@ from .metrics import (
     dis2heaven,
     dis2heaven_values,
     effort_order_from_scores,
+    _curve_area,
     popt,
-    popt_bounds,
+    popt_orders,
     popt_values,
 )
 
 # grow builds and returns all 2^depth trees, and its time more than
-# doubles every two levels (1584 rows on a 2-vCPU host: d2h 0.24 s at
-# depth 10, 0.56 s at depth 12; Popt 0.51 s and 1.4 s), so deeper trees
+# doubles every two levels (1584 rows on a 2-vCPU host: d2h 0.09 s at
+# depth 10, 0.19 s at depth 12; Popt 0.24 s and 0.66 s), so deeper trees
 # are refused rather than left to run for hours.
 MAX_DEPTH = 12
 
@@ -172,16 +171,13 @@ def discretize(data: Dataset, attribute: str, subset=None) -> list[Range]:
 def score_range(rng: Range, data: Dataset, exit_class: bool,
                 fn: ScoreFunction, subset=None) -> float:
     """Score the one-question classifier "rows matching ``rng`` are
-    ``exit_class``, everything else is the opposite" on the current rows.
-
-    Expects a binarized dataset and, for Popt, its effort column.
-    """
-    if not data.binary:
-        raise TrainingError("score_range needs binarized labels")
-    rows = np.arange(len(data)) if subset is None else subset
-    root = _Subset.root(data, fn, rows)
-    match = rng.matches_array(data.column(rng.attribute)[root.rows])
-    return float(root.scores(match[:, None], exit_class)[0])
+    ``exit_class``, everything else is the opposite" on the current rows
+    of a set ``grow`` could train on: a one-node tree's score."""
+    check_train(data, fn)
+    tree = FFTree(policy=(bool(exit_class),), leaf_class=not exit_class,
+                  nodes=(Node(rng, bool(exit_class), 0),), leaf_support=0)
+    return tree_score(tree, data.subset(np.sort(
+        np.arange(len(data)) if subset is None else subset)), fn)
 
 
 # Popt scores candidate rankings in batches of about this many cells
@@ -189,12 +185,15 @@ def score_range(rng: Range, data: Dataset, exit_class: bool,
 # 2-vCPU Xeon, scoring a 1320-row subset's candidates in one batch made a
 # Popt grow slower and raised peak RSS by 4.2 MB (+9% on a whole rig run);
 # batches of 1024-8192 cells kept the rise under 1 MB, and 4096 ran fastest.
-# grow scores its finished trees in batches of the same size.  The Popt
-# prefilter (``_Subset._closed_areas``) works on blocks of about
+# Finished trees and padded bounds are scored in batches of the same size.
+# The Popt prefilter (``_closed_areas``) works on blocks of about
 # _POPT_CLOSED_CELLS (rows x candidates) cells: a whole 1320-row block
-# raised rig-version's peak RSS by about 0.6 MB more than these blocks.
+# raised rig-version's peak RSS by about 0.6 MB more than these blocks.  A
+# level's search takes segments in blocks of about _SEARCH_CELLS (rows x
+# attributes) cells: at 65536 a rig-cv grow's traced peak was 0.97 MB.
 _POPT_BATCH_CELLS = 4096
 _POPT_CLOSED_CELLS = 16384
+_SEARCH_CELLS = 16384
 
 # The prefilter's slack, in area units per row (plus two).  With u = eps/2,
 # a sum or dot product of n terms, in any order and so under any BLAS, is
@@ -222,224 +221,218 @@ _POPT_CLOSED_CELLS = 16384
 _AREA_SLACK = 64 * sys.float_info.epsilon
 
 
-def _candidates(data: Dataset, rows: np.ndarray):
-    """Every attribute's median split over ``rows``, kept when its cut is
-    finite and it matches at least one row, as arrays over the kept splits:
-    attribute index, op bit (0 for ``<=``, 1 for ``>``), cut, the (rows x
-    splits) match block and match counts.  Splits are ordered by
-    attribute, ``<=`` before ``>``."""
-    block = data.values[rows]
-    cuts = _medians(block)
-    match = np.stack([block <= cuts, block > cuts], axis=2).reshape(
-        len(block), -1)
-    n_match = np.count_nonzero(match, axis=0)
-    keep = np.flatnonzero(n_match * np.repeat(np.isfinite(cuts), 2))
-    attr, op = np.divmod(keep, 2)
-    return attr, op, cuts[attr], match[:, keep], n_match[keep]
+class _Stack:
+    """Training sets with one attribute count, rows stacked in search order
+    (by row index, or for Popt by effort, ties by row index).  ``codes``
+    ranks each set's splits by name, then op; ``ranks`` places each row in
+    its set's optimal and worst Popt orders (``metrics.popt_orders``)."""
 
-
-class _Subset:
-    """A node of the prefix trie: the rows that every exit policy with one
-    bit prefix reaches.  For Popt the rows are in effort order (ties by
-    row index), and every child subset keeps it.  Each part of the split
-    search is computed once, on first use, and shared by both exit bits:
-    every attribute's median split and, for Popt, the optimal/worst curve
-    areas and the candidates' closed-form areas."""
-
-    def __init__(self, data: Dataset, fn: ScoreFunction, rows: np.ndarray):
-        self.data, self.fn, self.rows = data, fn, rows
-        self.labels = np.asarray(data.labels[rows], dtype=bool)
-
-    @classmethod
-    def root(cls, data: Dataset, fn: ScoreFunction, rows) -> "_Subset":
-        """The subset of ``rows`` that a search starts from."""
-        if fn.kind == "popt" and data.effort is None:
-            raise UnsupportedScoreError(
-                f"{data.name}: popt needs an effort column")
-        if fn.kind not in ("popt", "dis2heaven"):
-            raise UnsupportedScoreError(f"unknown score function {fn.kind!r}")
-        rows = np.sort(rows)
+    def __init__(self, trains: list[Dataset], fn: ScoreFunction):
+        orders = [np.argsort(t.effort, kind="stable") if fn.kind == "popt"
+                  else np.arange(len(t)) for t in trains]
+        self.names = [t.attributes for t in trains]
+        self.values = [t.values for t in trains]
+        self.source = np.concatenate(orders)    # each row's row in its set
+        self.labels = np.concatenate([t.labels[o] for t, o in zip(
+            trains, orders)]).astype(bool)
+        self.sizes = np.array([len(t) for t in trains])
+        self.codes = np.array([(2 * np.argsort(np.argsort(np.array(
+            names, dtype=object), kind="stable"))[:, None] + (0, 1)).ravel()
+            for names in self.names])
         if fn.kind == "popt":
-            rows = rows[np.argsort(data.effort[rows], kind="stable")]
-        return cls(data, fn, rows)
-
-    @cached_property
-    def _popt(self):
-        """(defects, efforts, Popt bounds) of the rows, in effort order."""
-        defects = self.labels.astype(float)
-        efforts = self.data.effort[self.rows]
-        return defects, efforts, popt_bounds(defects, efforts)
-
-    @cached_property
-    def candidates(self):
-        return _candidates(self.data, self.rows)
-
-    @cached_property
-    def _closed_areas(self):
-        """(2, candidates) lift-curve areas of every candidate's ranking,
-        for exit False then exit True, in closed form; None when the bounds
-        are degenerate or the efforts leave the range where ``_AREA_SLACK``
-        holds.
-
-        For exit True a ranking is the first set F (the matching rows),
-        then the rest U, each in effort order.  Its area times T*D is the
-        sum over rows k of e_k * (defects ranked before k + d_k/2).  With
-        c_k the defects of F at or before k and a_k all defects at or
-        before k, that is c_k - d_k/2 for k in F and D_F + a_k - c_k - d_k/2
-        for k in U, so the area is (2 sum_F e*c - sum e*c + D_F*E_U
-        + sum_U e*a - e.d/2) / (T*D).  Ranking U first instead moves D_F*E_U
-        to D_U*E_F: one cumsum of c serves both exit classes."""
-        defects, efforts, bounds = self._popt
-        n = len(defects)
-        if (bounds is None or efforts.min() < sys.float_info.min
-                or efforts.max() > sys.float_info.max / (8.0 * n * n)):
-            return None
-        match = self.candidates[3]
-        m = match.shape[1]
-        upto = np.cumsum(defects)
-        weights = np.stack([efforts, efforts * upto, defects])
-        # rows: E_F, sum_F e*a, D_F, sum e*c, sum_F e*c
-        sums = np.empty((5, m))
-        # equal blocks of at most about _POPT_CLOSED_CELLS cells
-        blocks = -(-n * m // _POPT_CLOSED_CELLS)
-        step = -(-m // blocks)
-        for lo in range(0, m, step):
-            cols = slice(lo, lo + step)
-            first = match[:, cols]
-            ahead = np.cumsum(first & self.labels[:, None], axis=0,
-                              dtype=float)
-            first = first.astype(float)
-            sums[:3, cols] = weights @ first
-            sums[3, cols] = efforts @ ahead
-            ahead *= first
-            sums[4, cols] = efforts @ ahead
-        e_first, ea_first, d_first, ec_all, ec_first = sums
-        total_e, total_d = efforts.sum(), defects.sum()
-        moved = d_first * (total_e - e_first)
-        s_true = (2.0 * ec_first - ec_all + moved
-                  + (efforts @ upto - ea_first) - (efforts @ defects) / 2.0)
-        s_false = s_true - moved + (total_d - d_first) * e_first
-        return np.stack([s_false, s_true]) / (total_e * total_d)
-
-    def _near_best(self, exit_class: bool):
-        """The candidates that could win or tie the exact search for one
-        exit class, as an index array (or a slice of all of them): those
-        whose closed-form Popt, clamped as ``popt_values`` clamps, is within
-        the slack of the best.  Popt grows with the area, so no candidate
-        whose exact score wins or ties is left out."""
-        areas = self._closed_areas
-        if areas is None:
-            return slice(None)
-        s_opt, s_worst = self._popt[2]
-        value = 1.0 - (s_opt - areas[int(exit_class)]) / (s_opt - s_worst)
-        value = np.minimum(1.0, np.fmax(0.0, value))
-        slack = _AREA_SLACK * (len(self.rows) + 2) / (s_opt - s_worst)
-        return np.flatnonzero(value >= value.max() - slack)
-
-    def scores(self, match: np.ndarray, exit_class: bool) -> np.ndarray:
-        """Score of each column of a (rows x candidates) match block, read
-        as "matching rows are ``exit_class``, the rest the opposite"."""
-        n = len(self.rows)
-        if self.fn.kind == "dis2heaven":
-            pos = int(np.count_nonzero(self.labels))
-            tp = np.count_nonzero(match[self.labels], axis=0)
-            called = np.count_nonzero(match, axis=0)
-            if not exit_class:
-                tp, called = pos - tp, n - called
-            return dis2heaven_values(tp, called, pos, n - pos)
-        # Predicted positives first, then effort order: a stable partition
-        # of the rows, one ranking per candidate.
-        later = (~match if exit_class else match).T
-        step = max(1, _POPT_BATCH_CELLS // max(1, n))
-        return np.concatenate([
-            self._popt_values(self.rows[np.argsort(later[lo:lo + step],
-                                                   axis=1, kind="stable")])
-            for lo in range(0, len(later), step)])
-
-    def _popt_values(self, rankings: np.ndarray) -> np.ndarray:
-        """Popt of each ranking of this subset's rows, given as row indices
-        along the last axis."""
-        return popt_values(self.data.labels[rankings].astype(float),
-                           self.data.effort[rankings], self._popt[2])
-
-    def split(self, exit_class: bool):
-        """(node, child subset of the rows it leaves, the rows it exits) of
-        the best split for one exit class, or None when no range matches any
-        row.
-
-        Ties break on (score, fewer rows consumed, attribute name, <= before
-        >).
-        """
-        attr, op, cut, match, n_match = self.candidates
-        if not len(attr):
-            return None
-        if self.fn.kind == "popt":
-            # only the candidates that could win or tie are ranked exactly
-            keep = self._near_best(exit_class)
-            attr, op, cut, match, n_match = (
-                a[..., keep] for a in self.candidates)
-        best = 0  # a lone candidate needs no ranking
-        if len(attr) > 1:
-            key = self.fn.sort_key(self.scores(match, exit_class))
-            # object, not str, dtype: numpy's str compare drops trailing NULs
-            names = np.array(self.data.attributes, dtype=object)[attr]
-            best = np.lexsort((op, names, n_match, key))[0]
-        rng = Range(self.data.attributes[attr[best]], ("<=", ">")[op[best]],
-                    float(cut[best]))
-        node = Node(range=rng, exit_class=exit_class,
-                    support=int(n_match[best]))
-        hit = match[:, best]
-        rest = _Subset(self.data, self.fn, self.rows[~hit])
-        return node, rest, self.rows[hit]
-
-    def scored(self, batch) -> list[FFTree]:
-        """Each tree of a batch of (tree, exits) pairs from ``_walk`` with
-        its score on this subset's rows, which must be all of the data.
-        The exits (one per node, then the leaf's) hold every row once, so
-        no row is routed again."""
-        # rank_for_popt's order: rows leaving through true exits, earliest
-        # exit first, then through false exits, latest first
-        rankings, called = [], []
-        for tree, exits in batch:
-            classes = (*(n.exit_class for n in tree.nodes), tree.leaf_class)
-            true = [e for e, c in zip(exits, classes) if c]
-            false = [e for e, c in zip(exits, classes) if not c]
-            rankings.append(np.concatenate(true + false[::-1]))
-            called.append(sum(map(len, true)))
-        rankings, called = np.stack(rankings), np.array(called)
-        if self.fn.kind == "popt":
-            scores = self._popt_values(rankings)
-        else:
-            n, pos = len(self.rows), int(np.count_nonzero(self.labels))
-            tp = np.count_nonzero(self.data.labels[rankings]
-                                  & (np.arange(n) < called[:, None]), axis=1)
-            scores = dis2heaven_values(tp, called, pos, n - pos)
-        return [replace(tree, train_score=score)
-                for (tree, _), score in zip(batch, scores.tolist())]
+            self.effort = np.concatenate([t.effort[o]
+                                          for t, o in zip(trains, orders)])
+            self.ranks = np.concatenate([np.argsort(popt_orders(
+                t.labels[o].astype(float), t.effort[o]), axis=1)
+                for t, o in zip(trains, orders)], axis=1)
 
 
-def _walk(subset: _Subset, depth: int, policy: tuple[bool, ...],
-          nodes: tuple[Node, ...], exits: tuple):
-    """Yield (tree, exits) for every exit policy that starts with
-    ``policy``, in ascending binary order; the trees are not scored yet.
-    ``subset`` holds the rows that ``nodes`` leave, and ``exits`` the rows
-    each node exits.  A level with no rows left, or with no range that
-    matches a row, adds no node, nor does any level below."""
-    if len(policy) == depth:
-        leaf_class = not (nodes[-1].exit_class if nodes else policy[0])
-        tree = FFTree(policy=policy, nodes=nodes, leaf_class=leaf_class,
-                      leaf_support=len(subset.rows),
-                      score_kind=subset.fn.kind)
-        yield tree, (*exits, subset.rows)
-        return
-    for bit in (False, True):
-        split = subset.split(bit) if len(subset.rows) else None
-        if split is None:
-            yield from _walk(subset, depth, (*policy, bit), nodes, exits)
-        else:
-            node, rest, out = split
-            yield from _walk(rest, depth, (*policy, bit), (*nodes, node),
-                             (*exits, out))
+def _segment_bounds(stack: _Stack, rows: np.ndarray, n: np.ndarray):
+    """(optimal, worst) curve areas of each row segment (``n`` rows each),
+    NaN where ``popt_bounds`` gives None: its set's root orders filtered to
+    its rows, in blocks of about _POPT_BATCH_CELLS cells padded with
+    trailing zeros, which leave every area's bits as they are."""
+    areas = np.empty((2, len(n)))
+    ends = np.cumsum(n)
+    first = 0
+    while first < len(n):
+        widest = np.maximum.accumulate(n[first:first + _POPT_BATCH_CELLS])
+        last = first + max(1, np.count_nonzero(
+            np.arange(1, len(widest) + 1) * widest <= _POPT_BATCH_CELLS))
+        sizes = n[first:last]
+        part = rows[ends[first] - n[first]:ends[last - 1]]
+        seg = np.repeat(np.arange(len(sizes)), sizes)
+        place = np.arange(len(part)) - (np.cumsum(sizes) - sizes)[seg]
+        for area, rank in zip(areas, stack.ranks):
+            picked = part[np.argsort(seg * len(stack.labels) + rank[part])]
+            defects, efforts = np.zeros((2, len(sizes), max(1, sizes.max())))
+            defects[seg, place] = stack.labels[picked]
+            efforts[seg, place] = stack.effort[picked]
+            with np.errstate(invalid="ignore"):
+                area[first:last] = _curve_area(defects, efforts)
+        first = last
+    sharp = areas[0] - areas[1] > 1e-12     # False on NaN: no defects
+    return np.where(sharp, areas, np.nan)
+
+
+def _candidates(stack: _Stack, rows: np.ndarray, n: np.ndarray,
+                owners: np.ndarray):
+    """Each attribute's median split of each row segment (``n`` rows each,
+    none empty, of sets ``owners``): cuts, (rows x splits) match block, and
+    per split match and true-positive counts and if it is kept (finite cut,
+    a match at least)."""
+    starts = np.cumsum(n) - n
+    cuts = np.empty((len(n), len(stack.names[0])))
+    match = None
+    for i, (a, k, g) in enumerate(zip(starts.tolist(), n.tolist(),
+                                      owners.tolist())):
+        block = stack.values[g][stack.source[rows[a:a + k]]]
+        cuts[i] = _medians(block)
+        if match is None:   # after the sort, which a lone segment frees
+            match = np.empty((len(rows), cuts.shape[1], 2), dtype=bool)
+        np.less_equal(block, cuts[i], out=match[a:a + k, :, 0])
+        np.greater(block, cuts[i], out=match[a:a + k, :, 1])
+    match = match.reshape(len(rows), -1)
+    # a lone (perhaps large) segment is counted without an integer cast
+    counts, tp = (np.count_nonzero(m, axis=0)[None] if len(n) == 1
+                  else np.add.reduceat(m, starts, axis=0, dtype=np.int32)
+                  for m in (match, match & stack.labels[rows, None]))
+    return cuts, match, counts, tp, (counts > 0) & np.repeat(
+        np.isfinite(cuts), 2, axis=1)
+
+
+def _closed_areas(defects, efforts, match):
+    """(2, candidates) lift-curve areas of every candidate's ranking of one
+    segment, for exit False then exit True, in closed form; None when the
+    efforts leave the range where ``_AREA_SLACK`` holds.
+
+    For exit True a ranking is the first set F (the matching rows), then
+    the rest U, each in effort order.  Its area times T*D is the sum over
+    rows k of e_k * (defects ranked before k + d_k/2).  With c_k the
+    defects of F at or before k and a_k all defects at or before k, that is
+    c_k - d_k/2 for k in F and D_F + a_k - c_k - d_k/2 for k in U, so the
+    area is (2 sum_F e*c - sum e*c + D_F*E_U + sum_U e*a - e.d/2) / (T*D).
+    Ranking U first instead moves D_F*E_U to D_U*E_F: one cumsum of c
+    serves both exit classes."""
+    n = len(defects)
+    if (efforts.min() < sys.float_info.min
+            or efforts.max() > sys.float_info.max / (8.0 * n * n)):
+        return None
+    m = match.shape[1]
+    upto = np.cumsum(defects)
+    weights = np.stack([efforts, efforts * upto, defects])
+    # rows: E_F, sum_F e*a, D_F, sum e*c, sum_F e*c
+    sums = np.empty((5, m))
+    # equal blocks of at most about _POPT_CLOSED_CELLS cells
+    blocks = -(-n * m // _POPT_CLOSED_CELLS)
+    step = -(-m // blocks)
+    positive = defects > 0
+    for lo in range(0, m, step):
+        cols = slice(lo, lo + step)
+        first = match[:, cols]
+        ahead = np.cumsum(first & positive[:, None], axis=0, dtype=float)
+        first = first.astype(float)
+        sums[:3, cols] = weights @ first
+        sums[3, cols] = efforts @ ahead
+        ahead *= first
+        sums[4, cols] = efforts @ ahead
+    e_first, ea_first, d_first, ec_all, ec_first = sums
+    total_e, total_d = efforts.sum(), defects.sum()
+    moved = d_first * (total_e - e_first)
+    s_true = (2.0 * ec_first - ec_all + moved
+              + (efforts @ upto - ea_first) - (efforts @ defects) / 2.0)
+    s_false = s_true - moved + (total_d - d_first) * e_first
+    return np.stack([s_false, s_true]) / (total_e * total_d)
+
+
+def _popt_keys(stack: _Stack, rows, n, match, kept, bounds) -> np.ndarray:
+    """(segments, exit class, splits) sort keys by Popt: +inf but for kept
+    splits whose closed-form Popt, clamped as ``popt_values`` clamps, is in
+    the slack of the best, so none that could win or tie is left out.  Lone
+    survivors, and splits that all score 0.5 (degenerate bounds), are not
+    ranked.  ``bounds`` holds each segment's ``_segment_bounds``."""
+    starts = (np.cumsum(n) - n).tolist()
+    defects, efforts = stack.labels[rows].astype(float), stack.effort[rows]
+    s_opt, s_worst = bounds
+    areas = np.full((len(n), 2, match.shape[1]), np.nan)
+    closed = np.zeros(len(n), dtype=bool)
+    for i in np.flatnonzero(~np.isnan(s_opt) & kept.any(axis=1)).tolist():
+        part, cols = slice(starts[i], starts[i] + n[i]), kept[i]
+        got = _closed_areas(defects[part], efforts[part], match[part][:, cols])
+        if got is not None:
+            areas[i][:, cols], closed[i] = got, True
+    gap = (s_opt - s_worst)[:, None, None]
+    value = np.minimum(1.0, np.fmax(0.0, 1.0 - (s_opt[:, None, None]
+                                                - areas) / gap))
+    best = np.where(kept[:, None], value, -np.inf).max(axis=2, keepdims=True)
+    keep = kept[:, None] & (~closed[:, None, None] | (
+        value >= best - _AREA_SLACK * (n[:, None, None] + 2) / gap))
+    keys = np.where(keep, 0.0, np.inf)
+    ranked = ~np.isnan(s_opt)[:, None] & (np.count_nonzero(keep, axis=2) > 1)
+    for i, bit in zip(*np.nonzero(ranked)):
+        # matching rows first (exit True) or last: a stable partition
+        part, cols = slice(starts[i], starts[i] + n[i]), keep[i, bit]
+        later = match[part][:, cols].T != bit
+        step = max(1, _POPT_BATCH_CELLS // n[i])
+        keys[i, bit, cols] = -np.concatenate([popt_values(
+            defects[part][o], efforts[part][o], (s_opt[i], s_worst[i]))
+            for o in (np.argsort(later[lo:lo + step], axis=1, kind="stable")
+                      for lo in range(0, len(later), step))])
+    return keys
+
+
+def _search(stack: _Stack, fn: ScoreFunction, rows: np.ndarray,
+            sizes: np.ndarray):
+    """Each row segment's best split for exit False and True (segment s:
+    the next ``sizes[s]`` of ``rows``, of set s % sets): the column (-1 for
+    none), cut, support and positives, and each bit's mask of matched rows.
+    Ties break on (score, fewer rows consumed, attribute name, <= first)."""
+    column, support, positives = np.zeros((3, len(sizes), 2), dtype=int)
+    column -= 1
+    cut = np.zeros((len(sizes), 2))
+    hits = np.zeros((2, len(rows)), dtype=bool)
+    if fn.kind == "popt":
+        bounds = _segment_bounds(stack, rows, sizes)
+    ends = np.cumsum(sizes)
+    per_block = max(1, _SEARCH_CELLS // len(stack.names[0]))
+    first = 0
+    while first < len(sizes):
+        lo = ends[first] - sizes[first]
+        last = max(first + 1, np.searchsorted(ends, lo + per_block, "right"))
+        segs, part = first + np.flatnonzero(sizes[first:last]), slice(
+            lo, ends[last - 1])
+        first = last
+        if not len(segs):
+            continue
+        n, owners = sizes[segs], segs % len(stack.sizes)
+        cuts, match, counts, tp, kept = _candidates(stack, rows[part], n,
+                                                    owners)
+        if fn.kind == "popt":
+            keys = _popt_keys(stack, rows[part], n, match, kept,
+                              bounds[:, segs])
+        else:   # exit False, then exit True, along axis 1
+            pos = np.add.reduceat(stack.labels[rows[part]], np.cumsum(n) - n,
+                                  dtype=int)[:, None]
+            neg = n[:, None] - pos
+            keys = np.where(kept[:, None], dis2heaven_values(
+                np.stack([pos - tp, tp], 1), np.stack([neg + pos - counts,
+                                                       counts], 1),
+                pos[..., None], neg[..., None]), np.inf)
+        tied = (keys == keys.min(axis=2, keepdims=True)) & kept[:, None]
+        tied &= counts[:, None] == np.where(tied, counts[:, None], len(
+            rows)).min(axis=2, keepdims=True)
+        codes = stack.codes[owners, None]
+        best = np.where(tied, codes, codes.size).argmin(axis=2)
+        found = tied.any(axis=2)
+        at = np.arange(len(segs))[:, None]
+        column[segs] = np.where(found, best, -1)
+        cut[segs] = cuts[at, best // 2]
+        support[segs], positives[segs] = np.where(found, (counts[at, best],
+                                                          tp[at, best]), 0)
+        owner = np.repeat(np.arange(len(segs)), n)
+        hits[:, part] = (match[np.arange(len(owner))[:, None], best[owner]]
+                         & found[owner]).T
+    return column, cut, support, positives, hits
 
 
 def check_depth(depth: int):
@@ -447,6 +440,23 @@ def check_depth(depth: int):
     if not 1 <= depth <= MAX_DEPTH:
         raise TrainingError(
             f"depth must be between 1 and {MAX_DEPTH}, got {depth}")
+
+
+def check_train(train: Dataset, fn: ScoreFunction):
+    """TrainingError or UnsupportedScoreError unless ``grow`` can train on
+    this set by this score."""
+    if not train.binary:
+        raise TrainingError(f"{train.name}: labels must be binarized first")
+    if len(train) < 2:
+        raise TrainingError(f"{train.name}: need at least 2 training rows, "
+                            f"got {len(train)}")
+    if len(train.attributes) < 1:
+        raise TrainingError(f"{train.name}: need at least one attribute")
+    if fn.kind == "popt" and train.effort is None:
+        raise UnsupportedScoreError(
+            f"{train.name}: popt needs an effort column")
+    if fn.kind not in ("popt", "dis2heaven"):
+        raise UnsupportedScoreError(f"unknown score function {fn.kind!r}")
 
 
 def build_tree(train: Dataset, policy: tuple[bool, ...],
@@ -470,6 +480,96 @@ def tree_score(tree: FFTree, data: Dataset, fn: ScoreFunction) -> float:
     raise UnsupportedScoreError(f"unknown score function {fn.kind!r}")
 
 
+def _grow_stack(trains: list[Dataset], depth: int,
+                fn: ScoreFunction) -> list[tuple[FFTree, list[FFTree]]]:
+    """``grow_many`` on sets with one attribute count.  Level l holds a row
+    segment per set and exit-bit prefix: for G sets, set g's after bits
+    b_0..b_(l-1) is number g + G * (b_0 + 2 b_1 + ...)."""
+    stack, sets = _Stack(trains, fn), len(trains)
+    rows, sizes = np.arange(len(stack.labels)), stack.sizes
+    if fn.kind == "popt":
+        bounds = _segment_bounds(stack, rows, sizes).T.tolist()
+    # each prefix's nodes, and the rows its nodes exit as ranked: true
+    # exits earliest first, then (after the leaf) false exits latest first
+    nodes, exits = [()] * sets, [((), ())] * sets
+    tp, called = np.zeros((2, sets), dtype=int)     # over the true exits
+    for _ in range(depth):
+        column, cut, support, positives, hits = _search(stack, fn, rows,
+                                                        sizes)
+        grown, reached = [], []
+        for bit in (0, 1):
+            gone = (np.split(rows[hits[bit]], np.cumsum(support[:-1, bit]))
+                    if fn.kind == "popt" else None)
+            for s, col in enumerate(column[:, bit].tolist()):
+                head, tail = exits[s]
+                if col < 0:
+                    grown.append(nodes[s])
+                    reached.append(exits[s])
+                    continue
+                rng = Range(stack.names[s % sets][col >> 1],
+                            ("<=", ">")[col & 1], float(cut[s, bit]))
+                grown.append((*nodes[s], Node(rng, bool(bit),
+                                              int(support[s, bit]))))
+                if gone is not None:
+                    head, tail = ((head + (gone[s],), tail) if bit
+                                  else (head, (gone[s],) + tail))
+                reached.append((head, tail))
+        nodes, exits = grown, reached
+        tp, called = np.concatenate([(tp, called), (tp + positives[:, 1],
+                                                    called + support[:, 1])], 1)
+        rows = np.concatenate([rows[~hit] for hit in hits])
+        sizes = np.concatenate([sizes - support[:, bit] for bit in (0, 1)])
+    # the leaf opposes the last node, or the first policy bit
+    leaf_class = np.array([not (path[-1].exit_class if path else s // sets % 2)
+                           for s, path in enumerate(nodes)])
+    owner = np.arange(len(sizes)) % sets
+    edges = np.cumsum(np.concatenate([[0], sizes])).tolist()   # leaf rows
+    pos = np.diff(np.cumsum(np.concatenate([[0], stack.labels[rows]]))[edges])
+    total = np.add.reduceat(stack.labels, stack.sizes.cumsum() - stack.sizes,
+                            dtype=int)[owner]
+    # d2h from each tree's true exits; Popt ranks the trees below
+    scores = dis2heaven_values(tp + leaf_class * pos, called + leaf_class
+                               * sizes, total, stack.sizes[owner] - total)
+    policies = list(product((False, True), repeat=depth))
+    grown = []
+    for g, n in enumerate(stack.sizes.tolist()):
+        leaf = [g + sets * sum(b << i for i, b in enumerate(p))
+                for p in policies]
+        step = max(1, _POPT_BATCH_CELLS // n)
+        for lo in range(0, len(leaf), step) if fn.kind == "popt" else ():
+            batch = leaf[lo:lo + step]
+            ranked = np.stack([np.concatenate((
+                *exits[s][0], rows[edges[s]:edges[s + 1]], *exits[s][1]))
+                for s in batch])
+            scores[batch] = popt_values(
+                stack.labels[ranked].astype(float), stack.effort[ranked],
+                None if np.isnan(bounds[g][0]) else tuple(bounds[g]))
+        trees = [FFTree(policy=p, nodes=nodes[s], leaf_class=bool(
+            leaf_class[s]), leaf_support=int(sizes[s]), train_score=float(
+            scores[s]), score_kind=fn.kind) for p, s in zip(policies, leaf)]
+        grown.append((min(trees, key=lambda t: (fn.sort_key(t.train_score),
+                                                t.policy_string)), trees))
+    return grown
+
+
+def grow_many(trains: list[Dataset], depth: int = 4,
+              fn: ScoreFunction = DIS2HEAVEN
+              ) -> list[tuple[FFTree, list[FFTree]]]:
+    """``grow`` on each set, every set checked first.  Sets with one
+    attribute count are searched together (see the module docstring), and
+    each set's trees are the ones it grows alone."""
+    check_depth(depth)
+    for train in trains:
+        check_train(train, fn)
+    grown = {}
+    for width in dict.fromkeys(len(t.attributes) for t in trains):
+        members = [i for i, t in enumerate(trains)
+                   if len(t.attributes) == width]
+        grown.update(zip(members, _grow_stack([trains[i] for i in members],
+                                              depth, fn)))
+    return [grown[i] for i in range(len(trains))]
+
+
 def grow(train: Dataset, depth: int = 4,
          fn: ScoreFunction = DIS2HEAVEN) -> tuple[FFTree, list[FFTree]]:
     """Train all 2^depth exit-policy trees and select the best on train.
@@ -480,23 +580,7 @@ def grow(train: Dataset, depth: int = 4,
     between equally scored trees go to the smaller policy string.  Returns
     (best tree, all candidates in policy order).
     """
-    check_depth(depth)
-    if not train.binary:
-        raise TrainingError(f"{train.name}: labels must be binarized first")
-    if len(train) < 2:
-        raise TrainingError(f"{train.name}: need at least 2 training rows, "
-                            f"got {len(train)}")
-    if len(train.attributes) < 1:
-        raise TrainingError(f"{train.name}: need at least one attribute")
-    root = _Subset.root(train, fn, np.arange(len(train)))
-    walk = _walk(root, depth, (), (), ())
-    step = max(1, _POPT_BATCH_CELLS // len(train))
-    trees = []
-    while batch := list(islice(walk, step)):
-        trees += root.scored(batch)
-    best = min(trees, key=lambda t: (fn.sort_key(t.train_score),
-                                     t.policy_string))
-    return best, trees
+    return grow_many([train], depth, fn)[0]
 
 
 def route_dataset(tree: FFTree, data: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -153,6 +153,18 @@ def popt_bounds(defects, efforts) -> tuple[float, float] | None:
         raise UnsupportedScoreError("popt needs effort > 0 for every row")
     if defects.sum() <= 0:
         return None
+    best, worst = popt_orders(defects, efforts)
+    s_opt = float(_curve_area(defects[best], efforts[best]))
+    s_worst = float(_curve_area(defects[worst], efforts[worst]))
+    if s_opt - s_worst <= 1e-12:
+        return None
+    return s_opt, s_worst
+
+
+def popt_orders(defects, efforts) -> tuple[np.ndarray, np.ndarray]:
+    """The row orders of ``popt_bounds``' optimal and worst curves: by
+    defect density, descending and ascending, ties by ascending effort,
+    then row order.  Every subset of the rows keeps its rows' places."""
     # each density d/e as its sign, signed exponent and fraction (lexsort
     # reads its last key first): exact where d/e would overflow, as on a
     # subnormal effort, and in the order of d/e wherever that is normal
@@ -161,13 +173,8 @@ def popt_bounds(defects, efforts) -> tuple[float, float] | None:
     frac, exp = np.frexp(frac_d / frac_e)
     sign = np.sign(frac)
     density = (frac, sign * (exp + exp_d - exp_e), sign)
-    best = np.lexsort((efforts, *(-key for key in density)))
-    worst = np.lexsort((efforts, *density))
-    s_opt = float(_curve_area(defects[best], efforts[best]))
-    s_worst = float(_curve_area(defects[worst], efforts[worst]))
-    if s_opt - s_worst <= 1e-12:
-        return None
-    return s_opt, s_worst
+    return (np.lexsort((efforts, *(-key for key in density))),
+            np.lexsort((efforts, *density)))
 
 
 def popt_values(defects, efforts, bounds) -> np.ndarray:

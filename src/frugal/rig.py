@@ -4,9 +4,10 @@ the tree, naive-bayes, and logistic learners.
 A learner is its fitted model.  Only ``fft`` reads the score, so a cell
 fits ``nb`` and ``sl`` once and grows ``fft`` once per score.  A run
 has three phases over all its projects: plan every cell, fit every model
-(all the run's ``sl`` fits in one batched call), then evaluate them in
-plan order.  Model functions are called through their module-level
-names, so rebinding one (as a tracer does) reaches the rig too.
+(all the run's ``sl`` fits in one batched call, and its trees in one
+``grow_many`` call per score), then evaluate them in plan order.  Model
+functions are called through their module-level names, so rebinding one
+(as a tracer does) reaches the rig too.
 
 Results are plain dataclasses; every ``EvalResult`` field is a report
 column, and the report writers emit byte-identical files for identical
@@ -33,7 +34,8 @@ from .baselines import (LogisticModel, NBModel, lr_score_dataset, lr_targets,
 from .dataset import Dataset, merge
 from .errors import (ConfigError, FrugalError, TrainingError,
                      UnsupportedScoreError)
-from .fft import FFTree, check_depth, grow, score_dataset
+from .fft import (FFTree, check_depth, check_train, grow, grow_many,
+                  score_dataset)
 from .metrics import (Confusion, ScoreFunction, dis2heaven,
                       effort_order_from_scores, mann_whitney, popt,
                       score_function)
@@ -242,10 +244,11 @@ def run(projects: dict[str, list[Dataset]],
 
     ``projects`` maps a project name to its version-ordered datasets;
     labels must already be binary.  The run plans every project's cells,
-    fits every model they need (each ``sl`` set checked under its cell's
-    prefix, then all of them in one batched call), and evaluates the
-    models in plan order.  So a plan error in any project is raised
-    before a fit error, and a fit error before an evaluation error.
+    fits every model they need (each ``sl`` and ``fft`` set checked under
+    its cell's prefix, then the ``sl`` sets in one batched call and the
+    ``fft`` sets in one per score), and evaluates the models in plan
+    order.  So a plan error in any project is raised before a fit error,
+    and a fit error before an evaluation error.
     """
     cells = []
     fingerprints: dict[str, str] = {}
@@ -280,13 +283,23 @@ def run(projects: dict[str, list[Dataset]],
             continue
         train = cells[c][2].train
         with _cell_errors(prefix(c, learner, fn)):
-            if learner == "sl":     # fitted with the run's other sl sets
-                lr_targets(train)
-                models[k] = train
-            else:
+            if learner == "nb":
                 models[k] = fit_learner(learner, train, fn, config.depth)
+                continue
+            # checked here, fitted below with the run's other sets of the
+            # learner (and for fft, of the score)
+            if learner == "fft":
+                check_train(train, fn)
+            else:
+                lr_targets(train)
+            models[k] = train
     sl_keys = [k for k in models if k[1] == "sl"]
     models.update(zip(sl_keys, lr_train_many([models[k] for k in sl_keys])))
+    for fn in fns:
+        keys = [k for k in models if k[1] == "fft" and k[2] == fn.kind]
+        if keys:
+            models.update(zip(keys, (best for best, _ in grow_many(
+                [models[k] for k in keys], config.depth, fn))))
 
     results = []
     for c, learner, fn, k in plan:

@@ -498,63 +498,132 @@ def test_grow_invariant_under_column_order(seed, fn):
 
 @pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
 def test_grow_trees_do_not_depend_on_the_batch_size(fn, monkeypatch):
-    """Split scores and tree scores are computed in batches of about
-    _POPT_BATCH_CELLS cells to bound memory; one ranking per batch and
-    every ranking in one batch give the same trees."""
+    """Split scores, tree scores and bounds are computed in batches of
+    about _POPT_BATCH_CELLS cells, and a level's segments searched in
+    blocks of about _SEARCH_CELLS, to bound memory; one ranking (or
+    segment) per batch and all in one batch give the same trees."""
     raw = synth.make_corpus(names=("ant",), seed=5, versions=1, rows=200)
     train = binarize(raw["ant"][0], LabelRule.bug_counts())
     default = grow(train, 8, fn)
     for cells in (1, 10 ** 9):
         monkeypatch.setattr(fft, "_POPT_BATCH_CELLS", cells)
+        monkeypatch.setattr(fft, "_SEARCH_CELLS", cells)
         assert grow(train, 8, fn) == default
 
 
 @pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
 def test_grow_searches_each_prefix_once(fn, monkeypatch):
-    counts = {"blocks": 0, "searches": 0, "bounds": 0}
+    counts = {"blocks": 0, "searches": 0, "orders": 0}
 
-    def counted(name, func):
+    def counted(name, func, tally=lambda *args: 1):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += tally(*args)
             return func(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fft, "_candidates", counted("blocks", fft._candidates))
-    monkeypatch.setattr(fft._Subset, "split",
-                        counted("searches", fft._Subset.split))
-    monkeypatch.setattr(fft, "popt_bounds",
-                        counted("bounds", metrics.popt_bounds))
+    # one median block per searched subset, two searches (one per exit
+    # class) per non-empty segment, and every Popt subset's bounds from
+    # the root's orders, sorted once
+    monkeypatch.setattr(fft, "_medians", counted("blocks", fft._medians))
+    monkeypatch.setattr(fft, "_search", counted(
+        "searches", fft._search,
+        lambda stack, fn, rows, sizes: 2 * np.count_nonzero(sizes)))
+    monkeypatch.setattr(fft, "popt_orders",
+                        counted("orders", metrics.popt_orders))
     raw = synth.make_corpus(names=("ant",), seed=7, versions=1, rows=300)
     _, trees = grow(binarize(raw["ant"][0], LabelRule.bug_counts()), depth=4,
                     fn=fn)
     assert not any(t.truncated for t in trees)
     assert counts["blocks"] == 15
     assert counts["searches"] == 30
-    assert counts["bounds"] == (15 if fn is POPT else 0)
+    assert counts["orders"] == (1 if fn is POPT else 0)
 
 
 def test_grow_frees_its_trie(monkeypatch):
-    """Every row subset of the trie is freed by reference counting alone
-    once grow returns; a reference cycle would keep them until the cyclic
-    collector runs."""
-    subsets = []
-    init = fft._Subset.__init__
+    """The stacked sets and every level's rows are freed by reference
+    counting alone once grow returns; a reference cycle would keep them
+    until the cyclic collector runs."""
+    made = []
+    init, search = fft._Stack.__init__, fft._search
 
     def tracked(self, *args):
         init(self, *args)
-        subsets.append(weakref.ref(self))
+        made.append(weakref.ref(self))
 
-    monkeypatch.setattr(fft._Subset, "__init__", tracked)
+    def searched(stack, fn, rows, sizes):
+        made.append(weakref.ref(rows))
+        return search(stack, fn, rows, sizes)
+
+    monkeypatch.setattr(fft._Stack, "__init__", tracked)
+    monkeypatch.setattr(fft, "_search", searched)
     raw = synth.make_corpus(names=("ant",), seed=7, versions=1, rows=300)
     train = binarize(raw["ant"][0], LabelRule.bug_counts())
     gc.disable()
     try:
         grow(train, depth=4, fn=POPT)
-        alive = [ref for ref in subsets if ref() is not None]
+        alive = [ref for ref in made if ref() is not None]
     finally:
         gc.enable()
-    assert len(subsets) == 31
+    assert len(made) == 5
     assert alive == []
+
+
+@st.composite
+def _training_sets(draw):
+    """A batch of 1-5 training sets of 2-40 rows, with effort: integer,
+    tied, NaN-heavy, constant and copied columns, sets of one class, and
+    attribute lists drawn from one pool, so sets share names in permuted
+    orders and share or differ in their attribute counts."""
+    sets = []
+    for k in range(draw(st.integers(1, 5))):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        n = draw(st.integers(2, 40))
+        names = draw(st.permutations(["a", "b", "c", "d", "e"]))
+        width = draw(st.integers(1, 4))
+        columns = []
+        for kind in draw(st.lists(st.sampled_from(
+                ["integers", "floats", "nan", "constant", "copy"]),
+                min_size=width, max_size=width)):
+            column = (rng.normal(0, 10, n) if kind == "floats"
+                      else np.full(n, 2.0) if kind == "constant"
+                      else columns[-1].copy() if kind == "copy" and columns
+                      else rng.integers(0, 4, n).astype(float))
+            if kind == "nan":
+                column[rng.random(n) < 0.7] = np.nan
+            columns.append(column)
+        labels = draw(st.sampled_from(["mixed", "rare", "true", "false"]))
+        labels = (np.full(n, labels == "true") if labels in ("true", "false")
+                  else rng.random(n) < (0.4 if labels == "mixed" else 0.1))
+        effort = (np.full(n, 3.0) if draw(st.booleans())
+                  else rng.integers(1, 4, n).astype(float))
+        sets.append(Dataset(name=f"s{k}", version="1",
+                            attributes=tuple(names[:width]),
+                            values=np.column_stack(columns), labels=labels,
+                            effort=effort))
+    return sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(_training_sets(), st.integers(1, 6),
+       st.sampled_from([DIS2HEAVEN, POPT]))
+def test_a_sets_trees_do_not_depend_on_its_batch(trains, depth, fn):
+    batch = fft.grow_many(trains, depth, fn)
+    assert len(batch) == len(trains)
+    for train, grown in zip(trains, batch):
+        assert grown == fft.grow_many([train], depth, fn)[0]
+
+
+def test_grow_many_checks_every_set_before_growing(monkeypatch):
+    good = make_dataset(("a",), [[1], [2]], labels=[True, False])
+    monkeypatch.setattr(fft, "_grow_stack", None)    # never reached
+    with pytest.raises(TrainingError, match="bad: need at least 2"):
+        fft.grow_many([good, make_dataset(("a",), [[1]], labels=[True],
+                                          name="bad")], 2, DIS2HEAVEN)
+    with pytest.raises(UnsupportedScoreError, match="toy: popt needs"):
+        fft.grow_many([good], 2, POPT)
+    with pytest.raises(TrainingError, match="depth"):
+        fft.grow_many([good], 0, DIS2HEAVEN)
+    assert fft.grow_many([], 2, DIS2HEAVEN) == []
 
 
 def test_grow_rejects_depth_below_one(six_rows):
@@ -616,6 +685,64 @@ def _popt_data(draw):
                         effort=draw(efforts))
 
 
+@st.composite
+def _bounded_sets(draw):
+    """1-3 effort sets for the Popt bounds: tied densities (equal efforts
+    on rows of one label), subnormal and huge efforts, and sets with no
+    positive."""
+    sets = []
+    for k in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 30))
+        efforts = st.sampled_from([1.0, 2.0, 3.0, 5e-324, 1e-310, 4e-310,
+                                   1e300])
+        effort = draw(st.lists(efforts, min_size=n, max_size=n))
+        labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        sets.append(make_dataset(("a",), [[i] for i in range(n)],
+                                 labels=labels, effort=effort, name=f"s{k}"))
+    return sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bounded_sets(), st.data())
+def test_segment_bounds_equal_popt_bounds_on_the_segments_rows(trains, data):
+    """Each segment's bounds, gathered from its set's root orders, equal
+    ``popt_bounds`` on its rows: on random segments and on those a depth-4
+    search reaches."""
+    stack = fft._Stack(trains, POPT)
+    start = np.cumsum(stack.sizes) - stack.sizes
+    segments = [start[g] + np.flatnonzero(data.draw(st.lists(
+        st.booleans(), min_size=n, max_size=n)))
+        for g, n in enumerate(stack.sizes.tolist())
+        for _ in range(data.draw(st.integers(1, 4)))]
+    searched = []
+
+    def recorded(stack, fn, rows, sizes):
+        ends = np.cumsum(sizes)
+        searched.extend(np.split(rows, ends[:-1]))
+        return search(stack, fn, rows, sizes)
+    search = fft._search
+    fft._search = recorded
+    try:
+        fft._grow_stack(trains, 4, POPT)
+    finally:
+        fft._search = search
+    segments = [rows for rows in segments + searched if len(rows)]
+    s_opt, s_worst = fft._segment_bounds(
+        stack, np.concatenate(segments), np.array(list(map(len, segments))))
+    for rows, best, worst in zip(segments, s_opt, s_worst):
+        want = metrics.popt_bounds(stack.labels[rows].astype(float),
+                                   stack.effort[rows])
+        assert (None if np.isnan(best) else (best, worst)) == want
+
+
+def _root(data, fn=POPT):
+    """The one-set stack of ``data``, its root segment (rows and size) and
+    that segment's candidates."""
+    stack = fft._Stack([data], fn)
+    rows, n = np.arange(len(data)), np.array([len(data)])
+    return stack, rows, n, fft._candidates(stack, rows, n, np.array([0]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_popt_data())
 def test_popt_split_equals_the_all_candidates_oracle(data):
@@ -624,31 +751,35 @@ def test_popt_split_equals_the_all_candidates_oracle(data):
     candidate picks."""
     rows = dataset_rows(data)
     labels, efforts = data.labels.tolist(), data.effort.tolist()
-    root = fft._Subset.root(data, POPT, np.arange(len(data)))
+    stack = fft._Stack([data], POPT)
+    order = stack.source        # stack row -> dataset row
     for bit in (False, True):
-        subset, indices = root, list(range(len(data)))
+        subset, indices = np.arange(len(data)), list(range(len(data)))
         for level_bit in (bit, not bit):
             want = oracles.split_oracle(rows, labels, efforts, indices,
                                         level_bit, "popt")
-            got = subset.split(level_bit)
+            column, cut, support, _, hits = fft._search(
+                stack, POPT, subset, np.array([len(subset)]))
+            col = int(column[0, int(level_bit)])
             if want is None:
-                assert got is None
+                assert col < 0
                 break
-            node, subset, _ = got
-            assert {"attribute": node.range.attribute, "op": node.range.op,
-                    "cut": node.range.cut, "class": node.exit_class,
-                    "support": node.support} == want[0]
+            assert {"attribute": data.attributes[col // 2],
+                    "op": ("<=", ">")[col % 2],
+                    "cut": float(cut[0, int(level_bit)]),
+                    "class": level_bit,
+                    "support": int(support[0, int(level_bit)])} == want[0]
             indices = want[1]
-            assert sorted(subset.rows.tolist()) == indices
+            subset = subset[~hits[int(level_bit)]]
+            assert sorted(order[subset].tolist()) == indices
             if not indices:
                 break
 
 
 def _assert_closed_areas_within_slack(data):
-    root = fft._Subset.root(data, POPT, np.arange(len(data)))
-    defects, efforts, _ = root._popt
-    match, n = root.candidates[3], len(data)
-    areas = root._closed_areas
+    stack, rows, n, (_, match, *_) = _root(data)
+    defects, efforts = stack.labels.astype(float), stack.effort
+    areas = fft._closed_areas(defects, efforts, match)
     assert areas is not None
     for bit in (False, True):
         # each candidate's ranking, as the exact path builds it
@@ -657,14 +788,15 @@ def _assert_closed_areas_within_slack(data):
         exact = metrics._curve_area(defects[order], efforts[order])
         # the prefilter needs each area within half its slack
         assert np.all(np.abs(areas[int(bit)] - exact)
-                      <= fft._AREA_SLACK * (n + 2) / 2)
+                      <= fft._AREA_SLACK * (n[0] + 2) / 2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_popt_data())
 def test_closed_form_areas_are_within_the_slack_of_curve_area(data):
-    root = fft._Subset.root(data, POPT, np.arange(len(data)))
-    assume(root._popt[2] is not None and len(root.candidates[0]))
+    stack, rows, n, (*_, kept) = _root(data)
+    assume(not np.isnan(fft._segment_bounds(stack, rows, n)[0][0])
+           and kept.any())
     _assert_closed_areas_within_slack(data)
 
 
@@ -675,16 +807,18 @@ def test_closed_form_areas_on_synthetic_releases(seed, n_rows):
     _assert_closed_areas_within_slack(binarize(raw, LabelRule.bug_counts()))
 
 
-def test_popt_prefilter_ranks_few_candidates_exactly():
+def test_popt_prefilter_ranks_few_candidates_exactly(monkeypatch):
     """On a synthetic release the slack is far below the gaps between
     candidates' scores, so the root's searches leave one candidate for the
     exact path, not every one."""
     raw = synth.make_corpus(names=("ant",), seed=7, versions=1, rows=300)
     train = binarize(raw["ant"][0], LabelRule.bug_counts())
-    root = fft._Subset.root(train, POPT, np.arange(len(train)))
-    assert len(root.candidates[0]) > 10
-    for bit in (False, True):
-        assert len(root._near_best(bit)) == 1
+    stack, rows, n, (_, match, _, _, kept) = _root(train)
+    assert np.count_nonzero(kept) > 10
+    monkeypatch.setattr(fft, "popt_values", None)    # nothing is ranked
+    keys = fft._popt_keys(stack, rows, n, match, kept,
+                          fft._segment_bounds(stack, rows, n))
+    assert np.count_nonzero(np.isfinite(keys[0]), axis=1).tolist() == [1, 1]
 
 
 @pytest.mark.parametrize("negatives, positives", [
@@ -698,9 +832,12 @@ def test_popt_prefilter_steps_aside_outside_its_error_bound(negatives,
                    attributes=data.attributes, values=data.values,
                    labels=data.labels,
                    effort=np.where(data.labels, positives, negatives))
-    root = fft._Subset.root(data, POPT, np.arange(len(data)))
-    assert root._closed_areas is None
-    assert root._near_best(True) == slice(None)
+    stack, rows, n, (_, match, _, _, kept) = _root(data)
+    s_opt, s_worst = fft._segment_bounds(stack, rows, n)
+    assert fft._closed_areas(stack.labels.astype(float), stack.effort,
+                             match) is None
+    keys = fft._popt_keys(stack, rows, n, match, kept, (s_opt, s_worst))
+    assert np.array_equal(np.isfinite(keys[0, 1]), kept[0])
 
 
 # --------------------------------------------------------- routing/predict

@@ -319,7 +319,7 @@ def test_run_flags_folds_without_positives_and_compare_drops_them():
 
 def test_run_fits_score_blind_learners_once_per_cell(corpus, monkeypatch):
     calls = {}
-    for name in ("grow", "nb_train", "lr_train"):
+    for name in ("grow_many", "nb_train", "lr_train"):
         def counted(*args, _name=name, _fn=getattr(rig_module, name),
                     **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
@@ -334,9 +334,10 @@ def test_run_fits_score_blind_learners_once_per_cell(corpus, monkeypatch):
     config = RigConfig(scores=("d2h", "popt"),
                        attribute_sets=("full", "top25"))
     result = run({"ant": corpus["ant"]}, config)
-    # 1 split x 2 attribute sets = 2 cells; fft is grown once per score,
-    # and the run's one batched call fits each cell's training set once
-    assert calls == {"grow": 4, "nb_train": 2}
+    # 1 split x 2 attribute sets = 2 cells; fft grows each cell's set once
+    # per score, in one batched call per score, and the run's one batched
+    # call fits each cell's training set once
+    assert calls == {"grow_many": 2, "nb_train": 2}
     train = rig_module.version_split(corpus["ant"]).train
     assert len(batches) == 1 and len(batches[0]) == 2
     assert batches[0][0] == (len(train), train.attributes)
@@ -371,6 +372,33 @@ def test_run_fits_every_sl_set_of_the_run_in_one_batch(corpus,
                for t, s in zip(batches[0], planned))
     alone = [run({name: corpus[name]}, config) for name in sorted(corpus)]
     assert len(batches) == 1 + len(corpus)
+    assert whole.results == [r for one in alone for r in one.results]
+    assert list(whole.fingerprints.items()) \
+        == [item for one in alone for item in one.fingerprints.items()]
+
+
+def test_run_grows_every_tree_of_a_score_in_one_batch(corpus, monkeypatch):
+    batches = []
+
+    def batched(trains, depth, fn, _fn=rig_module.grow_many):
+        batches.append((fn.kind, trains))
+        return _fn(trains, depth, fn)
+    monkeypatch.setattr(rig_module, "grow_many", batched)
+    config = RigConfig(attribute_sets=("full", "top25"))
+    whole = run(corpus, config)
+    planned = []
+    for name in sorted(corpus):
+        split = rig_module.version_split(corpus[name])
+        planned += [split, rig_module.top_changed_split(split, 0.25)]
+    # every cell's set, in plan order, in one call per score
+    assert [kind for kind, _ in batches] == ["dis2heaven", "popt"]
+    for _, trains in batches:
+        assert [(t.name, t.attributes) for t in trains] \
+            == [(s.train.name, s.train.attributes) for s in planned]
+        assert all(np.array_equal(t.values, s.train.values, equal_nan=True)
+                   for t, s in zip(trains, planned))
+    alone = [run({name: corpus[name]}, config) for name in sorted(corpus)]
+    assert len(batches) == 2 * (1 + len(corpus))
     assert whole.results == [r for one in alone for r in one.results]
     assert list(whole.fingerprints.items()) \
         == [item for one in alone for item in one.fingerprints.items()]
@@ -495,6 +523,23 @@ def test_run_annotates_learner_errors():
     with pytest.raises(UnsupportedScoreError,
                        match=r"\[p/fft/popt/full/version:2\]"):
         run({"p": no_effort}, config)
+
+
+def test_run_checks_each_fft_cell_under_its_prefix_before_growing(
+        monkeypatch):
+    no_effort = [
+        make_dataset(("m",), [[1], [2], [3], [4]],
+                     labels=[True, False, True, False], name="p",
+                     version=str(v))
+        for v in (1, 2)]
+    batches = []
+    monkeypatch.setattr(rig_module, "grow_many",
+                        lambda *args: batches.append(args))
+    config = RigConfig(learners=("fft",), scores=("d2h", "popt"))
+    with pytest.raises(UnsupportedScoreError,
+                       match=r"^\[p/fft/popt/full/version:2\] p: popt needs"):
+        run({"p": no_effort}, config)
+    assert batches == []
 
 
 def test_run_top25_needs_two_training_versions(corpus):

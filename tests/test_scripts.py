@@ -43,15 +43,35 @@ def test_script_main_writes_reports(tmp_path, name, argv):
     ("run_defect_experiments", ["--synthetic", "--rows", "30", "--learners",
                                 "fft,xx"], "unknown learner 'xx'"),
     ("run_issue_experiments", ["--rows", "120", "--depth", "0"], "depth"),
+    ("run_defect_experiments", ["--synthetic", "--rows", "30", "--depth",
+                                "0"], "depth"),
+    ("run_issue_experiments", ["--rows", "120", "--learners", "fft,xx"],
+     "unknown learner 'xx'"),
 ])
 def test_script_main_reports_a_config_error_in_one_line(tmp_path, capsys,
                                                         name, argv, named):
+    # the config is checked before any data is loaded or made
     out_dir = tmp_path / "reports"
     assert _load(name).main(argv + ["--out-dir", str(out_dir)]) == 5
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and named in err
     assert len(err.splitlines()) == 1
+    assert out == ""
     assert not out_dir.exists()
+
+
+def test_issue_script_checks_its_config_once(monkeypatch, tmp_path):
+    script = _load("run_issue_experiments")
+    configs = []
+
+    class Counted(script.rig.RigConfig):
+        def __post_init__(self):
+            configs.append(self)
+            super().__post_init__()
+    monkeypatch.setattr(script.rig, "RigConfig", Counted)
+    assert script.main(["--rows", "120", "--bins", "2", "--repeats", "1",
+                        "--out-dir", str(tmp_path / "reports")]) == 0
+    assert len(configs) == 1
 
 
 def test_script_main_reports_an_unwritable_out_dir_in_one_line(tmp_path,

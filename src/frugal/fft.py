@@ -44,14 +44,16 @@ from .metrics import (
     Confusion,
     DIS2HEAVEN,
     POPT,
+    POPT_BATCH_CELLS,
     ScoreFunction,
     dis2heaven,
     dis2heaven_values,
     effort_order_from_scores,
-    _curve_area,
     popt,
     popt_orders,
+    popt_scale,
     popt_values,
+    segment_bounds,
 )
 
 # grow builds and returns all 2^depth trees, and its time more than
@@ -180,19 +182,10 @@ def score_range(rng: Range, data: Dataset, exit_class: bool,
         np.arange(len(data)) if subset is None else subset)), fn)
 
 
-# Popt scores candidate rankings in batches of about this many cells
-# (rankings x rows); a batch always holds at least one ranking.  On a
-# 2-vCPU Xeon, scoring a 1320-row subset's candidates in one batch made a
-# Popt grow slower and raised peak RSS by 4.2 MB (+9% on a whole rig run);
-# batches of 1024-8192 cells kept the rise under 1 MB, and 4096 ran fastest.
-# Finished trees and padded bounds are scored in batches of the same size.
-# The Popt prefilter (``_closed_areas``) works on blocks of about
-# _POPT_CLOSED_CELLS (rows x candidates) cells: a whole 1320-row block
-# raised rig-version's peak RSS by about 0.6 MB more than these blocks.  A
-# level's search takes segments in blocks of about _SEARCH_CELLS (rows x
-# attributes) cells: at 65536 a rig-cv grow's traced peak was 0.97 MB.
-_POPT_BATCH_CELLS = 4096
-_POPT_CLOSED_CELLS = 16384
+# A level's search takes segments, and the Popt prefilter candidates, in
+# blocks of about this many (rows x columns) cells: at 65536 a rig-cv
+# grow's traced peak was 0.97 MB, and a whole 1320-row prefilter block
+# raised rig-version's peak RSS by about 0.6 MB more.
 _SEARCH_CELLS = 16384
 
 # The prefilter's slack, in area units per row (plus two).  With u = eps/2,
@@ -248,31 +241,11 @@ class _Stack:
 
 
 def _segment_bounds(stack: _Stack, rows: np.ndarray, n: np.ndarray):
-    """(optimal, worst) curve areas of each row segment (``n`` rows each),
-    NaN where ``popt_bounds`` gives None: its set's root orders filtered to
-    its rows, in blocks of about _POPT_BATCH_CELLS cells padded with
-    trailing zeros, which leave every area's bits as they are."""
-    areas = np.empty((2, len(n)))
-    ends = np.cumsum(n)
-    first = 0
-    while first < len(n):
-        widest = np.maximum.accumulate(n[first:first + _POPT_BATCH_CELLS])
-        last = first + max(1, np.count_nonzero(
-            np.arange(1, len(widest) + 1) * widest <= _POPT_BATCH_CELLS))
-        sizes = n[first:last]
-        part = rows[ends[first] - n[first]:ends[last - 1]]
-        seg = np.repeat(np.arange(len(sizes)), sizes)
-        place = np.arange(len(part)) - (np.cumsum(sizes) - sizes)[seg]
-        for area, rank in zip(areas, stack.ranks):
-            picked = part[np.argsort(seg * len(stack.labels) + rank[part])]
-            defects, efforts = np.zeros((2, len(sizes), max(1, sizes.max())))
-            defects[seg, place] = stack.labels[picked]
-            efforts[seg, place] = stack.effort[picked]
-            with np.errstate(invalid="ignore"):
-                area[first:last] = _curve_area(defects, efforts)
-        first = last
-    sharp = areas[0] - areas[1] > 1e-12     # False on NaN: no defects
-    return np.where(sharp, areas, np.nan)
+    """``metrics.segment_bounds`` of each row segment (``n`` rows each),
+    from its set's root orders filtered to its rows."""
+    seg = np.repeat(np.arange(len(n)), n) * len(stack.labels)
+    return segment_bounds(stack.labels, stack.effort, [
+        rows[np.argsort(seg + rank[rows])] for rank in stack.ranks], n)
 
 
 def _candidates(stack: _Stack, rows: np.ndarray, n: np.ndarray,
@@ -323,9 +296,7 @@ def _closed_areas(defects, efforts, match):
     weights = np.stack([efforts, efforts * upto, defects])
     # rows: E_F, sum_F e*a, D_F, sum e*c, sum_F e*c
     sums = np.empty((5, m))
-    # equal blocks of at most about _POPT_CLOSED_CELLS cells
-    blocks = -(-n * m // _POPT_CLOSED_CELLS)
-    step = -(-m // blocks)
+    step = max(1, _SEARCH_CELLS // n)
     positive = defects > 0
     for lo in range(0, m, step):
         cols = slice(lo, lo + step)
@@ -347,10 +318,10 @@ def _closed_areas(defects, efforts, match):
 
 def _popt_keys(stack: _Stack, rows, n, match, kept, bounds) -> np.ndarray:
     """(segments, exit class, splits) sort keys by Popt: +inf but for kept
-    splits whose closed-form Popt, clamped as ``popt_values`` clamps, is in
-    the slack of the best, so none that could win or tie is left out.  Lone
-    survivors, and splits that all score 0.5 (degenerate bounds), are not
-    ranked.  ``bounds`` holds each segment's ``_segment_bounds``."""
+    splits whose closed-form Popt (``popt_scale``) is in the slack of the
+    best, so none that could win or tie is left out.  Lone survivors, and
+    splits that all score 0.5 (degenerate bounds), are not ranked.
+    ``bounds`` holds each segment's ``_segment_bounds``."""
     starts = (np.cumsum(n) - n).tolist()
     defects, efforts = stack.labels[rows].astype(float), stack.effort[rows]
     s_opt, s_worst = bounds
@@ -361,9 +332,8 @@ def _popt_keys(stack: _Stack, rows, n, match, kept, bounds) -> np.ndarray:
         got = _closed_areas(defects[part], efforts[part], match[part][:, cols])
         if got is not None:
             areas[i][:, cols], closed[i] = got, True
+    value = popt_scale(areas, s_opt[:, None, None], s_worst[:, None, None])
     gap = (s_opt - s_worst)[:, None, None]
-    value = np.minimum(1.0, np.fmax(0.0, 1.0 - (s_opt[:, None, None]
-                                                - areas) / gap))
     best = np.where(kept[:, None], value, -np.inf).max(axis=2, keepdims=True)
     keep = kept[:, None] & (~closed[:, None, None] | (
         value >= best - _AREA_SLACK * (n[:, None, None] + 2) / gap))
@@ -373,7 +343,7 @@ def _popt_keys(stack: _Stack, rows, n, match, kept, bounds) -> np.ndarray:
         # matching rows first (exit True) or last: a stable partition
         part, cols = slice(starts[i], starts[i] + n[i]), keep[i, bit]
         later = match[part][:, cols].T != bit
-        step = max(1, _POPT_BATCH_CELLS // n[i])
+        step = max(1, POPT_BATCH_CELLS // n[i])
         keys[i, bit, cols] = -np.concatenate([popt_values(
             defects[part][o], efforts[part][o], (s_opt[i], s_worst[i]))
             for o in (np.argsort(later[lo:lo + step], axis=1, kind="stable")
@@ -535,7 +505,7 @@ def _grow_stack(trains: list[Dataset], depth: int,
     for g, n in enumerate(stack.sizes.tolist()):
         leaf = [g + sets * sum(b << i for i, b in enumerate(p))
                 for p in policies]
-        step = max(1, _POPT_BATCH_CELLS // n)
+        step = max(1, POPT_BATCH_CELLS // n)
         for lo in range(0, len(leaf), step) if fn.kind == "popt" else ():
             batch = leaf[lo:lo + step]
             ranked = np.stack([np.concatenate((

@@ -499,14 +499,17 @@ def test_grow_invariant_under_column_order(seed, fn):
 @pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=lambda f: f.kind)
 def test_grow_trees_do_not_depend_on_the_batch_size(fn, monkeypatch):
     """Split scores, tree scores and bounds are computed in batches of
-    about _POPT_BATCH_CELLS cells, and a level's segments searched in
-    blocks of about _SEARCH_CELLS, to bound memory; one ranking (or
-    segment) per batch and all in one batch give the same trees."""
+    about POPT_BATCH_CELLS cells, and a level's segments searched and the
+    Popt prefilter's candidates summed in blocks of about _SEARCH_CELLS,
+    to bound memory; one ranking (or segment, or candidate) per batch and
+    all in one batch give the same trees.  The Popt budget is bound in
+    ``fft`` and in ``metrics``, which pads the bounds' segments."""
     raw = synth.make_corpus(names=("ant",), seed=5, versions=1, rows=200)
     train = binarize(raw["ant"][0], LabelRule.bug_counts())
     default = grow(train, 8, fn)
     for cells in (1, 10 ** 9):
-        monkeypatch.setattr(fft, "_POPT_BATCH_CELLS", cells)
+        monkeypatch.setattr(fft, "POPT_BATCH_CELLS", cells)
+        monkeypatch.setattr(metrics, "POPT_BATCH_CELLS", cells)
         monkeypatch.setattr(fft, "_SEARCH_CELLS", cells)
         assert grow(train, 8, fn) == default
 

@@ -248,6 +248,38 @@ def test_popt_bounds_order_subnormal_efforts_by_exact_density(pairs):
         == metrics.popt_bounds(defects, efforts)
 
 
+@pytest.mark.parametrize("cells", [1, 10 ** 9])
+def test_segment_bounds_equal_popt_bounds_of_each_segment(cells, monkeypatch):
+    """One batch of segments, padded one per block or all in one: an
+    empty segment, a defect-free one, one of constant density and ordinary
+    ones each get ``popt_bounds`` of its rows, NaN standing for None."""
+    monkeypatch.setattr(metrics, "POPT_BATCH_CELLS", cells)
+    rng = np.random.default_rng(4)
+    segments = [([], []), ([0.0] * 5, [3.0, 1.0, 4.0, 1.0, 5.0]),
+                ([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]),
+                ([1.0, 0.0, 0.0, 2.0, 0.0, 1.0], [3, 3, 5, 8, 1, 2]),
+                (rng.poisson(0.7, 30), rng.integers(1, 60, 30)), ([], []),
+                ([0.0, 1.0], [2.0, 2.0]), ([1.0, 0.0], [1.0, 7.0])]
+    defects, efforts, orders, start = [], [], [[], []], 0
+    for d, e in segments:
+        d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+        for into, order in zip(orders, metrics.popt_orders(d, e)):
+            into.extend(start + order)
+        defects.extend(d)
+        efforts.extend(e)
+        start += len(d)
+    got = metrics.segment_bounds(
+        np.array(defects), np.array(efforts), np.array(orders, dtype=int),
+        np.array([len(d) for d, _ in segments]))
+    assert got.shape == (2, len(segments))
+    for (d, e), (best, worst) in zip(segments, got.T.tolist()):
+        want = metrics.popt_bounds(d, e)
+        assert (None if np.isnan(best) else (best, worst)) == want
+        assert np.isnan(best) == np.isnan(worst)
+    assert [np.isnan(b) for b in got[0]] == [True, True, True, False, False,
+                                              True, False, False]
+
+
 def test_popt_invariant_under_effort_rescaling(popt_fixture):
     defects, efforts = popt_fixture
     scaled = [e * 7.0 for e in efforts]

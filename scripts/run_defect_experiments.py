@@ -27,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from frugal import rig, synth
-from frugal.dataset import LabelRule, binarize, load_csv
-from frugal.errors import FrugalError
+from frugal.cli import flag_column, load_versions, run_command, split_list
+from frugal.dataset import DEFAULT_EXCLUDE, LabelRule, binarize
+from frugal.errors import DatasetError
 from frugal.metrics import score_function
 
 PUBLIC_PROJECTS = ("camel", "ivy", "jedit", "log4j", "lucene",
@@ -51,13 +52,9 @@ def discover(root: Path) -> dict[str, list[Path]]:
 
 def load_projects(catalog: dict[str, list[Path]], label: str,
                   effort: str) -> dict[str, list]:
-    rule = LabelRule.bug_counts()
-    return {
-        name: [binarize(load_csv(path, label_column=label,
-                                 effort_column=effort, name=path.stem), rule)
-               for path in paths]
-        for name, paths in catalog.items()
-    }
+    return {name: load_versions(paths, label, effort, DEFAULT_EXCLUDE,
+                                LabelRule.bug_counts())
+            for name, paths in catalog.items()}
 
 
 def synthetic_projects(seed: int, rows: int) -> dict[str, list]:
@@ -120,30 +117,25 @@ def main(argv=None) -> int:
                     help="synthetic corpus seed")
     ap.add_argument("--rows", type=int, default=90,
                     help="synthetic rows in the oldest release")
-    args = ap.parse_args(argv)
-    try:
-        return experiment(args)
-    except (FrugalError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", 2)    # OSError: unwritable reports
+    return run_command(experiment, ap.parse_args(argv))
 
 
 def experiment(args) -> int:
-    learners = tuple(part.strip() for part in args.learners.split(",")
-                     if part.strip())
+    learners = split_list(args.learners)
     config = rig.RigConfig(learners=learners, scores=("d2h", "popt"),
                            attribute_sets=("full", "top25"),
                            depth=args.depth, mode="version")
+    label = flag_column("--label", args.label)
+    effort = flag_column("--effort", args.effort)
     if args.synthetic:
         projects = synthetic_projects(args.seed, args.rows)
         print(f"synthetic corpus: {len(projects)} projects, seed {args.seed}")
     else:
         catalog = discover(Path(args.data_dir))
         if not catalog:
-            print(f"no project CSVs under {args.data_dir!r}; pass --data-dir "
-                  "or rerun with --synthetic", file=sys.stderr)
-            return 2
-        projects = load_projects(catalog, args.label, args.effort)
+            raise DatasetError(f"no project CSVs under {args.data_dir!r}; "
+                               "pass --data-dir or rerun with --synthetic")
+        projects = load_projects(catalog, label, effort)
         print(f"loaded {len(projects)} projects from {args.data_dir}:")
         for name, versions in projects.items():
             sizes = "+".join(str(len(v)) for v in versions)

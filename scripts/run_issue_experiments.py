@@ -20,9 +20,8 @@ import sys
 import numpy as np
 
 from frugal import rig, synth
-from frugal.cli import parse_rule
+from frugal.cli import flag_column, parse_rule, run_command, split_list
 from frugal.dataset import binarize, load_csv
-from frugal.errors import FrugalError
 
 THRESHOLDS = (">365", "<180", "<90", "<30", "<14", "<7", "<1")
 
@@ -72,22 +71,17 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--rows", type=int, default=400,
                     help="synthetic table size when no --csv is given")
-    args = ap.parse_args(argv)
-    try:
-        return experiment(args)
-    except (FrugalError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", 2)    # OSError: unwritable reports
+    return run_command(experiment, ap.parse_args(argv))
 
 
 def experiment(args) -> int:
-    learners = tuple(part.strip() for part in args.learners.split(",")
-                     if part.strip())
+    learners = split_list(args.learners)
     config = rig.RigConfig(learners=learners, scores=("d2h",),
                            depth=args.depth, mode="cv", bins=args.bins,
                            repeats=args.repeats, seed=args.seed)
+    label = flag_column("--label", args.label)
     if args.csv:
-        raw = load_csv(args.csv, label_column=args.label)
+        raw = load_csv(args.csv, label_column=label)
         print(f"loaded {raw.name}: {len(raw)} issues")
     else:
         raw = synth.make_issue_dataset(seed=args.seed, rows=args.rows)

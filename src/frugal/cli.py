@@ -10,6 +10,8 @@ Subcommands:
 as a version-mode rig cell does.  Exit codes, carried by each FrugalError
 subclass as ``exit_code``: 0 ok, 2 input/parse problem or unreadable file,
 3 training precondition, 4 unsupported score function, 5 bad configuration.
+``run_command`` is the one exit for ``main`` and the experiment scripts in
+``scripts/``: a failure prints one ``error: ...`` line, then its code.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ def parse_rule(text: str) -> LabelRule:
     return LabelRule(op, value)
 
 
-def _load_versions(paths, label, effort, exclude, rule,
-                   attributes=None) -> list[Dataset]:
+def load_versions(paths, label, effort, exclude, rule,
+                  attributes=None) -> list[Dataset]:
     out = []
     for path in paths:
         ds = load_csv(path, label_column=label, effort_column=effort,
@@ -58,11 +60,11 @@ def _load_versions(paths, label, effort, exclude, rule,
     return out
 
 
-def _split_exclude(text: str) -> tuple[str, ...]:
+def split_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _flag_column(flag: str, value: str) -> str:
+def flag_column(flag: str, value: str) -> str:
     try:
         return _column(value)
     except ValueError as exc:
@@ -70,13 +72,27 @@ def _flag_column(flag: str, value: str) -> str:
 
 
 def _args_data(args) -> tuple:
-    """The ``_load_versions`` arguments that the data flags of a ``fit`` or
+    """The ``load_versions`` arguments that the data flags of a ``fit`` or
     ``eval`` command line give, checked before any file is opened."""
     rule = parse_rule(args.positive_if)
     effort = (None if args.effort is None
-              else _flag_column("--effort", args.effort))
-    return (_flag_column("--label", args.label), effort,
-            _split_exclude(args.exclude), rule)
+              else flag_column("--effort", args.effort))
+    return (flag_column("--label", args.label), effort,
+            split_list(args.exclude), rule)
+
+
+def read_json(path, what: str, invalid: type[FrugalError]):
+    """The JSON value in the file at ``path``.  A file that cannot be opened
+    is a DatasetError; text that does not decode or parse is ``invalid``."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise DatasetError(f"cannot read {what} {path}: {exc}") from exc
+    with fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:   # UnicodeDecodeError included
+            raise invalid(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _write_or_print(text: str, out: str | None):
@@ -99,7 +115,7 @@ def _score(args):
 def _cmd_fit(args) -> int:
     fn = _score(args)
     check_depth(args.depth)
-    train = merge(_load_versions(args.csv, *_args_data(args)))
+    train = merge(load_versions(args.csv, *_args_data(args)))
     best, _ = grow(train, depth=args.depth, fn=fn)
     model_json = json.dumps(tree_to_dict(best), indent=2, sort_keys=True)
     if args.out is not None:
@@ -126,20 +142,9 @@ def _cmd_eval(args) -> int:
         if args.depth is not None:
             raise ConfigError("--depth cannot apply to --model: a saved "
                               "model's depth is fixed")
-        try:
-            fh = open(args.model)
-        except OSError as exc:
-            raise DatasetError(
-                f"cannot read model {args.model}: {exc}") from exc
-        with fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:
-                raise DatasetError(
-                    f"{args.model}: not valid JSON ({exc})") from exc
-        tree = tree_from_dict(payload)
+        tree = tree_from_dict(read_json(args.model, "model", DatasetError))
         # the test CSV's other columns are never parsed
-        [test] = _load_versions(args.csv, *data, attributes=tree.attributes)
+        [test] = load_versions(args.csv, *data, attributes=tree.attributes)
         train = None
     else:
         if len(args.csv) < 2:
@@ -152,7 +157,7 @@ def _cmd_eval(args) -> int:
             operational.check_fraction(args.top_changed)
         depth = 4 if args.depth is None else args.depth
         check_depth(depth)
-        split = rig.version_split(_load_versions(args.csv, *data))
+        split = rig.version_split(load_versions(args.csv, *data))
         if args.top_changed is not None:
             split = rig.top_changed_split(split, args.top_changed)
         train, test = split.train, split.test
@@ -227,10 +232,7 @@ _CONFIG_KEYS = {*_CONFIG_TYPES, "projects", "label", "effort", "positive_if",
 def load_rig_config(path) -> tuple[rig.RigConfig, dict]:
     """Read a rig config file; relative CSV paths resolve against it."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except ValueError as e:
-        raise ConfigError(f"{path}: not valid JSON ({e})") from e
+    raw = read_json(path, "config", ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
@@ -265,8 +267,8 @@ def load_rig_config(path) -> tuple[rig.RigConfig, dict]:
                               f"or a list of them, got {paths!r}")
         resolved = [path.parent / p if not Path(p).is_absolute() else Path(p)
                     for p in paths]
-        projects[pname] = _load_versions(resolved, label, effort, exclude,
-                                         rule)
+        projects[pname] = load_versions(resolved, label, effort, exclude,
+                                        rule)
     return config, projects
 
 
@@ -284,13 +286,13 @@ def _cmd_rig(args) -> int:
 
 def _cmd_changefreq(args) -> int:
     operational.check_threshold(args.threshold)
-    exclude = _split_exclude(args.exclude)
-    label = _flag_column("--label", args.label)
+    exclude = split_list(args.exclude)
+    label = flag_column("--label", args.label)
     sequences = []
     if args.csv:
         sequences.append(args.csv)
     for seq in args.sequence:
-        sequences.append([p.strip() for p in seq.split(",") if p.strip()])
+        sequences.append(split_list(seq))
     if not sequences:
         raise ConfigError("changefreq needs CSVs (positional or --sequence)")
     loaded = []
@@ -404,13 +406,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def run_command(func, args) -> int:
+    """``func(args)``, or the exit code of the error it raises, after one
+    ``error: ...`` line on stderr."""
     try:
-        return args.func(args)
+        return func(args)
     except (FrugalError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return getattr(e, "exit_code", 2)    # OSError: unreadable input
+        return getattr(e, "exit_code", 2)    # OSError: a file read or write
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_command(args.func, args)
 
 
 if __name__ == "__main__":

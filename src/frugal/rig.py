@@ -71,10 +71,13 @@ class RigConfig:
                                   f"(expected one of {ATTRIBUTE_SETS})")
         for kind in self.scores:
             score_function(kind)   # raises UnsupportedScoreError
+        # An empty list would run nothing and write empty reports.
         # compare() would pool a repeated name's results as one sample; two
         # aliases of one score ("d2h", "dis2heaven") count as a repeat.
         for key in ("learners", "scores", "attribute_sets"):
             names = getattr(self, key)
+            if not names:
+                raise ConfigError(f"{key} lists no names")
             ids = ([score_function(n).kind for n in names] if key == "scores"
                    else names)
             repeated = sorted({n for n, i in zip(names, ids)

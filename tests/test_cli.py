@@ -947,6 +947,9 @@ def test_rig_config_error_paths(project_dir, tmp_path, capsys):
     {"label": ""},
     {"effort": "  "},
     {"repeats": rig.MAX_REPEATS + 1, "mode": "cv"},
+    {"learners": []},
+    {"scores": []},
+    {"attribute_sets": []},
 ], ids=["depth four", "learners 5", "project entry 5", "project path 5",
         "projects list", "top_fraction word", "exclude 5", "bins infinite",
         "depth infinite", "negative seed", "depth above the cap",
@@ -955,7 +958,8 @@ def test_rig_config_error_paths(project_dir, tmp_path, capsys):
         "depth float", "depth bool", "bins float", "seed string",
         "effort list", "label number", "top_fraction bool", "score aliases",
         "effort empty", "label empty", "effort blank",
-        "repeats above the cap"])
+        "repeats above the cap", "learners empty", "scores empty",
+        "attribute_sets empty"])
 def test_rig_rejects_malformed_config_values(project_dir, capsys, override):
     tmp_path, paths = project_dir
     config = _write_rig_config(tmp_path, paths, **override)
@@ -982,6 +986,34 @@ def test_rig_missing_csv_is_a_data_error(project_dir, capsys):
 def test_rig_missing_config_file(tmp_path, capsys):
     assert main(["rig", "--config", str(tmp_path / "none.json"),
                  "--out-dir", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_rig_names_an_unreadable_config_file(tmp_path, capsys, where):
+    config = tmp_path / "rig.json"
+    if where == "directory":
+        config.mkdir()
+    assert main(["rig", "--config", str(config),
+                 "--out-dir", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {config}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag, code", [("--model", 2), ("--config", 5)])
+def test_undecodable_json_files_are_not_valid_json(project_dir, capsys, flag,
+                                                   code):
+    # the decode fails inside the parse, so it is the parse's error
+    tmp_path, paths = project_dir
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe{")
+    argv = (["eval", str(paths["1.2"]), "--model", str(path)]
+            if flag == "--model" else
+            ["rig", "--config", str(path), "--out-dir", str(tmp_path / "x")])
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON (")
+    assert len(err.splitlines()) == 1
 
 
 def test_rig_with_an_all_missing_column_warns_nothing(tmp_path, capsys):

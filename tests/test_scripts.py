@@ -47,6 +47,12 @@ def test_script_main_writes_reports(tmp_path, name, argv):
                                 "0"], "depth"),
     ("run_issue_experiments", ["--rows", "120", "--learners", "fft,xx"],
      "unknown learner 'xx'"),
+    ("run_defect_experiments", ["--synthetic", "--rows", "30", "--learners",
+                                ""], "learners lists no names"),
+    ("run_defect_experiments", ["--synthetic", "--rows", "30", "--label",
+                                ""], "bad --label value ''"),
+    ("run_defect_experiments", ["--synthetic", "--rows", "30", "--effort",
+                                ""], "bad --effort value ''"),
 ])
 def test_script_main_reports_a_config_error_in_one_line(tmp_path, capsys,
                                                         name, argv, named):
@@ -58,6 +64,32 @@ def test_script_main_reports_a_config_error_in_one_line(tmp_path, capsys,
     assert len(err.splitlines()) == 1
     assert out == ""
     assert not out_dir.exists()
+
+
+def test_issue_script_checks_its_label_before_reading_its_csv(tmp_path,
+                                                              capsys):
+    # a real CSV, so a check made only once the table is read would exit 2
+    table = tmp_path / "issues.csv"
+    table.write_text("age,days\n1,3\n2,400\n")
+    out_dir = tmp_path / "reports"
+    assert _load("run_issue_experiments").main(
+        ["--csv", str(table), "--label", "", "--out-dir", str(out_dir)]) == 5
+    out, err = capsys.readouterr()
+    assert err.startswith("error: bad --label value '' (")
+    assert len(err.splitlines()) == 1
+    assert out == ""
+    assert not out_dir.exists()
+
+
+def test_defect_script_without_data_is_an_error_line(tmp_path, capsys):
+    empty = tmp_path / "data"
+    empty.mkdir()
+    assert _load("run_defect_experiments").main(
+        ["--data-dir", str(empty), "--out-dir", str(tmp_path / "r")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: no project CSVs under ")
+    assert len(err.splitlines()) == 1
+    assert out == ""
 
 
 def test_issue_script_checks_its_config_once(monkeypatch, tmp_path):

@@ -65,8 +65,9 @@ def synthetic_projects(seed: int, rows: int) -> dict[str, list]:
 
 
 def print_head_to_head(results, learners, projects):
-    values = {(r.project, r.learner, r.score): r.value
-              for r in results if r.attribute_set == "full"}
+    # degenerate cells are left out, as rig.compare leaves them out
+    values = {(r.project, r.learner, r.score): r.value for r in results
+              if r.attribute_set == "full" and not r.degenerate}
     for fn in (score_function("d2h"), score_function("popt")):
         arrow = "higher" if fn.higher_is_better else "lower"
         print(f"\n{fn.kind} ({arrow} is better), full attributes:")

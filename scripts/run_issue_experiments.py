@@ -7,9 +7,6 @@ Each threshold turns the raw days-to-close label into a binary question
 then scored with dis2heaven over 5x10 cross-validation.  Issue tables
 carry no effort column, so the effort-aware score does not apply here.
 
-Thresholds whose minority class is thinner than one row per bin are
-skipped — a 10-bin split cannot keep both classes in every training fold.
-
 With --csv the table comes from disk (raw days in --label); otherwise a
 seeded synthetic table stands in.
 """
@@ -22,6 +19,7 @@ import numpy as np
 from frugal import rig, synth
 from frugal.cli import flag_column, parse_rule, run_command, split_list
 from frugal.dataset import binarize, load_csv
+from frugal.errors import TrainingError
 
 THRESHOLDS = (">365", "<180", "<90", "<30", "<14", "<7", "<1")
 
@@ -31,30 +29,25 @@ def _slug(rule_text: str) -> str:
 
 
 def run_threshold(raw, rule_text, config, out_dir):
-    """One repeated CV run; returns the median per learner, or None when a
-    class is too thin to stratify."""
+    """One repeated CV run and its medians over the cells ``rig.compare``
+    keeps; a threshold the rig cannot train prints the rig's error."""
     data = binarize(raw, parse_rule(rule_text))
-    positives = int(data.labels.sum())
-    minority = min(positives, len(data) - positives)
-    if minority < config.bins:
-        print(f"{rule_text:>5}: skipped ({positives} positive rows of "
-              f"{len(data)}; need >= {config.bins} per class)")
-        return None
-    result = rig.run({"issues": [data]}, config)
+    try:
+        result = rig.run({"issues": [data]}, config)
+    except TrainingError as exc:
+        print(f"{rule_text:>5}: skipped ({exc})")
+        return
     rig.write_reports(result, f"{out_dir}/{_slug(rule_text)}")
-
-    learners = config.learners
-    medians = {}
-    for learner in learners:
-        values = [r.value for r in result.results if r.learner == learner]
-        medians[learner] = float(np.median(values))
     verdicts = {row.learner: row.verdict
                 for row in rig.compare(result.results)}
-    cells = "  ".join(f"{ln} {medians[ln]:.3f} ({verdicts[ln]})"
-                      for ln in learners)
-    print(f"{rule_text:>5}: {positives:>3} positive  dis2heaven medians: "
-          f"{cells}")
-    return medians
+    cells = []
+    for learner in config.learners:
+        values = [r.value for r in result.results
+                  if r.learner == learner and not r.degenerate]
+        median = f"{np.median(values):.3f}" if values else "-"
+        cells.append(f"{learner} {median} ({verdicts[learner]})")
+    print(f"{rule_text:>5}: {int(data.labels.sum()):>3} positive  "
+          "dis2heaven medians: " + "  ".join(cells))
 
 
 def main(argv=None) -> int:

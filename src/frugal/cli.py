@@ -288,19 +288,15 @@ def _cmd_changefreq(args) -> int:
     operational.check_threshold(args.threshold)
     exclude = split_list(args.exclude)
     label = flag_column("--label", args.label)
-    sequences = []
-    if args.csv:
-        sequences.append(args.csv)
-    for seq in args.sequence:
-        sequences.append(split_list(seq))
+    sequences = [args.csv] if args.csv else []
+    sequences += [split_list(seq) for seq in args.sequence]
     if not sequences:
         raise ConfigError("changefreq needs CSVs (positional or --sequence)")
-    loaded = []
-    for paths in sequences:
-        loaded.append([load_csv(p, label_column=label,
-                                effort_column=None, exclude=exclude,
-                                name=Path(p).stem)
-                       for p in paths])
+    if min(map(len, sequences)) < 2:
+        raise ConfigError("each version sequence needs >= 2 versions")
+    loaded = [[load_csv(p, label_column=label, effort_column=None,
+                        exclude=exclude, name=Path(p).stem) for p in paths]
+              for paths in sequences]
     stats = operational.change_frequency(loaded, threshold=args.threshold)
     if args.format == "json":
         payload = [{"attribute": c.attribute, "changed": c.changed,

@@ -471,15 +471,11 @@ def _grow_stack(trains: list[Dataset], depth: int,
             gone = (np.split(rows[hits[bit]], np.cumsum(support[:-1, bit]))
                     if fn.kind == "popt" else None)
             for s, col in enumerate(column[:, bit].tolist()):
+                # no split (col -1): no node, and an empty gone[s] exits
                 head, tail = exits[s]
-                if col < 0:
-                    grown.append(nodes[s])
-                    reached.append(exits[s])
-                    continue
-                rng = Range(stack.names[s % sets][col >> 1],
-                            ("<=", ">")[col & 1], float(cut[s, bit]))
-                grown.append((*nodes[s], Node(rng, bool(bit),
-                                              int(support[s, bit]))))
+                grown.append(nodes[s] if col < 0 else (*nodes[s], Node(Range(
+                    stack.names[s % sets][col >> 1], ("<=", ">")[col & 1],
+                    float(cut[s, bit])), bool(bit), int(support[s, bit]))))
                 if gone is not None:
                     head, tail = ((head + (gone[s],), tail) if bit
                                   else (head, (gone[s],) + tail))

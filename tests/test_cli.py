@@ -1143,4 +1143,12 @@ def test_changefreq_without_input(capsys):
 
 def test_changefreq_single_version_sequence(project_dir, capsys):
     _, paths = project_dir
-    assert main(["changefreq", str(paths["1.0"])]) == 2
+    assert main(["changefreq", str(paths["1.0"])]) == 5
+
+
+def test_changefreq_checks_sequence_lengths_before_reading(tmp_path, capsys):
+    # a missing CSV, so a check made once the files are read exits 2
+    missing = str(tmp_path / "a.csv")
+    assert main(["changefreq", "--sequence", missing]) == 5
+    err = capsys.readouterr().err
+    assert err == "error: each version sequence needs >= 2 versions\n"

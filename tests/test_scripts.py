@@ -5,11 +5,16 @@ the benchmark's tracer wraps still exists, and that no test module defines
 a name twice."""
 
 import ast
+import contextlib
+import csv
 import importlib
 import importlib.util
+import io
+import re
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,6 +109,92 @@ def test_issue_script_checks_its_config_once(monkeypatch, tmp_path):
     assert script.main(["--rows", "120", "--bins", "2", "--repeats", "1",
                         "--out-dir", str(tmp_path / "reports")]) == 0
     assert len(configs) == 1
+
+
+@pytest.fixture(scope="module")
+def issue_defaults(tmp_path_factory):
+    """The issue script's stdout lines and report folder on its defaults."""
+    out_dir = tmp_path_factory.mktemp("issues")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert _load("run_issue_experiments").main(
+            ["--out-dir", str(out_dir)]) == 0
+    return printed.getvalue().splitlines(), out_dir
+
+
+def _threshold_lines(lines):
+    thresholds = _load("run_issue_experiments").THRESHOLDS
+    return {ln.split(":")[0].strip(): ln for ln in lines
+            if ln.split(":")[0].strip() in thresholds}
+
+
+def test_issue_script_runs_every_threshold_the_rig_trains(issue_defaults):
+    # >365 (3 positives) and <1 (8) are thinner than the 10 bins, and the
+    # rig trains both
+    lines, out_dir = issue_defaults
+    shown = _threshold_lines(lines)
+    assert len(shown) == 7
+    assert not any("skipped" in ln for ln in shown.values())
+    for folder in ("gt365", "lt1"):
+        assert {p.name for p in (out_dir / folder).iterdir()} == REPORTS
+
+
+def test_issue_script_medians_leave_out_degenerate_cells(issue_defaults):
+    lines, out_dir = issue_defaults
+    printed = dict(re.findall(r"(\w+) (\S+) \(\w+\)",
+                              _threshold_lines(lines)["<180"]))
+    with open(out_dir / "lt180" / "results.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert any(r["degenerate"] == "true" for r in rows)
+    assert set(printed) == {r["learner"] for r in rows}
+    for learner, median in printed.items():
+        kept = [float(r["value"]) for r in rows
+                if r["learner"] == learner and r["degenerate"] == "false"]
+        assert median == f"{np.median(kept):.3f}"
+
+
+def test_issue_script_prints_the_rigs_error_for_an_untrainable_threshold(
+        tmp_path, capsys):
+    # <1 has no positive row in 120; >365 (2 positives) and <180 (8
+    # negatives) still train
+    assert _load("run_issue_experiments").main(
+        ["--rows", "120", "--out-dir", str(tmp_path / "reports")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    skipped = {t: ln for t, ln in _threshold_lines(out.splitlines()).items()
+               if "skipped" in ln}
+    assert list(skipped) == ["<1"]
+    assert "[issues/sl/" in skipped["<1"] and "both classes" in skipped["<1"]
+
+
+def test_issue_script_prints_a_dash_for_a_learner_with_no_kept_cell(
+        tmp_path, capsys):
+    # without sl, <1 trains on one class, so every test fold is degenerate
+    assert _load("run_issue_experiments").main(
+        ["--rows", "120", "--learners", "fft,nb", "--bins", "2", "--repeats",
+         "1", "--out-dir", str(tmp_path / "reports")]) == 0
+    line = _threshold_lines(capsys.readouterr().out.splitlines())["<1"]
+    assert line.endswith("fft - (inconclusive)  nb - (inconclusive)")
+
+
+def test_defect_head_to_head_leaves_out_degenerate_cells(capsys):
+    # b's fft Popt is degenerate: its 0.5 is no score, and would beat 0.4
+    script = _load("run_defect_experiments")
+
+    def cell(project, learner, score, value, degenerate=False):
+        return script.rig.EvalResult(project, learner, score, "full",
+                                     "version", 10, 10, value, degenerate)
+    results = [cell(p, ln, "dis2heaven", 0.3 if ln == "fft" else 0.6)
+               for p in "ab" for ln in ("fft", "nb")]
+    results += [cell("a", "fft", "popt", 0.7), cell("a", "nb", "popt", 0.4),
+                cell("b", "fft", "popt", 0.5, degenerate=True),
+                cell("b", "nb", "popt", 0.4)]
+    script.print_head_to_head(results, ("fft", "nb"), ("a", "b"))
+    assert capsys.readouterr().out.splitlines() == [
+        "", "dis2heaven (lower is better), full attributes:",
+        "  trees vs nb: better on 2/2 projects",
+        "", "popt (higher is better), full attributes:",
+        "  trees vs nb: better on 1/1 projects"]
 
 
 def test_script_main_reports_an_unwritable_out_dir_in_one_line(tmp_path,

@@ -85,7 +85,7 @@ def read_json(path, what: str, invalid: type[FrugalError]):
     """The JSON value in the file at ``path``.  A file that cannot be opened
     is a DatasetError; text that does not decode or parse is ``invalid``."""
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"cannot read {what} {path}: {exc}") from exc
     with fh:

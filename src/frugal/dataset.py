@@ -5,11 +5,12 @@ one label column (raw counts/days before binarization, booleans after) and an
 optional per-row effort column (e.g. lines of code).  Missing numeric cells
 are stored as NaN; downstream code treats NaN as "never matches".
 
-``load_csv`` reads a file in chunks of rows and parses each chunk column by
-column.  A numeric cell is whatever Python's ``float()`` accepts, after
-stripping the whitespace around it, or a missing marker (``?`` or empty).
-The chunk that holds a bad row is checked again row by row, so an error names
-the first bad line and column, for a pipe as well as for a file.
+``load_csv`` reads a file (a leading UTF-8 BOM is skipped) in chunks of rows
+and parses each chunk column by column, finding infinite cells there too.  A
+numeric cell is whatever Python's ``float()`` accepts, after stripping the
+whitespace around it, or a missing marker (``?`` or empty).  Only a chunk that
+breaks another rule is checked again row by row, so an error names the first
+bad line and column, for a pipe as well as for a file.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import compress, islice
 
 import numpy as np
 
@@ -191,14 +192,11 @@ def _check_rows(rows, lines, path, header, numeric: list[int],
                 effort_idx: int | None):
     """Raise the first error of ``rows`` (on ``lines``): a ragged row, a bad
     cell (in ``numeric`` order: attributes, label, effort; read by the chunk
-    parse's ``_parse_column``) or a bad effort.  Failing those, give the
-    first infinite cell in file order as (line, column index, value)."""
-    first_inf = None
+    parse's ``_parse_column``) or a bad effort."""
     for line, cells in zip(lines, rows):
         if len(cells) != len(header):
             raise DatasetError(f"{path}: line {line} has {len(cells)} cells, "
                                f"header has {len(header)}")
-        row = {}
         for j in numeric:
             parsed = _parse_column((cells[j],), 1)
             if parsed is None:
@@ -206,16 +204,11 @@ def _check_rows(rows, lines, path, header, numeric: list[int],
                     f"{path}: line {line}, column {header[j]!r}: cell "
                     f"{cells[j].strip()!r} is neither numeric nor a missing "
                     f"marker")
-            row[j] = float(parsed[0])
-        if effort_idx is not None and not row[effort_idx] > 0:
+        if effort_idx is not None and not parsed[0] > 0:
             raise DatasetError(
                 f"{path}: line {line}, column {header[effort_idx]!r}: "
                 f"effort must be a positive number, got "
                 f"{cells[effort_idx].strip()!r}")
-        if first_inf is None:
-            first_inf = next(((line, j, row[j]) for j in sorted(row)
-                              if math.isinf(row[j])), None)
-    return first_inf
 
 
 def _parse_rows(reader, path, header, numeric: list[int],
@@ -240,10 +233,9 @@ def _parse_rows(reader, path, header, numeric: list[int],
         firsts = (range(start, start + len(chunk))
                   if reader.line_num - start < len(chunk)
                   else _first_lines(chunk, start))
-        rows = [cells for cells in chunk if any(map(str.strip, cells))]
-        lines = (firsts if len(rows) == len(chunk)
-                 else [line for line, cells in zip(firsts, chunk)
-                       if any(map(str.strip, cells))])
+        kept = [any(map(str.strip, cells)) for cells in chunk]  # not blank
+        rows = list(compress(chunk, kept))
+        lines = list(compress(firsts, kept))
         if read_error or set(map(len, rows)) - {len(header)}:
             _check_rows(rows, lines, path, header, numeric, effort_idx)
             raise read_error or RuntimeError(rejected)
@@ -254,15 +246,16 @@ def _parse_rows(reader, path, header, numeric: list[int],
         cols = list(zip(*rows))
         del chunk, rows     # the column tuples hold the same cells
         parsed = [_parse_column(cols[j], len(lines)) for j in numeric]
-        bad = (any(col is None for col in parsed)
-               or (effort_idx is not None and not (parsed[-1] > 0).all()))
+        if (any(col is None for col in parsed)
+                or (effort_idx is not None and not (parsed[-1] > 0).all())):
+            _check_rows(zip(*cols), lines, path, header, numeric, effort_idx)
+            raise RuntimeError(rejected)
         # per column: an isinf mask of the whole block raised peak memory
-        if bad or (first_inf is None
-                   and any(np.isinf(col).any() for col in parsed)):
-            first_inf = _check_rows(zip(*cols), lines, path, header, numeric,
-                                    effort_idx)
-            if bad or first_inf is None:
-                raise RuntimeError(rejected)
+        if first_inf is None:
+            first_inf = min(((lines[i], j, float(col[i]))
+                             for j, col in zip(numeric, parsed)
+                             for i in np.flatnonzero(np.isinf(col))[:1]),
+                            default=None)
         blocks.append(np.column_stack(parsed))
     if first_inf is not None:
         line, j, x = first_inf
@@ -294,7 +287,7 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
         raise DatasetError(f"{path}: column {label_column!r} cannot be both "
                            "the label and the effort")
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -331,7 +324,7 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
             attr_cols = [attr_cols[names.index(attr)] for attr in attributes]
 
         numeric = attr_cols + [label_idx]
-        if effort_idx is not None:
+        if effort_idx is not None:  # last: _check_rows's effort rule reads it
             numeric.append(effort_idx)
         table = _parse_rows(reader, path, header, numeric, effort_idx)
 

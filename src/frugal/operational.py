@@ -99,9 +99,9 @@ def change_frequency(version_sequences: list[list[Dataset]],
 
 
 def top_changed(old: Dataset, new: Dataset, fraction: float = 0.25) -> tuple[str, ...]:
-    """The ceil(fraction * |attributes|) attributes whose distributions
-    moved most between two versions, ranked by |A12 - 0.5| descending with
-    name as the tie-break."""
+    """The ceil(fraction * |attributes|) attributes, at least one, whose
+    distributions moved most between two versions, ranked by |A12 - 0.5|
+    descending with name as the tie-break."""
     if old.attributes != new.attributes:
         raise DatasetError(f"attribute mismatch: {old.name} vs {new.name}")
     check_fraction(fraction)
@@ -110,7 +110,7 @@ def top_changed(old: Dataset, new: Dataset, fraction: float = 0.25) -> tuple[str
         shift = _shift(old, new, attr)
         scored.append((-(shift or 0.0), attr))
     scored.sort()
-    keep = math.ceil(fraction * len(old.attributes) - EPSILON)
+    keep = max(1, math.ceil(fraction * len(old.attributes) - EPSILON))
     return tuple(attr for _, attr in scored[:keep])
 
 

@@ -781,6 +781,18 @@ def test_eval_top_changed_projection(project_dir, capsys):
     assert "dis2heaven:" in capsys.readouterr().out
 
 
+def test_eval_top_changed_keeps_at_least_one_attribute(project_dir, capsys):
+    # of two attributes, 1e-14 keeps the most-changed one, as 0.5 does
+    _, paths = project_dir
+    outs = []
+    for fraction in ("1e-14", "0.5"):
+        assert main(["eval", str(paths["1.0"]), str(paths["1.1"]),
+                     str(paths["1.2"]), "--effort", "loc", "--format", "json",
+                     "--top-changed", fraction]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_eval_top_changed_needs_version_history(project_dir, capsys):
     _, paths = project_dir
     assert main(["eval", str(paths["1.0"]), str(paths["1.1"]),
@@ -1014,6 +1026,22 @@ def test_undecodable_json_files_are_not_valid_json(project_dir, capsys, flag,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: not valid JSON (")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--model", "--config"])
+def test_json_files_may_start_with_a_bom(project_dir, capsys, flag):
+    # an editor's "UTF-8 with BOM" save starts with a byte order mark
+    tmp_path, paths = project_dir
+    if flag == "--model":
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(PERFECT_MODEL))
+        argv = ["eval", str(paths["1.2"]), "--model", str(path)]
+    else:
+        path = _write_rig_config(tmp_path, paths)
+        argv = ["rig", "--config", str(path), "--out-dir", str(tmp_path / "x")]
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_rig_with_an_all_missing_column_warns_nothing(tmp_path, capsys):

@@ -287,7 +287,10 @@ _CHUNKED = "wmc,loc,bug\n1,5,0\n2,5,1\n\n3,5,0\n\n\n4,5,1\n5,5,0\n6,5,1\n"
     ("7,5,x\n", r"line 11, column 'bug': cell 'x' is neither"),
     ("7,5\n", r"line 11 has 2 cells, header has 3"),
     ("7,inf,0\n", r"line 11, column 'loc': cell value inf is not finite"),
-], ids=["bad cell", "ragged row", "infinite cell"])
+    ("7,inf,0\n8,5,0\n9,5,0\n10,5,x\n",
+     r"line 14, column 'bug': cell 'x' is neither"),
+], ids=["bad cell", "ragged row", "infinite cell",
+        "infinite cell, then a bad cell in the next chunk"])
 def test_load_csv_error_lines_across_chunks(tmp_path, monkeypatch, bad,
                                            message):
     monkeypatch.setattr(dataset, "_CHUNK_ROWS", 3)
@@ -296,6 +299,35 @@ def test_load_csv_error_lines_across_chunks(tmp_path, monkeypatch, bad,
     new, old = _load_both(path, "loc")
     assert new == old
     assert re.search(message, new)
+
+
+def test_load_csv_finds_infinite_cells_without_the_row_check(tmp_path,
+                                                              monkeypatch):
+    # infinite cells are the only fault, in both 3-row chunks: line 3 holds
+    # the first, though an earlier column turns infinite on line 4
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 3)
+    path = tmp_path / "inf.csv"
+    path.write_text("wmc,loc,bug\n1,5,0\n2,5,-inf\ninf,5,0\n"
+                    "4,inf,0\n5,5,inf\n6,5,0\n")
+    with mock.patch.object(dataset, "_check_rows",
+                           wraps=dataset._check_rows) as check:
+        with pytest.raises(DatasetError) as info:
+            load_csv(path, label_column="bug", effort_column="loc")
+    assert str(info.value) == (f"{path}: line 3, column 'bug': cell value "
+                               f"-inf is not finite")
+    check.assert_not_called()
+
+
+@pytest.mark.parametrize("text", [
+    "name,wmc,loc,bug\nA,1,5,0\nB,2,?,1\n",
+    "wmc,loc,bug\n1,5,0\n2,?,1\n",
+], ids=["identifier first", "attribute first"])
+def test_load_csv_skips_a_leading_bom(tmp_path, text):
+    # a spreadsheet's "CSV UTF-8" export starts with a byte order mark
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    _assert_same_load(load_csv(bom, "bug"), load_csv(plain, "bug"))
 
 
 @pytest.mark.parametrize("text, rows", [

@@ -177,6 +177,15 @@ def test_top_changed_ranks_the_moved_attribute_first():
     assert mags == sorted(mags, reverse=True)
 
 
+def test_top_changed_keeps_at_least_one_attribute():
+    # ceil(1e-14 * 3) less the rounding slack is 0; the most-changed stays
+    v1 = _version({"calm": [5, 6, 5, 6], "wild": [1, 2, 3, 4],
+                   "flat": [0, 0, 0, 0]})
+    v2 = _version({"calm": [5, 6, 6, 5], "wild": [41, 42, 43, 44],
+                   "flat": [0, 0, 0, 0]})
+    assert top_changed(v1, v2, fraction=1e-14) == ("wild",)
+
+
 def test_top_changed_ties_break_on_name():
     v1 = _version({"b": [1, 1, 1, 1], "a": [2, 2, 2, 2], "c": [3, 3, 3, 3]})
     assert top_changed(v1, v1, fraction=1.0) == ("a", "b", "c")

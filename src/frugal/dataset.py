@@ -5,20 +5,28 @@ one label column (raw counts/days before binarization, booleans after) and an
 optional per-row effort column (e.g. lines of code).  Missing numeric cells
 are stored as NaN; downstream code treats NaN as "never matches".
 
-``load_csv`` reads a file (a leading UTF-8 BOM is skipped) in chunks of rows
-and parses each chunk column by column, finding infinite cells there too.  A
-numeric cell is whatever Python's ``float()`` accepts, after stripping the
-whitespace around it, or a missing marker (``?`` or empty).  Only a chunk that
-breaks another rule is checked again row by row, so an error names the first
-bad line and column, for a pipe as well as for a file.
+``load_csv`` reads a file (a leading UTF-8 BOM is skipped) in chunks of lines.
+A numeric cell is whatever Python's ``float()`` accepts, after stripping the
+whitespace around it, or a missing marker (``?`` or empty).  ``np.loadtxt``
+parses each clean chunk: one with no quote, NUL or bare carriage return, one
+comma per header column but the first on every line, no line past the csv
+field limit, every effort above 0, and only cells that ``loadtxt`` reads as
+``float()`` does (a leading ``?`` in a cell maps to ``nan``).  From the first
+chunk that is not clean, the rest of the file goes through ``csv.reader`` and
+is parsed column by column with ``float()``.  Infinite cells are found on the
+parsed columns, whichever parser made them.  Only a chunk that breaks another
+rule is checked again row by row, so an error names the first bad line and
+column, for a pipe as well as for a file.  Columns with a blank header are
+skipped.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
-from itertools import compress, islice
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -211,28 +219,26 @@ def _check_rows(rows, lines, path, header, numeric: list[int],
                 f"{cells[effort_idx].strip()!r}")
 
 
-def _parse_rows(reader, path, header, numeric: list[int],
-                effort_idx: int | None) -> np.ndarray:
-    """Parse the rows of a csv reader past the header a chunk at a time,
-    column by column, into a (rows, len(numeric)) float table.  Blank rows
-    are skipped.  A chunk that breaks a rule (a read error, a ragged row, a
-    bad cell, an effort not > 0) is checked again row by row, which raises
-    the first error.  The first infinite cell is raised when all pass."""
+def _parse_rows(reader, first: int, path, header, numeric: list[int],
+                effort_idx: int | None):
+    """Yield the first line of each row and the (rows, len(numeric)) float
+    table of each chunk of a csv reader's records, the reader's first line
+    being line ``first``.  Blank rows are skipped.  A chunk that breaks a
+    rule (a read error, a ragged row, a bad cell, an effort not > 0) is
+    checked again row by row, which raises the first error."""
     records = _csv_rows(reader, path)
-    blocks = [np.empty((0, len(numeric)))]
-    first_inf = None
     rejected = f"{path}: the chunk parse rejected rows the row check accepts"
     while True:
-        start = reader.line_num + 1    # the line of the chunk's first row
+        read = reader.line_num
         chunk, read_error = [], None
         try:
             chunk.extend(islice(records, _CHUNK_ROWS))
         except DatasetError as exc:    # the rows read before it come first
             read_error = exc
         # each record is one line unless the chunk spans more lines
-        firsts = (range(start, start + len(chunk))
-                  if reader.line_num - start < len(chunk)
-                  else _first_lines(chunk, start))
+        firsts = (range(first + read, first + read + len(chunk))
+                  if reader.line_num - read <= len(chunk)
+                  else _first_lines(chunk, first + read))
         kept = [any(map(str.strip, cells)) for cells in chunk]  # not blank
         rows = list(compress(chunk, kept))
         lines = list(compress(firsts, kept))
@@ -240,7 +246,7 @@ def _parse_rows(reader, path, header, numeric: list[int],
             _check_rows(rows, lines, path, header, numeric, effort_idx)
             raise read_error or RuntimeError(rejected)
         if not chunk:
-            break
+            return
         if not rows:
             continue
         cols = list(zip(*rows))
@@ -250,18 +256,98 @@ def _parse_rows(reader, path, header, numeric: list[int],
                 or (effort_idx is not None and not (parsed[-1] > 0).all())):
             _check_rows(zip(*cols), lines, path, header, numeric, effort_idx)
             raise RuntimeError(rejected)
+        yield lines, np.column_stack(parsed)
+
+
+def _loadtxt_block(lines: list[str], header, usecols: list[int],
+                   effort_idx: int | None) -> np.ndarray | None:
+    """The float table ``np.loadtxt`` parses from ``lines``, or None when
+    they are not clean (see the module docstring) and the csv path must
+    read them.  ``loadtxt`` refuses what only ``float()`` or the missing
+    markers accept (``1_0``, ``１``, empty or whitespace-only cells)."""
+    text = "".join(lines)
+    if "\r" in text:                        # CRLF ends read as LF ends
+        text = text.replace("\r\n", "\n")
+    commas = len(header) - 1
+    # csv rejects a cell past its field limit (and on Python 3.10 a NUL);
+    # loadtxt, given usecols, takes ragged rows
+    if ('"' in text or "\0" in text or "\r" in text
+            or max(map(len, lines)) > csv.field_size_limit()
+            or any(line.count(",") != commas for line in lines)):
+        return None
+    # With a comma before each line every cell follows one, so a cell that
+    # starts with ? reads as nan and its rest, which loadtxt takes only when
+    # the rest is whitespace: a (padded) marker, as the csv path reads it.
+    fenced = ("," + text.replace("\n", "\n,")).replace(",?", ",nan")
+    try:
+        block = np.loadtxt(io.StringIO(fenced.removesuffix("\n,")),
+                           delimiter=",", comments=None, quotechar=None,
+                           usecols=usecols, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    # no line is empty once fenced, so loadtxt skips none; a guard against
+    # one that splits lines where the file reader does not
+    if len(block) != len(lines) or (effort_idx is not None
+                                    and not (block[:, -1] > 0).all()):
+        return None
+    return block
+
+
+def _then_raise(lines, exc):
+    """``lines``, then the read error that cut them short."""
+    yield from lines
+    raise exc
+
+
+def _blocks(fh, line: int, path, header, numeric: list[int],
+            effort_idx: int | None):
+    """Yield the first line of each row and the (rows, len(numeric)) float
+    table of each chunk of ``fh``'s lines, the first being line ``line``.
+    ``np.loadtxt`` parses each clean chunk.  The first chunk that is not
+    clean and the rest of the file go to the csv path (``_parse_rows``), as
+    a quoted record may cross into the next chunk; so does a read error,
+    after the lines read before it."""
+    usecols = [j + 1 for j in numeric]      # past each line's leading comma
+    while True:
+        lines = []
+        try:
+            lines.extend(islice(fh, _CHUNK_ROWS))
+        except UnicodeDecodeError as exc:
+            rest = _then_raise(lines, exc)
+        else:
+            if not lines:
+                return
+            block = _loadtxt_block(lines, header, usecols, effort_idx)
+            if block is not None:
+                yield range(line, line + len(lines)), block
+                line += len(lines)
+                continue
+            rest = chain(lines, fh)
+        yield from _parse_rows(csv.reader(rest), line, path, header, numeric,
+                               effort_idx)
+        return
+
+
+def _parse_body(fh, line: int, path, header, numeric: list[int],
+                effort_idx: int | None) -> np.ndarray:
+    """The (rows, len(numeric)) float table of ``fh``'s lines past the
+    header (``_blocks``).  The first infinite cell is raised when every
+    chunk passes."""
+    tables = [np.empty((0, len(numeric)))]
+    first_inf = None
+    for lines, block in _blocks(fh, line, path, header, numeric, effort_idx):
         # per column: an isinf mask of the whole block raised peak memory
         if first_inf is None:
             first_inf = min(((lines[i], j, float(col[i]))
-                             for j, col in zip(numeric, parsed)
+                             for j, col in zip(numeric, block.T)
                              for i in np.flatnonzero(np.isinf(col))[:1]),
                             default=None)
-        blocks.append(np.column_stack(parsed))
+        tables.append(block)
     if first_inf is not None:
         line, j, x = first_inf
         raise DatasetError(f"{path}: line {line}, column {header[j]!r}: "
                            f"cell value {x!r} is not finite")
-    return np.concatenate(blocks)
+    return np.concatenate(tables)
 
 
 def load_csv(path, label_column: str, effort_column: str | None = None,
@@ -269,12 +355,13 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
              attributes=None) -> Dataset:
     """Load one CSV into a Dataset.
 
-    The first row is the header.  Columns named in ``exclude`` are skipped,
-    unparsed; every other non-label, non-effort column must be numeric
-    ("?", an empty cell or ``nan`` marks a missing value).  An infinite cell
-    in any attribute, label or effort column is an error, and so is a label
-    or effort name that heads more than one column, and so is one column
-    named as both the label and the effort.
+    The first row is the header.  Columns named in ``exclude``, and those
+    whose header is blank (as a trailing comma on every line makes), are
+    skipped, unparsed; every other non-label, non-effort column must be
+    numeric ("?", an empty cell or ``nan`` marks a missing value).  An
+    infinite cell in any attribute, label or effort column is an error, and
+    so is a label or effort name that heads more than one column, and so is
+    one column named as both the label and the effort.
 
     ``attributes``, when given, names the attribute columns to keep, in the
     order the dataset will hold them.  Every other column is then skipped
@@ -303,7 +390,8 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
         label_idx = header.index(label_column)
         effort_idx = header.index(effort_column) if effort_column else None
         attr_cols = [j for j, col in enumerate(header)
-                     if j not in (label_idx, effort_idx) and col not in exclude
+                     if j not in (label_idx, effort_idx) and col
+                     and col not in exclude
                      and (attributes is None or col in attributes)]
         names = [header[j] for j in attr_cols]
         if len(set(names)) != len(names):
@@ -326,7 +414,8 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
         numeric = attr_cols + [label_idx]
         if effort_idx is not None:  # last: _check_rows's effort rule reads it
             numeric.append(effort_idx)
-        table = _parse_rows(reader, path, header, numeric, effort_idx)
+        table = _parse_body(fh, reader.line_num + 1, path, header, numeric,
+                            effort_idx)
 
     n_attr = len(attr_cols)
     return Dataset(

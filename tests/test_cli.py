@@ -155,6 +155,22 @@ def test_fit_unreadable_csv_is_a_data_error(tmp_path, capsys, content):
     assert len(err.splitlines()) == 1
 
 
+
+@pytest.mark.parametrize("row", [
+    b"m" * 131073 + b",1,0\n",
+    b"m,1" + b"0" * 131072 + b",0\n",
+], ids=["identifier column", "numeric column"])
+def test_fit_cell_past_the_csv_field_limit_keeps_its_message(tmp_path,
+                                                             capsys, row):
+    # loadtxt has no field limit: it would read the numeric cell (1e131072)
+    # as inf and pass over the identifier, so such a line takes the csv path
+    path = tmp_path / "long.csv"
+    path.write_bytes(b"name,wmc,bug\nm,1,0\n" + row)
+    assert main(["fit", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: not a readable UTF-8 CSV (field larger than field "
+        f"limit (131072))\n")
+
 def test_fit_missing_label_names_its_data_row(tmp_path, capsys):
     # the "?" sits on file line 4: data rows skip the header and the blank
     path = tmp_path / "misslabel.csv"
@@ -1154,6 +1170,22 @@ def test_changefreq_csv_quotes_cells(tmp_path, capsys):
     assert rows == [["attribute", "changed", "total", "percent"],
                     ["a,b", "1", "1", "100.0"]]
 
+
+
+def test_changefreq_prints_no_nameless_row(project_dir, tmp_path, capsys):
+    # a trailing comma on every line heads a blank column, which is skipped
+    _, paths = project_dir
+    argv = [str(paths["1.0"]), str(paths["1.1"])]
+    assert main(["changefreq", *argv]) == 0
+    plain = capsys.readouterr().out
+    for i, path in enumerate(argv):
+        trailing = tmp_path / f"trailing-{i}.csv"
+        trailing.write_text(open(path).read().replace("\n", ",\n"))
+        argv[i] = str(trailing)
+    assert main(["changefreq", *argv]) == 0
+    out = capsys.readouterr().out
+    assert out == plain
+    assert all(line[:1].strip() for line in out.splitlines())
 
 def test_changefreq_sequence_flag_pools_counts(project_dir, capsys):
     _, paths = project_dir

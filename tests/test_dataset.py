@@ -476,6 +476,172 @@ def test_load_csv_rejects_a_kept_attribute_heading_two_columns(tmp_path):
         load_csv(path, "bug", attributes=("cbo",))
 
 
+# ------------------------------------------------- the loadtxt fast path
+
+def _spy(name):
+    return mock.patch.object(dataset, name, wraps=getattr(dataset, name))
+
+
+# Six clean rows on lines 2-7 fill two 3-row chunks.  Each case's line is
+# line 8, the first of the third chunk, and one clean row follows it.
+_FAST_HEAD = "wmc,loc,bug,name\n" + "".join(
+    f"{i},{i + 5},{i % 2},m{i}\n" for i in range(6))
+
+
+@pytest.mark.parametrize("line, fast", [
+    ("1_0,5,0,m\n", False),
+    ("１,5,0,m\n", False),
+    (" ? ,5,0,m\n", False),
+    ("? ,5,0,m\n", True),
+    ("?,5,?,m\n", True),
+    ("-?,5,0,m\n", False),
+    ("?1,5,0,m\n", False),
+    (" \t,5,0,m\n", False),
+    (",5,0,m\n", False),
+    ("inf,5,0,m\n", True),
+    ("1,5,-Infinity,m\n", True),
+    ("1e999,5,0,m\n", True),
+    ("nan,5,-nan,m\n", True),
+    ("#,5,0,m\n", False),
+    ("1,5,0,#m\n", True),
+    ("1,5,0\n", False),
+    ("1,5,0,m,x\n", False),
+    ("\n", False),
+    ("   \n", False),
+    (",,,\n", False),
+    ('1,5,0,"m\nn"\n', False),
+    ("1,5,0,m\x00\n", False),
+    ("1,0,0,m\n", False),
+    ("1,?,0,m\n", False),
+], ids=["underscore", "fullwidth digit", "padded marker",
+        "marker then space", "markers", "signed marker", "marker then digit",
+        "whitespace cell", "empty cell",
+        "inf", "-Infinity", "1e999", "nan", "# cell", "# identifier",
+        "ragged, usecols all there", "ragged, one cell more", "empty line",
+        "whitespace line", "blank row", "quoted line break", "NUL",
+        "zero effort", "missing effort"])
+def test_load_csv_fast_path_agrees_with_the_oracle(tmp_path, monkeypatch,
+                                                   line, fast):
+    # a case loadtxt would read apart from float() goes to the csv path
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 3)
+    path = tmp_path / "t.csv"
+    path.write_text(_FAST_HEAD + line + "7,12,1,m7\n")
+    with _spy("_parse_rows") as csv_path:
+        new, old = _load_both(path, "loc")
+    _assert_same_load(new, old)
+    if fast:
+        csv_path.assert_not_called()
+    else:
+        csv_path.assert_called_once()
+        assert csv_path.call_args.args[1] == 8
+
+
+@pytest.mark.parametrize("body, fast", [
+    (_FAST_HEAD.replace("\n", "\r\n"), True),
+    (_FAST_HEAD.replace("\n", "\r"), False),
+    (_FAST_HEAD.replace("\n", "\r\n", 4), True),
+    (_FAST_HEAD.rstrip("\n"), True),
+    (_FAST_HEAD.rstrip("\n") + "\r", False),
+], ids=["CRLF", "bare CR", "CRLF, then LF", "no final newline",
+        "bare CR last"])
+def test_load_csv_line_endings(tmp_path, monkeypatch, body, fast):
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 3)
+    path = tmp_path / "t.csv"
+    path.write_bytes(body.encode())
+    with _spy("_parse_rows") as csv_path:
+        new, old = _load_both(path, "loc")
+    _assert_same_load(new, old)
+    assert len(new) == 6
+    assert csv_path.called is not fast
+
+
+def test_load_csv_quoted_comma_that_the_comma_count_misses(tmp_path):
+    # the quoted comma stands in for the missing cell, so only the quote
+    # keeps loadtxt (which reads no quotes) from taking the ragged row
+    path = tmp_path / "t.csv"
+    path.write_text('name,version,wmc,bug\n"a,b",1,0\n')
+    new, old = _load_both(path, None)
+    assert new == old == f"{path}: line 2 has 3 cells, header has 4"
+
+
+def test_load_csv_fast_path_skips_a_bom(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 3)
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(_FAST_HEAD.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + _FAST_HEAD.encode())
+    with _spy("_parse_rows") as csv_path:
+        _assert_same_load(load_csv(bom, "bug", "loc"),
+                          load_csv(plain, "bug", "loc"))
+    csv_path.assert_not_called()
+
+
+def test_load_csv_bad_byte_after_clean_chunks(tmp_path, monkeypatch):
+    # lines 2-2001 (8 KB) fill two 1000-line chunks, which parse; the bad
+    # byte is past the first 8 KB decode block, so the third chunk's lines
+    # read before it reach the csv path, which raises the read error
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 1000)
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"wmc,bug\n" + b"1,0\n" * 2500 + b"\xff,1\n"
+                     + b"1,0\n" * 10)
+    with _spy("_parse_rows") as csv_path:
+        new, old = _load_both(path, None)
+    assert new == old
+    assert "not a readable UTF-8 CSV ('utf-8' codec can't decode" in new
+    assert csv_path.call_args.args[1] == 2002
+
+
+@pytest.mark.parametrize("effort", [None, "loc"])
+def test_load_csv_clean_chunks_never_reach_the_csv_path(tmp_path,
+                                                        monkeypatch, effort):
+    # 13 rows: four full 3-row chunks and one of one row
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 3)
+    path = tmp_path / "t.csv"
+    path.write_text("wmc,loc,bug,name\n" + "".join(
+        f"{i if i % 4 else '?'},{i + 5},{i % 2},m{i}\n" for i in range(13)))
+    with _spy("_parse_rows") as csv_path, _spy("_loadtxt_block") as fast:
+        new, old = _load_both(path, effort)
+    _assert_same_load(new, old)
+    assert len(new) == 13
+    assert fast.call_count == 5
+    csv_path.assert_not_called()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("bad, message", [
+    ("x", "line {line}, column 'wmc': cell 'x' is neither numeric nor a "
+          "missing marker"),
+    (" 1_0", "line 3, column 'wmc': cell value inf is not finite"),
+], ids=["bad cell", "cell only float() reads"])
+def test_load_csv_hands_over_at_the_first_chunk_that_is_not_clean(
+        tmp_path, monkeypatch, k, bad, message):
+    # four 3-row chunks (0-3), an infinite cell on line 3 in chunk 0; the
+    # case is chunk k's second row, so the csv path starts at chunk k
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 3)
+    rows = [f"{i},{i + 5},{i % 2},m{i}\n" for i in range(12)]
+    rows[1] = "inf,6,1,m1\n"
+    line = 3 * k + 3
+    rows[line - 2] = f"{bad},5,0,m\n"
+    path = tmp_path / "t.csv"
+    path.write_text("wmc,loc,bug,name\n" + "".join(rows))
+    with _spy("_parse_rows") as csv_path:
+        new, old = _load_both(path, "loc")
+    _assert_same_load(new, old)
+    assert new == f"{path}: " + message.format(line=line)
+    csv_path.assert_called_once()
+    assert csv_path.call_args.args[1] == 3 * k + 2
+
+
+def test_load_csv_skips_columns_with_a_blank_header(tmp_path):
+    plain, trailing = tmp_path / "plain.csv", tmp_path / "trailing.csv"
+    plain.write_text("wmc,cbo,bug\n1,2,0\n3,?,1\n")
+    trailing.write_text("wmc,cbo,bug,\n1,2,0,\n3,?,1,\n")
+    _assert_same_load(load_csv(trailing, "bug"), load_csv(plain, "bug"))
+    # a blank column is never parsed, wherever it sits
+    middle = tmp_path / "middle.csv"
+    middle.write_text("wmc, ,cbo,bug\n1,x,2,0\n3,inf,?,1\n")
+    _assert_same_load(load_csv(middle, "bug"), load_csv(plain, "bug"))
+
+
 # --------------------------------------------------------------- LabelRule
 
 def test_label_rule_validation():

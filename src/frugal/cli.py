@@ -32,8 +32,8 @@ from .errors import (ConfigError, DatasetError, FrugalError,
                      json_string)
 from .fft import (check_depth, grow, rank_for_popt, render, route_dataset,
                   tree_from_dict, tree_to_dict)
-from .metrics import (Confusion, dis2heaven, far, popt, recall, recall_at_20,
-                      score_function)
+from .metrics import (Confusion, dis2heaven, far, one_class, popt, recall,
+                      recall_at_20, score_function)
 
 _RULE_RE = re.compile(r"^\s*([<>])\s*(\d+(?:\.\d+)?)\s*$")
 
@@ -174,6 +174,8 @@ def _cmd_eval(args) -> int:
         "far": far(c),
         "dis2heaven": dis2heaven(c),
     }
+    if one_class(c):    # only then, so a two-class report keeps its bytes
+        report["dis2heaven_degenerate"] = True
     if train is not None:
         report["train"] = {"name": train.name, "rows": len(train)}
     if test.effort is not None:
@@ -194,7 +196,8 @@ def _cmd_eval(args) -> int:
     lines.append(f"confusion: tp={c.tp} fp={c.fp} tn={c.tn} fn={c.fn}")
     lines.append(f"recall: {report['recall']:.4f}")
     lines.append(f"far: {report['far']:.4f}")
-    lines.append(f"dis2heaven: {report['dis2heaven']:.4f}")
+    flag = "  (degenerate)" if "dis2heaven_degenerate" in report else ""
+    lines.append(f"dis2heaven: {report['dis2heaven']:.4f}{flag}")
     if "popt" in report:
         flag = "  (degenerate)" if report["popt_degenerate"] else ""
         lines.append(f"popt: {report['popt']:.4f}{flag}")

@@ -18,13 +18,20 @@ parsed columns, whichever parser made them.  Only a chunk that breaks another
 rule is checked again row by row, so an error names the first bad line and
 column, for a pipe as well as for a file.  Columns with a blank header are
 skipped.
+
+``save_csv`` writes blocks of ``_WRITE_ROWS`` rows, each formatted in one
+go and written with one ``csv.writer.writerows`` call, so a row name that
+holds a comma, quote or line feed is quoted (a bare carriage return is
+not).  A missing cell is written ``?``, an integral value as an integer
+(``-0.0`` as ``0``, ``1e300`` with all its digits) and any other value as
+its shortest ``repr`` (``0.1``, ``5e-324``).  A binary label is ``0`` or
+``1``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, replace
 from itertools import chain, compress, islice
 
@@ -39,6 +46,11 @@ _MISSING = dict.fromkeys(MISSING_MARKERS, "nan")
 # columns are parsed, so the chunk bounds the memory a load needs on top of
 # its result.
 _CHUNK_ROWS = 4096
+# Rows written per block by save_csv.  A block's cells are live at once as
+# Python objects, so it is kept small: writing three releases of 20,000 to
+# 28,000 rows peaked 3 MB higher at 4096 rows than at 512, and 128 rows gave
+# back about half of the time saved.
+_WRITE_ROWS = 512
 
 # Columns that identify rows (class name, version string) rather than measure
 # them.  Matched by header name, so duplicated headers are covered too.
@@ -427,12 +439,19 @@ def load_csv(path, label_column: str, effort_column: str | None = None,
         effort=table[:, n_attr + 1].copy() if effort_idx is not None else None)
 
 
-def _format_cell(x: float) -> str:
-    if math.isnan(x):
-        return "?"
-    if float(x).is_integer():
-        return str(int(x))
-    return repr(float(x))
+def _block_cells(block: np.ndarray) -> np.ndarray:
+    """``block``'s cells as ``save_csv`` writes them: NaN as ``?``, an
+    integral value as a Python int (through int64 below 2**63 in
+    magnitude) and any other value as a Python float, which ``csv``
+    writes with ``repr``."""
+    cells = block.astype(object)
+    integral = block == np.trunc(block)         # False for NaN
+    small = integral & (np.abs(block) < 2.0**63)
+    cells[small] = block[small].astype(np.int64)
+    big = integral & ~small
+    cells[big] = np.frompyfunc(int, 1, 1)(block[big])
+    cells[np.isnan(block)] = "?"
+    return cells
 
 
 def save_csv(ds: Dataset, path, label_column: str = "bug",
@@ -441,25 +460,38 @@ def save_csv(ds: Dataset, path, label_column: str = "bug",
     there are any, the attributes, then the label.
 
     ``effort_column`` adds the effort vector as its own column; leave it
-    None when effort already mirrors an attribute (e.g. loc).
+    None when effort already mirrors an attribute (e.g. loc).  An infinite
+    cell, which ``load_csv`` would reject, is an error raised before the
+    file is opened.  Rows are written ``_WRITE_ROWS`` at a time (see the
+    module docstring for the cell format).
     """
     if effort_column is not None and ds.effort is None:
         raise DatasetError(f"{ds.name}: no effort vector to write")
     names = ["name"] if ds.row_names else []
     header = names + list(ds.attributes) + [label_column]
+    columns = [*ds.values.T, ds.labels]
     if effort_column is not None:
         header.append(effort_column)
+        columns.append(ds.effort)
+    first_inf = min(((i, j) for j, col in enumerate(columns)
+                     for i in np.flatnonzero(np.isinf(col))[:1]),
+                    default=None)
+    if first_inf is not None:
+        i, j = first_inf
+        raise DatasetError(
+            f"{ds.name}: data row {i + 1}, column {header[len(names) + j]!r}:"
+            f" cell value {float(columns[j][i])!r} is not finite")
+    row_names = np.array(ds.row_names, dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i in range(len(ds)):
-            row = [ds.row_names[i]] if names else []
-            row += [_format_cell(x) for x in ds.values[i]]
-            label = ds.labels[i]
-            row.append(str(int(label)) if ds.binary else _format_cell(label))
-            if effort_column is not None:
-                row.append(_format_cell(ds.effort[i]))
-            writer.writerow(row)
+        for lo in range(0, len(ds), _WRITE_ROWS):
+            rows = slice(lo, lo + _WRITE_ROWS)
+            cells = _block_cells(np.column_stack([col[rows]
+                                                  for col in columns]))
+            if names:
+                cells = np.column_stack([row_names[rows], cells])
+            writer.writerows(cells.tolist())
 
 
 def binarize(ds: Dataset, rule: LabelRule) -> Dataset:

@@ -600,7 +600,10 @@ def _cls(flag: bool) -> str:
 
 def render(tree: FFTree) -> str:
     """Decision-list text: one ``if/else if <range> then <class>`` line per
-    node and a final ``else <class>`` line."""
+    node and a final ``else <class>`` line; a tree with no nodes is the one
+    line ``always <class>``."""
+    if not tree.nodes:
+        return f"always {_cls(tree.leaf_class)}"
     lines = []
     for i, node in enumerate(tree.nodes):
         head = "if" if i == 0 else "else if"

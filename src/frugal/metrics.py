@@ -90,6 +90,12 @@ def dis2heaven(c: Confusion) -> float:
                                    c.fp + c.tn))
 
 
+def one_class(c: Confusion) -> bool:
+    """Whether the rows behind ``c`` hold one class only (or none): recall
+    or FAR then has nothing to count, and a d2h reading is degenerate."""
+    return c.tp + c.fn == 0 or c.fp + c.tn == 0
+
+
 @dataclass(frozen=True)
 class ScoreFunction:
     """Objective identity plus orientation, so one comparator serves range

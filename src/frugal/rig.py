@@ -37,7 +37,7 @@ from .errors import (ConfigError, FrugalError, TrainingError,
 from .fft import (FFTree, check_depth, check_train, grow, grow_many,
                   score_dataset)
 from .metrics import (Confusion, ScoreFunction, dis2heaven,
-                      effort_order_from_scores, mann_whitney, popt,
+                      effort_order_from_scores, mann_whitney, one_class, popt,
                       score_function)
 
 
@@ -228,7 +228,7 @@ def evaluate(model: FFTree | NBModel | LogisticModel, test: Dataset,
         res = popt(test.labels[order].astype(float), test.effort[order])
         return res.value, res.degenerate
     c = Confusion.from_predictions(scores >= 0.5, test.labels)
-    return dis2heaven(c), bool(test.labels.all() or not test.labels.any())
+    return dis2heaven(c), one_class(c)
 
 
 @contextmanager

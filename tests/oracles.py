@@ -17,6 +17,11 @@ reference: the batched fits must equal it with ``==``.
 ``dataset.load_csv`` replaced: one ``float()`` call per cell, rows checked
 in file order.
 
+``save_csv_oracle`` is the cell-by-cell CSV writer that
+``dataset.save_csv`` replaced: one ``writerow`` per row, one formatted
+string per cell.  ``save_csv`` must write the same bytes on every finite
+table.
+
 ``compare_oracle`` is the two-pass grouping that ``rig.compare`` replaced;
 it calls the package's ``mann_whitney``, so it checks the grouping and the
 verdicts, not the test statistic.
@@ -588,3 +593,39 @@ def load_csv_oracle(path, label_column: str,
         values=values,
         labels=label_values,
         effort=effort)
+
+
+def _format_cell_oracle(x: float) -> str:
+    if math.isnan(x):
+        return "?"
+    if float(x).is_integer():
+        return str(int(x))
+    return repr(float(x))
+
+
+def save_csv_oracle(ds: Dataset, path, label_column: str = "bug",
+                    effort_column: str | None = None):
+    """Write a dataset to CSV: ``ds.row_names`` as a ``name`` column when
+    there are any, the attributes, then the label.
+
+    ``effort_column`` adds the effort vector as its own column; leave it
+    None when effort already mirrors an attribute (e.g. loc).
+    """
+    if effort_column is not None and ds.effort is None:
+        raise DatasetError(f"{ds.name}: no effort vector to write")
+    names = ["name"] if ds.row_names else []
+    header = names + list(ds.attributes) + [label_column]
+    if effort_column is not None:
+        header.append(effort_column)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(len(ds)):
+            row = [ds.row_names[i]] if names else []
+            row += [_format_cell_oracle(x) for x in ds.values[i]]
+            label = ds.labels[i]
+            row.append(str(int(label)) if ds.binary
+                       else _format_cell_oracle(label))
+            if effort_column is not None:
+                row.append(_format_cell_oracle(ds.effort[i]))
+            writer.writerow(row)

@@ -526,6 +526,47 @@ def test_eval_model_with_empty_final_leaf_is_a_data_error(project_dir,
     assert len(err.splitlines()) == 1
 
 
+
+@pytest.mark.parametrize("test_rows, d2h, rec", [
+    ("1,1\n2,1\n3,1\n", "0.7071", "0.0000"),     # one class
+    ("", "0.0000", "1.0000"),                    # no rows
+])
+def test_eval_flags_a_degenerate_dis2heaven(tmp_path, capsys, test_rows, d2h,
+                                            rec):
+    train, test = tmp_path / "neg.csv", tmp_path / "test.csv"
+    train.write_text("wmc,bug\n1,0\n2,0\n3,0\n")
+    test.write_text("wmc,bug\n" + test_rows)
+    assert main(["eval", str(train), str(test)]) == 0
+    out = capsys.readouterr().out
+    assert f"recall: {rec}\n" in out
+    assert f"\ndis2heaven: {d2h}  (degenerate)\n" in out
+    assert main(["eval", str(train), str(test), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dis2heaven_degenerate"] is True
+
+
+def test_eval_does_not_flag_a_two_class_dis2heaven(project_dir, capsys):
+    _, paths = project_dir
+    csvs = [str(paths[v]) for v in ("1.0", "1.1", "1.2")]
+    assert main(["eval", *csvs]) == 0
+    assert "degenerate" not in capsys.readouterr().out
+    assert main(["eval", *csvs, "--effort", "loc", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "dis2heaven_degenerate" not in report
+    assert report["popt_degenerate"] is False
+
+
+def test_fit_and_eval_render_a_tree_with_no_nodes(tmp_path, capsys):
+    # the only attribute is all missing, so no level finds a split
+    path, model = tmp_path / "none.csv", tmp_path / "model.json"
+    path.write_text("a,bug\n?,1\n?,0\n?,1\n")
+    assert main(["fit", str(path), "--out", str(model)]) == 0
+    fitted = capsys.readouterr().out.splitlines()
+    assert json.loads(model.read_text())["nodes"] == []
+    assert fitted[1:] == ["always true"]
+    assert main(["eval", str(path), "--model", str(model)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "always true"
+
+
 _NODE = PERFECT_MODEL["nodes"][0]
 
 

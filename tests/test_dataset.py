@@ -4,6 +4,7 @@ import hashlib
 import os
 import re
 import tempfile
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from frugal.errors import DatasetError
 from frugal.operational import project
 
 from conftest import make_dataset, spliced
-from oracles import load_csv_oracle
+from oracles import load_csv_oracle, save_csv_oracle
 
 
 # ---------------------------------------------------------------- load_csv
@@ -901,6 +902,141 @@ def test_save_csv_bytes_of_the_synthetic_corpus(tmp_path):
         assert load_csv(path, label_column="bug").attributes == ds.attributes
     assert got == want
 
+
+
+_SPECIAL = (np.nan, -0.0, 5e-324, 0.1, 2.0**53 + 2, 2.0**63, -2.0**63, 1e16,
+            1e300, -1e300, -(2.0**53 + 2), 3.0)
+
+
+def _assert_oracle_bytes(ds, tmp_path, **columns):
+    save_csv(ds, tmp_path / "new.csv", **columns)
+    save_csv_oracle(ds, tmp_path / "old.csv", **columns)
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "old.csv").read_bytes())
+
+
+def _special_table(rows: int, binary: bool, named: bool) -> Dataset:
+    """``rows`` rows cycling through ``_SPECIAL`` (a different phase per
+    column) and through row names that need quoting."""
+    cells = np.resize(np.array(_SPECIAL), (rows + 3) * 3)
+    values = np.column_stack([cells[j:j + rows] for j in range(3)])
+    labels = (np.arange(rows) % 3 == 0 if binary
+              else np.resize(np.array([0.0, 2.0, 0.5, np.nan, 1e300]), rows))
+    effort = np.resize(np.array([5e-324, 0.1, 2.0**53 + 2, 2.0**63, 1e16,
+                                 1e300, 7.0]), rows)
+    names = ("a,b", 'say "hi"', "cr\rhere", "lf\nhere", "", "plain")
+    return Dataset(name="special", version="", attributes=("x", "y", "z"),
+                   values=values, labels=labels, effort=effort,
+                   row_names=tuple(np.resize(names, rows).tolist())
+                   if named and rows else ())
+
+
+@pytest.mark.parametrize("named", [False, True])
+@pytest.mark.parametrize("effort", [None, "effort"])
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1),
+                                   (3, 7)])
+def test_save_csv_bytes_equal_the_oracle_at_block_edges(tmp_path, extra,
+                                                        binary, effort, named):
+    blocks, rest = extra
+    ds = _special_table(blocks * dataset._WRITE_ROWS + rest, binary, named)
+    _assert_oracle_bytes(ds, tmp_path, effort_column=effort)
+
+
+def test_save_csv_writes_each_special_cell_by_its_rule(tmp_path):
+    ds = _special_table(len(_SPECIAL), binary=False, named=False)
+    save_csv(ds, tmp_path / "s.csv", label_column="defects",
+             effort_column="loc")
+    cells = {cell for line in (tmp_path / "s.csv").read_text().splitlines()
+             for cell in line.split(",")}
+    assert cells >= {"?", "0", "5e-324", "0.1", "9007199254740994",
+                     "-9007199254740994", "9223372036854775808",
+                     "-9223372036854775808", "10000000000000000",
+                     str(int(1e300)), str(int(-1e300))}
+    assert "-0" not in cells
+
+
+def test_save_csv_quoted_names_load_back(tmp_path):
+    ds = _special_table(12, binary=False, named=True)
+    _assert_oracle_bytes(ds, tmp_path)
+    text = (tmp_path / "new.csv").read_bytes().decode()
+    assert '"a,b",' in text and '"say ""hi""",' in text
+    assert '"lf\nhere",' in text
+    # csv quotes only the line terminator's own characters, so a bare CR
+    # stays unquoted and splits the record on reading; load the rest
+    ds = replace(ds, row_names=tuple(name.replace("\r", "")
+                                     for name in ds.row_names))
+    save_csv(ds, tmp_path / "new.csv")
+    back = load_csv(tmp_path / "new.csv", label_column="bug")
+    assert back.attributes == ds.attributes
+    assert np.array_equal(back.values, ds.values, equal_nan=True)
+    assert np.array_equal(back.labels, ds.labels, equal_nan=True)
+
+
+@pytest.mark.parametrize("where, x, message", [
+    ((1, 1), -np.inf, "data row 2, column 'b': cell value -inf"),
+    ((0, 1), np.inf, "data row 1, column 'b': cell value inf"),
+])
+def test_save_csv_rejects_an_infinite_cell_before_writing(tmp_path, where, x,
+                                                          message):
+    values = np.ones((3, 2))
+    values[where] = x
+    values[2, 0] = np.inf       # a later row, though an earlier column
+    ds = Dataset(name="inf", version="", attributes=("a", "b"),
+                 values=values, labels=np.zeros(3), row_names=("p", "q", "r"))
+    out = tmp_path / "inf.csv"
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        save_csv(ds, out)
+    assert not out.exists()
+
+
+def test_save_csv_rejects_an_infinite_label(tmp_path):
+    ds = make_dataset(("a",), [[1], [2]], labels=[0, np.inf], binary=False)
+    with pytest.raises(DatasetError,
+                       match="data row 2, column 'defects': cell value inf"):
+        save_csv(ds, tmp_path / "x.csv", label_column="defects")
+    assert not (tmp_path / "x.csv").exists()
+
+
+_ANY_CELL = st.one_of(st.just(np.nan), st.sampled_from(_SPECIAL),
+                      st.floats(allow_nan=False, allow_infinity=False),
+                      st.integers(-2**70, 2**70).map(float))
+
+
+@st.composite
+def _writable_tables(draw):
+    n_attr = draw(st.integers(0, 3))
+    n_rows = draw(st.integers(0, 9))
+    cells = draw(st.lists(_ANY_CELL, min_size=n_attr * n_rows,
+                          max_size=n_attr * n_rows))
+    binary = draw(st.booleans())
+    labels = draw(st.lists(st.booleans() if binary else _ANY_CELL,
+                           min_size=n_rows, max_size=n_rows))
+    effort = draw(st.none() | st.lists(
+        st.floats(min_value=5e-324, max_value=1e300), min_size=n_rows,
+        max_size=n_rows))
+    names = draw(st.just([]) | st.lists(st.text(max_size=4),
+                                        min_size=n_rows, max_size=n_rows))
+    return Dataset(
+        name="drawn", version="",
+        attributes=tuple(f"m{j}" for j in range(n_attr)),
+        values=np.array(cells, dtype=float).reshape(n_rows, n_attr),
+        labels=np.array(labels, dtype=bool if binary else float),
+        effort=None if effort is None else np.array(effort),
+        row_names=tuple(names))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_writable_tables(), st.integers(1, 4))
+def test_save_csv_bytes_equal_the_oracle_property(ds, block):
+    effort = None if ds.effort is None else "effort"
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(dataset, "_WRITE_ROWS", block):
+        new, old = os.path.join(d, "new.csv"), os.path.join(d, "old.csv")
+        save_csv(ds, new, effort_column=effort)
+        save_csv_oracle(ds, old, effort_column=effort)
+        with open(new, "rb") as a, open(old, "rb") as b:
+            assert a.read() == b.read()
 
 @st.composite
 def _tables(draw):

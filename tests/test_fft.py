@@ -1034,6 +1034,14 @@ def test_render_pinned_text(six_rows, eight_rows):
                             "else false")
 
 
+@pytest.mark.parametrize("policy, leaf", [("01", True), ("1001", False)])
+def test_render_a_tree_with_no_nodes_as_one_line(policy, leaf):
+    tree = tree_from_dict({"depth": len(policy) - 1, "policy": policy,
+                           "truncated": True, "nodes": [],
+                           "final_leaf": {"class": leaf, "support": 6}})
+    assert render(tree) == f"always {'true' if leaf else 'false'}"
+
+
 def test_render_depth_four_stays_within_five_lines(twelve_rows):
     _, trees = grow(twelve_rows, depth=4, fn=DIS2HEAVEN)
     for tree in trees:

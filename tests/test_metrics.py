@@ -69,6 +69,15 @@ def test_dis2heaven_matches_oracle(predicted, actual):
     assert dis2heaven(c) == oracles.d2h_from_predictions(predicted, actual)
 
 
+@settings(max_examples=80)
+@given(bools, bools)
+def test_one_class_is_a_test_set_without_both_classes(predicted, actual):
+    n = min(len(predicted), len(actual))
+    predicted, actual = predicted[:n], actual[:n]
+    c = Confusion.from_predictions(predicted, actual)
+    assert metrics.one_class(c) == (all(actual) or not any(actual))
+
+
 def test_dis2heaven_values_equal_the_scalar_oracle():
     """Every (tp, called) on every small (pos, neg), empty classes
     included, then a seeded sample of large ones: one array call each, each

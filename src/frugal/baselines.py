@@ -48,7 +48,7 @@ def nb_train(train: Dataset) -> NBModel:
     ``VARIANCE_FLOOR`` so constant columns survive.  A column whose mean
     or variance for a class overflows reads as unobserved for that class.
     """
-    _check_trainable(train)
+    check_trainable(train)
     n_attrs = len(train.attributes)
     log_priors = np.full(2, -np.inf)
     means = np.full((2, n_attrs), np.nan)
@@ -171,7 +171,7 @@ def _scaled(values: np.ndarray, means: np.ndarray, stds: np.ndarray,
 def lr_targets(train: Dataset) -> np.ndarray:
     """The 0/1 labels of a set logistic regression can train on; raises
     ``TrainingError`` when it cannot."""
-    _check_trainable(train)
+    check_trainable(train)
     y = train.labels.astype(float)
     if y.min() == y.max():
         raise TrainingError(
@@ -226,7 +226,8 @@ def lr_score_dataset(model: LogisticModel, data: Dataset) -> np.ndarray:
         return _sigmoid(X @ model.weights + model.bias)
 
 
-def _check_trainable(train: Dataset):
+def check_trainable(train: Dataset):
+    """TrainingError unless a baseline can train on this set."""
     if not train.binary:
         raise TrainingError(f"{train.name}: labels must be binarized first")
     if len(train) == 0:

@@ -1,13 +1,12 @@
 """Experiment rig: version-ordered and repeated cross-validation runs over
 the tree, naive-bayes, and logistic learners.
 
-A learner is its fitted model.  Only ``fft`` reads the score, so a cell
-fits ``nb`` and ``sl`` once and grows ``fft`` once per score.  A run
-has three phases over all its projects: plan every cell, fit every model
-(all the run's ``sl`` fits in one batched call, and its trees in one
-``grow_many`` call per score), then evaluate them in plan order.  Model
-functions are called through their module-level names, so rebinding one
-(as a tracer does) reaches the rig too.
+A learner is a row of ``LEARNER_TABLE``; only ``fft`` reads the score.  A
+run has three phases over all its projects: plan every cell, fit every
+model (each set checked under its cell's prefix, then one ``fit_many``
+call per learner and read score), then evaluate in plan order, scoring
+each model's test rows once.  The rows call model functions through their
+module-level names, so rebinding one (as a tracer does) reaches the rig.
 
 Results are plain dataclasses; every ``EvalResult`` field is a report
 column, and the report writers emit byte-identical files for identical
@@ -25,23 +24,54 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import operational
-from .baselines import (LogisticModel, NBModel, lr_score_dataset, lr_targets,
-                        lr_train, lr_train_many, nb_score_dataset, nb_train)
+from .baselines import (check_trainable, lr_score_dataset, lr_targets,
+                        lr_train_many, nb_score_dataset, nb_train)
 from .dataset import Dataset, merge
 from .errors import (ConfigError, FrugalError, TrainingError,
                      UnsupportedScoreError)
-from .fft import (FFTree, check_depth, check_train, grow, grow_many,
-                  score_dataset)
+from .fft import check_depth, check_train, grow_many, score_dataset
 from .metrics import (Confusion, ScoreFunction, dis2heaven,
                       effort_order_from_scores, mann_whitney, one_class, popt,
                       score_function)
 
 
-LEARNERS = ("fft", "nb", "sl")
+@dataclass(frozen=True)
+class Learner:
+    """``check(train, fn)`` raises unless the learner can train on a set;
+    ``fit_many(trains, fn, depth)`` fits each; ``score(model, rows)`` is 0.5
+    or more where a row predicts true; ``describe(model)`` gives the model's
+    own ``EvalResult`` fields."""
+    check: Callable
+    fit_many: Callable
+    score: Callable
+    describe: Callable = lambda model: {}
+    reads_score: bool = False
+
+
+LEARNER_TABLE = {
+    "fft": Learner(
+        check=lambda train, fn: check_train(train, fn),
+        fit_many=lambda trains, fn, depth: [
+            best for best, _ in grow_many(trains, depth, fn)],
+        score=lambda tree, rows: score_dataset(tree, rows),
+        describe=lambda tree: {"policy": tree.policy_string,
+                               "n_nodes": len(tree.nodes)},
+        reads_score=True),
+    "nb": Learner(
+        check=lambda train, fn: check_trainable(train),
+        fit_many=lambda trains, fn, depth: [nb_train(t) for t in trains],
+        score=lambda model, rows: nb_score_dataset(model, rows)),
+    "sl": Learner(
+        check=lambda train, fn: lr_targets(train),
+        fit_many=lambda trains, fn, depth: lr_train_many(trains),
+        score=lambda model, rows: lr_score_dataset(model, rows)),
+}
+LEARNERS = tuple(LEARNER_TABLE)
 ATTRIBUTE_SETS = ("full", "top25")
 # A cv plan builds repeats x bins index arrays per project, and the run's
 # sl fits stack that many designs per project.
@@ -61,14 +91,13 @@ class RigConfig:
     top_fraction: float = 0.25
 
     def __post_init__(self):
-        for name in self.learners:
-            if name not in LEARNERS:
-                raise ConfigError(
-                    f"unknown learner {name!r} (expected one of {LEARNERS})")
-        for name in self.attribute_sets:
-            if name not in ATTRIBUTE_SETS:
-                raise ConfigError(f"unknown attribute set {name!r} "
-                                  f"(expected one of {ATTRIBUTE_SETS})")
+        for what, names, known in (
+                ("learner", self.learners, LEARNERS),
+                ("attribute set", self.attribute_sets, ATTRIBUTE_SETS)):
+            for name in names:
+                if name not in known:
+                    raise ConfigError(f"unknown {what} {name!r} "
+                                      f"(expected one of {known})")
         for kind in self.scores:
             score_function(kind)   # raises UnsupportedScoreError
         # An empty list would run nothing and write empty reports.
@@ -168,61 +197,43 @@ def cross_val_plans(n: int, bins: int = 10, repeats: int = 5,
         order = rng.permutation(n)
         for b, chunk in enumerate(np.array_split(order, bins)):
             test_idx = np.sort(chunk)
-            mask = np.ones(n, dtype=bool)
-            mask[test_idx] = False
-            plans.append((r, b, np.flatnonzero(mask), test_idx))
+            plans.append((r, b, np.delete(np.arange(n), test_idx), test_idx))
     return plans
 
 
 def cross_val_splits(data: Dataset, bins: int = 10, repeats: int = 5,
                      seed: int = 1) -> list[Split]:
-    splits = []
-    for r, b, train_idx, test_idx in cross_val_plans(len(data), bins,
-                                                     repeats, seed):
-        splits.append(Split(label=f"cv:r{r}:b{b}",
-                            train=data.subset(train_idx),
-                            test=data.subset(test_idx),
-                            test_indices=tuple(int(i) for i in test_idx)))
-    return splits
+    return [Split(label=f"cv:r{r}:b{b}", train=data.subset(train_idx),
+                  test=data.subset(test_idx),
+                  test_indices=tuple(int(i) for i in test_idx))
+            for r, b, train_idx, test_idx in cross_val_plans(
+                len(data), bins, repeats, seed)]
 
 
 def plan_fingerprint(splits: list[Split]) -> str:
     """Digest of the split layout, for checking seed reproducibility."""
     h = hashlib.sha256()
     for s in splits:
-        h.update(s.label.encode())
-        h.update(b"|")
-        if s.test_indices is not None:
-            h.update(",".join(map(str, s.test_indices)).encode())
-        else:
-            h.update(s.test.name.encode())
-        h.update(b"\n")
+        test = (s.test.name if s.test_indices is None
+                else ",".join(map(str, s.test_indices)))
+        h.update(f"{s.label}|{test}\n".encode())
     return h.hexdigest()
 
 
 def fit_learner(name: str, train: Dataset, fn: ScoreFunction,
-                depth: int = 4) -> FFTree | NBModel | LogisticModel:
-    """A learner's fitted model; only ``fft`` reads the score function."""
-    if name == "fft":
-        return grow(train, depth=depth, fn=fn)[0]
-    if name == "nb":
-        return nb_train(train)
-    if name == "sl":
-        return lr_train(train)
-    raise ConfigError(f"unknown learner {name!r} (expected one of {LEARNERS})")
+                depth: int = 4):
+    """A learner's fitted model on one training set."""
+    return LEARNER_TABLE[name].fit_many([train], fn, depth)[0]
 
 
-def evaluate(model: FFTree | NBModel | LogisticModel, test: Dataset,
+def evaluate(scores: np.ndarray, test: Dataset,
              fn: ScoreFunction) -> tuple[float, bool]:
-    """Score a fitted model on held-out rows; returns (value, degenerate).
-    d2h thresholds its per-row scores at 0.5, and Popt ranks by them; a
-    d2h cell is degenerate when its test rows hold one class only."""
+    """(value, degenerate) of a model's per-row scores on held-out rows.
+    d2h thresholds the scores at 0.5, and Popt ranks by them; a d2h cell
+    is degenerate when its test rows hold one class only."""
     if fn.kind == "popt" and test.effort is None:
         raise UnsupportedScoreError(
             f"{test.name}: popt scoring needs an effort column")
-    scores = (score_dataset(model, test) if isinstance(model, FFTree)
-              else nb_score_dataset(model, test) if isinstance(model, NBModel)
-              else lr_score_dataset(model, test))
     if fn.kind == "popt":
         order = effort_order_from_scores(scores, test.effort)
         res = popt(test.labels[order].astype(float), test.effort[order])
@@ -232,13 +243,15 @@ def evaluate(model: FFTree | NBModel | LogisticModel, test: Dataset,
 
 
 @contextmanager
-def _cell_errors(prefix: str):
+def _cell_errors(cell: tuple, learner: str, fn: ScoreFunction):
     """Re-raise a FrugalError with the cell's ``[project/learner/score/
     attribute set/split]`` prefix."""
+    pname, attr_set, split = cell
     try:
         yield
     except FrugalError as exc:
-        raise type(exc)(f"[{prefix}] {exc}") from exc
+        raise type(exc)(f"[{pname}/{learner}/{fn.kind}/{attr_set}/"
+                        f"{split.label}] {exc}") from exc
 
 
 def run(projects: dict[str, list[Dataset]],
@@ -247,11 +260,11 @@ def run(projects: dict[str, list[Dataset]],
 
     ``projects`` maps a project name to its version-ordered datasets;
     labels must already be binary.  The run plans every project's cells,
-    fits every model they need (each ``sl`` and ``fft`` set checked under
-    its cell's prefix, then the ``sl`` sets in one batched call and the
-    ``fft`` sets in one per score), and evaluates the models in plan
-    order.  So a plan error in any project is raised before a fit error,
-    and a fit error before an evaluation error.
+    checks every model's training set under its cell's prefix, fits each
+    learner's sets (for ``fft``, each score's) in one ``fit_many`` call,
+    and evaluates the models in plan order, scoring each model's test rows
+    on first use.  So a plan error in any project is raised before a fit
+    error, and a fit error before an evaluation error.
     """
     cells = []
     fingerprints: dict[str, str] = {}
@@ -271,53 +284,38 @@ def run(projects: dict[str, list[Dataset]],
                    else top_changed_split(split, config.top_fraction))
                   for split in splits for attr_set in config.attribute_sets]
     fns = [score_function(kind) for kind in config.scores]
-    # (cell, learner, score, model key); only fft's key holds the score
-    plan = [(c, learner, fn, (c, learner, fn.kind if learner == "fft" else ""))
+    # (cell, learner, score, model key); a key holds a score that is read
+    plan = [(c, learner, fn, (c, learner, fn.kind
+                              if LEARNER_TABLE[learner].reads_score else ""))
             for c in range(len(cells)) for fn in fns
             for learner in config.learners]
 
-    def prefix(c, learner, fn):
-        pname, attr_set, split = cells[c]
-        return f"{pname}/{learner}/{fn.kind}/{attr_set}/{split.label}"
-
-    models = {}
+    # (learner, read score) -> (score, {model key: training set})
+    groups: dict[tuple, tuple] = {}
     for c, learner, fn, k in plan:
-        if k in models:
-            continue
-        train = cells[c][2].train
-        with _cell_errors(prefix(c, learner, fn)):
-            if learner == "nb":
-                models[k] = fit_learner(learner, train, fn, config.depth)
-                continue
-            # checked here, fitted below with the run's other sets of the
-            # learner (and for fft, of the score)
-            if learner == "fft":
-                check_train(train, fn)
-            else:
-                lr_targets(train)
-            models[k] = train
-    sl_keys = [k for k in models if k[1] == "sl"]
-    models.update(zip(sl_keys, lr_train_many([models[k] for k in sl_keys])))
-    for fn in fns:
-        keys = [k for k in models if k[1] == "fft" and k[2] == fn.kind]
-        if keys:
-            models.update(zip(keys, (best for best, _ in grow_many(
-                [models[k] for k in keys], config.depth, fn))))
+        trains = groups.setdefault(k[1:], (fn, {}))[1]
+        if k not in trains:
+            with _cell_errors(cells[c], learner, fn):
+                LEARNER_TABLE[learner].check(cells[c][2].train, fn)
+            trains[k] = cells[c][2].train
+    models = {}
+    for (learner, _), (fn, trains) in groups.items():
+        models.update(zip(trains, LEARNER_TABLE[learner].fit_many(
+            list(trains.values()), fn, config.depth)))
 
-    results = []
+    results, scores = [], {}
     for c, learner, fn, k in plan:
         pname, attr_set, cell = cells[c]
-        model = models[k]
-        with _cell_errors(prefix(c, learner, fn)):
-            value, degenerate = evaluate(model, cell.test, fn)
-        tree = isinstance(model, FFTree)
+        row = LEARNER_TABLE[learner]
+        with _cell_errors(cells[c], learner, fn):
+            if k not in scores:
+                scores[k] = row.score(models[k], cell.test)
+            value, degenerate = evaluate(scores[k], cell.test, fn)
         results.append(EvalResult(
             project=pname, learner=learner, score=fn.kind,
             attribute_set=attr_set, split=cell.label,
             n_train=len(cell.train), n_test=len(cell.test),
-            value=value, degenerate=degenerate,
-            policy=model.policy_string if tree else "",
-            n_nodes=len(model.nodes) if tree else 0))
+            value=value, degenerate=degenerate, **row.describe(models[k])))
     return RigResult(config=config, results=results, fingerprints=fingerprints)
 
 

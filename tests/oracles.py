@@ -26,10 +26,11 @@ table.
 it calls the package's ``mann_whitney``, so it checks the grouping and the
 verdicts, not the test statistic.
 
-``evaluate_oracle`` is the per-learner dispatch that ``rig.evaluate``
-replaced: a tree predicts by routing and ranks by its integer exit order,
-and only the baselines rank and threshold their scores.  It calls the
-package's scorers and metrics, so it checks the dispatch.
+``evaluate_oracle`` is the per-learner dispatch that the rig's learner
+table replaced: a tree predicts by routing and ranks by its integer exit
+order, and only the baselines rank and threshold their scores.  It calls
+the package's scorers and metrics, so it checks each row's scorer and
+``rig.evaluate``.
 """
 
 import csv
@@ -189,8 +190,8 @@ def compare_oracle(results):
 
 
 def evaluate_oracle(model, test, kind):
-    """``rig.evaluate``'s (value, degenerate) for a test set with an
-    effort column, learner by learner."""
+    """``rig.evaluate``'s (value, degenerate) on the scores a learner's
+    row gives a test set with an effort column, learner by learner."""
     if isinstance(model, FFTree):
         exit_idx, predicted = route_dataset(model, test)
         k = len(model.nodes)

@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frugal import rig as rig_module, synth
-from frugal.baselines import LogisticModel, NBModel, lr_score_dataset
+from frugal import operational, rig as rig_module, synth
+from frugal.baselines import (LogisticModel, NBModel, lr_score_dataset,
+                              nb_train)
 from frugal.dataset import LabelRule, binarize
 from frugal.errors import (ConfigError, TrainingError, UnsupportedScoreError)
 from frugal.fft import FFTree, grow
 from frugal.metrics import DIS2HEAVEN, POPT
-from frugal.rig import (MAX_REPEATS, ComparisonRow, EvalResult, RigConfig,
-                        attribute_set_deltas,
-                        compare, cross_val_plans, cross_val_splits, evaluate,
+from frugal.rig import (LEARNER_TABLE, LEARNERS, MAX_REPEATS, EvalResult,
+                        RigConfig, attribute_set_deltas, compare,
+                        cross_val_plans, cross_val_splits, evaluate,
                         fit_learner, plan_fingerprint, policy_histogram, run,
                         version_split, write_reports)
 
@@ -187,41 +188,56 @@ def test_plan_fingerprint_tracks_seed(corpus):
     assert one != other
 
 
-# ----------------------------------------------------- fit_learner/evaluate
+# ------------------------------------------------- learner table/evaluate
+
+def _evaluate(learner, model, test, fn):
+    """``evaluate`` on the scores the learner's row gives the test rows."""
+    return evaluate(LEARNER_TABLE[learner].score(model, test), test, fn)
+
 
 def test_fit_learner_kinds(six_rows):
+    assert LEARNERS == tuple(LEARNER_TABLE) == ("fft", "nb", "sl")
+    assert [LEARNER_TABLE[name].reads_score for name in LEARNERS] \
+        == [True, False, False]
     fft = fit_learner("fft", six_rows, DIS2HEAVEN, depth=1)
     assert isinstance(fft, FFTree)
     assert fft.policy_string == "01" and len(fft.nodes) == 1
-    assert evaluate(fft, six_rows, DIS2HEAVEN) == (0.0, False)
+    assert LEARNER_TABLE["fft"].describe(fft) \
+        == {"policy": "01", "n_nodes": 1}
+    assert _evaluate("fft", fft, six_rows, DIS2HEAVEN) == (0.0, False)
     nb = fit_learner("nb", six_rows, DIS2HEAVEN)
     assert isinstance(nb, NBModel)
-    value, degenerate = evaluate(nb, six_rows, DIS2HEAVEN)
+    assert LEARNER_TABLE["nb"].describe(nb) == {}
+    value, degenerate = _evaluate("nb", nb, six_rows, DIS2HEAVEN)
     assert 0.0 <= value <= 1.0 and degenerate is False
     sl = fit_learner("sl", six_rows, DIS2HEAVEN)
     assert isinstance(sl, LogisticModel)
-    value, degenerate = evaluate(sl, six_rows, POPT)
+    assert LEARNER_TABLE["sl"].describe(sl) == {}
+    value, degenerate = _evaluate("sl", sl, six_rows, POPT)
     assert 0.0 <= value <= 1.0
-    with pytest.raises(ConfigError, match="unknown learner"):
+    # the rig's config names the learner before any table lookup
+    with pytest.raises(ConfigError, match="unknown learner 'svm'"):
+        RigConfig(learners=("svm",))
+    with pytest.raises(KeyError):
         fit_learner("svm", six_rows, DIS2HEAVEN)
 
 
 def test_evaluate_popt_needs_effort(six_rows):
     bare = make_dataset(("a", "b"), [[1, 1], [9, 9]], labels=[True, False])
-    for learner in ("fft", "nb", "sl"):
+    for learner in LEARNERS:
         model = fit_learner(learner, six_rows, DIS2HEAVEN)
         with pytest.raises(UnsupportedScoreError, match="effort"):
-            evaluate(model, bare, POPT)
+            _evaluate(learner, model, bare, POPT)
 
 
 def test_evaluate_flags_one_class_d2h_cells(six_rows):
     one_class = six_rows.subset(np.arange(3))      # positives only
-    for learner in ("fft", "nb", "sl"):
+    for learner in LEARNERS:
         model = fit_learner(learner, six_rows, DIS2HEAVEN)
-        assert evaluate(model, six_rows, DIS2HEAVEN)[1] is False
-        assert evaluate(model, one_class, DIS2HEAVEN)[1] is True
-        assert evaluate(model, six_rows.subset(np.arange(3, 6)),
-                        DIS2HEAVEN)[1] is True
+        assert _evaluate(learner, model, six_rows, DIS2HEAVEN)[1] is False
+        assert _evaluate(learner, model, one_class, DIS2HEAVEN)[1] is True
+        assert _evaluate(learner, model, six_rows.subset(np.arange(3, 6)),
+                         DIS2HEAVEN)[1] is True
 
 
 @pytest.mark.parametrize("seed", [3, 7])
@@ -234,25 +250,72 @@ def test_evaluate_equals_the_per_learner_oracle(seed):
              test.subset(np.arange(0, len(test), 3))]
     assert len(positives) and len(negatives)
     # twelve rows run out within a few levels, so some trees are cut short
-    models = [tree for fn in (DIS2HEAVEN, POPT)
+    models = [("fft", tree) for fn in (DIS2HEAVEN, POPT)
               for data in (train, train.subset(range(12)))
               for tree in grow(data, 4, fn)[1]]
-    assert any(t.truncated for t in models)
-    models += [FFTree(policy=(bit,), nodes=(), leaf_class=not bit,
-                      leaf_support=0) for bit in (False, True)]
-    models += [fit_learner(name, train, DIS2HEAVEN) for name in ("nb", "sl")]
+    assert any(t.truncated for _, t in models)
+    models += [("fft", FFTree(policy=(bit,), nodes=(), leaf_class=not bit,
+                              leaf_support=0)) for bit in (False, True)]
+    models += [(name, fit_learner(name, train, DIS2HEAVEN))
+               for name in ("nb", "sl")]
     # constant columns and balanced labels leave weights and bias at 0, so
     # every row scores exactly 0.5, which predicts true
     flat = replace(train.subset([0, 1]),
                    values=np.ones((2, len(train.attributes))),
                    labels=np.array([True, False]))
-    models.append(fit_learner("sl", flat, DIS2HEAVEN))
-    assert (lr_score_dataset(models[-1], test) == 0.5).all()
-    for model in models:
+    models.append(("sl", fit_learner("sl", flat, DIS2HEAVEN)))
+    assert (lr_score_dataset(models[-1][1], test) == 0.5).all()
+    for name, model in models:
         for data in tests:
             for fn in (DIS2HEAVEN, POPT):
-                assert evaluate(model, data, fn) \
+                assert _evaluate(name, model, data, fn) \
                     == oracles.evaluate_oracle(model, data, fn.kind)
+
+
+def _three_sets():
+    """Three binarized training sets: two full-width, of different lengths,
+    and one projected to five attributes."""
+    raw = synth.make_corpus(names=("ant",), seed=4, versions=2, rows=60)
+    first, second = [binarize(v, LabelRule.bug_counts()) for v in raw["ant"]]
+    return [first, second,
+            operational.project(second, second.attributes[:5])]
+
+
+@pytest.mark.parametrize("fn", [DIS2HEAVEN, POPT], ids=["d2h", "popt"])
+def test_fft_fit_many_equals_lone_grows(fn):
+    trains = _three_sets()
+    trees = LEARNER_TABLE["fft"].fit_many(trains, fn, 3)
+    assert len(trees) == 3
+    for tree, train in zip(trees, trains):
+        alone = grow(train, 3, fn)[0]
+        assert tree == alone
+        assert tree.train_score == alone.train_score
+        assert tree.score_kind == fn.kind
+
+
+def test_nb_fit_many_equals_lone_fits():
+    trains = _three_sets()
+    models = LEARNER_TABLE["nb"].fit_many(trains, POPT, 4)
+    assert len(models) == 3
+    for model, train in zip(models, trains):
+        alone = nb_train(train)
+        assert model.attributes == alone.attributes == train.attributes
+        for name in ("log_priors", "means", "variances"):
+            assert np.array_equal(getattr(model, name), getattr(alone, name),
+                                  equal_nan=True)
+
+
+def test_sl_fit_many_equals_the_oracle_fits():
+    trains = _three_sets()
+    models = LEARNER_TABLE["sl"].fit_many(trains, DIS2HEAVEN, 4)
+    assert len(models) == 3
+    for model, train in zip(models, trains):
+        weights, bias, means, stds = oracles.lr_train_oracle(train)
+        assert model.attributes == train.attributes
+        assert np.array_equal(model.weights, weights)
+        assert model.bias == bias
+        assert np.array_equal(model.feature_means, means)
+        assert np.array_equal(model.feature_stds, stds)
 
 
 # --------------------------------------------------------------------- run
@@ -319,7 +382,7 @@ def test_run_flags_folds_without_positives_and_compare_drops_them():
 
 def test_run_fits_score_blind_learners_once_per_cell(corpus, monkeypatch):
     calls = {}
-    for name in ("grow_many", "nb_train", "lr_train"):
+    for name in ("grow_many", "nb_train"):
         def counted(*args, _name=name, _fn=getattr(rig_module, name),
                     **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
@@ -428,6 +491,40 @@ def test_run_raises_a_later_plan_error_before_an_earlier_fit_error():
         run(projects, config)
 
 
+def test_run_refuses_an_nb_set_in_the_check_phase(monkeypatch):
+    rng = np.random.default_rng(4)
+
+    def version(name, v, rows, effort=True):
+        return make_dataset(("m", "n"), rng.integers(0, 9, (rows, 2)).tolist(),
+                            labels=[i % 2 for i in range(rows)], name=name,
+                            version=str(v), effort=(rng.integers(1, 9, rows)
+                                                    if effort else None))
+    # a plans first and fails only in evaluation: its newest version has
+    # no effort for popt; b's training version has no rows, which nb
+    # refuses; c has one version, too few for a version split
+    projects = {"a": [version("a", 1, 8), version("a", 2, 8, effort=False)],
+                "b": [version("b", 1, 0), version("b", 2, 8)],
+                "c": [version("c", 1, 8)]}
+    fitted = []
+    for name in ("grow_many", "nb_train", "lr_train_many"):
+        def counted(*args, _name=name, _fn=getattr(rig_module, name)):
+            fitted.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(rig_module, name, counted)
+    config = RigConfig(learners=("nb", "fft"), scores=("popt", "d2h"))
+    with pytest.raises(ConfigError, match="^a version-ordered split needs"):
+        run(projects, config)
+    with pytest.raises(TrainingError, match=r"^\[b/nb/popt/full/version:2\] "
+                                            r"b: empty training set$"):
+        run({k: projects[k] for k in "ab"}, config)
+    assert fitted == []
+    with pytest.raises(UnsupportedScoreError,
+                       match=r"^\[a/nb/popt/full/version:2\] a: popt "
+                             r"scoring needs an effort column$"):
+        run({"a": projects["a"]}, config)
+    assert fitted == ["nb_train", "grow_many", "grow_many"]
+
+
 def test_run_reaches_the_model_functions_by_their_module_names(corpus,
                                                               monkeypatch):
     # A tracer rebinds these names; the rig must look them up per call.
@@ -441,8 +538,10 @@ def test_run_reaches_the_model_functions_by_their_module_names(corpus,
     config = RigConfig(scores=("d2h", "popt"),
                        attribute_sets=("full", "top25"))
     run({"ant": corpus["ant"]}, config)
-    # 2 cells x 2 scores: one scoring per evaluation
-    assert calls == dict.fromkeys(names, 4)
+    # 2 cells: fft grows a model per score, nb and sl one per cell, and
+    # each model scores its test rows once
+    assert calls == {"score_dataset": 4, "nb_score_dataset": 2,
+                     "lr_score_dataset": 2}
 
 
 def test_run_reports_a_failing_shared_fit_under_the_first_score():

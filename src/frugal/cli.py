@@ -8,8 +8,9 @@ Subcommands:
 
 ``eval`` trains through ``rig.version_split`` and ``rig.top_changed_split``,
 as a version-mode rig cell does.  Exit codes, carried by each FrugalError
-subclass as ``exit_code``: 0 ok, 2 input/parse problem or unreadable file,
-3 training precondition, 4 unsupported score function, 5 bad configuration.
+subclass as ``exit_code``: 0 ok, 2 input/parse problem, unreadable file or
+other OSError (a rig fit worker that died), 3 training precondition, 4
+unsupported score function, 5 bad configuration.
 ``run_command`` is the one exit for ``main`` and the experiment scripts in
 ``scripts/``: a failure prints one ``error: ...`` line, then its code.
 """
@@ -412,7 +413,7 @@ def run_command(func, args) -> int:
         return func(args)
     except (FrugalError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return getattr(e, "exit_code", 2)    # OSError: a file read or write
+        return getattr(e, "exit_code", 2)    # OSError: a file or a worker
 
 
 def main(argv=None) -> int:

@@ -21,11 +21,10 @@ skipped.
 
 ``save_csv`` writes blocks of ``_WRITE_ROWS`` rows, each formatted in one
 go and written with one ``csv.writer.writerows`` call, so a row name that
-holds a comma, quote or line feed is quoted (a bare carriage return is
-not).  A missing cell is written ``?``, an integral value as an integer
-(``-0.0`` as ``0``, ``1e300`` with all its digits) and any other value as
-its shortest ``repr`` (``0.1``, ``5e-324``).  A binary label is ``0`` or
-``1``.
+holds a comma, quote, line feed or carriage return is quoted.  A missing
+cell is written ``?``, an integral value as an integer (``-0.0`` as ``0``,
+``1e300`` with all its digits) and any other value as its shortest
+``repr`` (``0.1``, ``5e-324``).  A binary label is ``0`` or ``1``.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 from itertools import chain, compress, islice
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -483,7 +483,12 @@ def save_csv(ds: Dataset, path, label_column: str = "bug",
             f" cell value {float(columns[j][i])!r} is not finite")
     row_names = np.array(ds.row_names, dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        # csv quotes a cell holding a character of the line terminator, so
+        # rows are written with \r\n, which quotes a bare \r in any cell,
+        # and each row end is cut back to \n
+        writer = csv.writer(SimpleNamespace(
+            write=lambda row: fh.write(row[:-2] + "\n")),
+            lineterminator="\r\n")
         writer.writerow(header)
         for lo in range(0, len(ds), _WRITE_ROWS):
             rows = slice(lo, lo + _WRITE_ROWS)

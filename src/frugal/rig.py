@@ -5,8 +5,12 @@ A learner is a row of ``LEARNER_TABLE``; only ``fft`` reads the score.  A
 run has three phases over all its projects: plan every cell, fit every
 model (each set checked under its cell's prefix, then one ``fit_many``
 call per learner and read score), then evaluate in plan order, scoring
-each model's test rows once.  The rows call model functions through their
-module-level names, so rebinding one (as a tracer does) reaches the rig.
+each model's test rows once.  The fit phase runs its groups (one per
+``fit_many`` call) across the CPUs the process may use, in forked workers,
+and a fit error is still the first failing group's, in group order.  The
+rows call model functions through their module-level names, so rebinding
+one (as a tracer does) reaches the rig, workers included, since they fork
+after it; but what a rebound fit records in a worker stays there.
 
 Results are plain dataclasses; every ``EvalResult`` field is a report
 column, and the report writers emit byte-identical files for identical
@@ -20,9 +24,12 @@ import hashlib
 import io
 import json
 import os
+import pickle
+import signal
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -242,6 +249,92 @@ def evaluate(scores: np.ndarray, test: Dataset,
     return dis2heaven(c), one_class(c)
 
 
+def _fit_groups(fits: list[Callable[[], list]]) -> list[list]:
+    """Each ``fits[i]()``'s models, in group order.
+
+    The process forks one worker per further CPU it may use, up to one per
+    group (none where ``os.fork`` or ``os.sched_getaffinity`` is missing).
+    Every process, this one included, reads group indices off one shared
+    pipe, one byte each, until it is empty, and keeps each group's models
+    or error; a worker pickles its share back through a pipe of its own.
+    The first group that failed, in group order, raises its error here.  A
+    worker that ends without sending its share raises ChildProcessError.
+    """
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(fits))))    # a run has at most 4 groups
+    os.close(feed)
+    workers: dict[int, int] = {}    # pid -> read end of its result pipe
+    shares, statuses = {}, {}       # pid -> pickled share, wait status
+    try:
+        for _ in range(min(cpus, len(fits)) - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _fit_worker(fits, queue, w, [r, *workers.values()])
+            os.close(w)
+            workers[pid] = r
+        outcomes = _take_fits(fits, queue)
+        for pid, r in workers.items():
+            with open(r, "rb", closefd=False) as fh:
+                shares[pid] = fh.read()
+    finally:
+        os.close(queue)
+        for pid, r in workers.items():
+            os.close(r)
+            if len(shares) < len(workers):      # this process raised
+                os.kill(pid, signal.SIGKILL)
+            statuses[pid] = os.waitpid(pid, 0)[1]
+    for pid, status in statuses.items():
+        if status or not shares[pid]:
+            code = os.waitstatus_to_exitcode(status)
+            how = (f"killed by signal {-code}" if code < 0
+                   else f"exit code {code}")
+            raise ChildProcessError("a fit worker ended without sending its "
+                                    f"models (wait status {status}: {how})")
+        outcomes.update(pickle.loads(shares[pid]))
+    for i in range(len(fits)):
+        if isinstance(outcomes[i], Exception):
+            raise outcomes[i]
+    return [outcomes[i] for i in range(len(fits))]
+
+
+def _take_fits(fits: list[Callable[[], list]], queue: int) -> dict:
+    """{group: models or the error its fit raised} for each group index
+    this process reads off ``queue``."""
+    outcomes = {}
+    while (job := os.read(queue, 1)):
+        try:
+            outcomes[job[0]] = fits[job[0]]()
+        except Exception as exc:    # raised in group order by _fit_groups
+            outcomes[job[0]] = exc
+    return outcomes
+
+
+def _fit_worker(fits: list[Callable[[], list]], queue: int, out: int,
+                others: list[int]):
+    """A forked worker's whole life: it closes the result pipes' read ends
+    it inherited, so it cannot block on a full pipe of its own that nobody
+    reads, sends its share through ``out`` and exits without unwinding into
+    the caller's stack; an error before the share is sent exits with 1."""
+    code = 1
+    try:
+        for fd in others:
+            os.close(fd)
+        share = pickle.dumps(_take_fits(fits, queue))
+        with open(out, "wb") as fh:
+            fh.write(share)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 @contextmanager
 def _cell_errors(cell: tuple, learner: str, fn: ScoreFunction):
     """Re-raise a FrugalError with the cell's ``[project/learner/score/
@@ -261,10 +354,10 @@ def run(projects: dict[str, list[Dataset]],
     ``projects`` maps a project name to its version-ordered datasets;
     labels must already be binary.  The run plans every project's cells,
     checks every model's training set under its cell's prefix, fits each
-    learner's sets (for ``fft``, each score's) in one ``fit_many`` call,
-    and evaluates the models in plan order, scoring each model's test rows
-    on first use.  So a plan error in any project is raised before a fit
-    error, and a fit error before an evaluation error.
+    learner's sets (for ``fft``, each score's) in one ``fit_many`` call
+    (see ``_fit_groups``), and evaluates the models in plan order, scoring
+    each model's test rows on first use.  So a plan error in any project is
+    raised before a fit error, and a fit error before an evaluation error.
     """
     cells = []
     fingerprints: dict[str, str] = {}
@@ -298,10 +391,11 @@ def run(projects: dict[str, list[Dataset]],
             with _cell_errors(cells[c], learner, fn):
                 LEARNER_TABLE[learner].check(cells[c][2].train, fn)
             trains[k] = cells[c][2].train
-    models = {}
-    for (learner, _), (fn, trains) in groups.items():
-        models.update(zip(trains, LEARNER_TABLE[learner].fit_many(
-            list(trains.values()), fn, config.depth)))
+    fitted = _fit_groups([partial(LEARNER_TABLE[learner].fit_many,
+                                  list(trains.values()), fn, config.depth)
+                          for (learner, _), (fn, trains) in groups.items()])
+    models = {k: model for (_, trains), group in zip(groups.values(), fitted)
+              for k, model in zip(trains, group)}
 
     results, scores = [], {}
     for c, learner, fn, k in plan:

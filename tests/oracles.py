@@ -34,6 +34,7 @@ the package's scorers and metrics, so it checks each row's scorer and
 """
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -619,8 +620,13 @@ def save_csv_oracle(ds: Dataset, path, label_column: str = "bug",
     if effort_column is not None:
         header.append(effort_column)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        def writerow(row):
+            # csv quotes a cell holding a character of the line terminator,
+            # so each row is written with \r\n and ended with \n
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\r\n").writerow(row)
+            fh.write(line.getvalue()[:-2] + "\n")
+        writerow(header)
         for i in range(len(ds)):
             row = [ds.row_names[i]] if names else []
             row += [_format_cell_oracle(x) for x in ds.values[i]]
@@ -629,4 +635,4 @@ def save_csv_oracle(ds: Dataset, path, label_column: str = "bug",
                        else _format_cell_oracle(label))
             if effort_column is not None:
                 row.append(_format_cell_oracle(ds.effort[i]))
-            writer.writerow(row)
+            writerow(row)

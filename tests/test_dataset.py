@@ -957,16 +957,14 @@ def test_save_csv_writes_each_special_cell_by_its_rule(tmp_path):
 
 
 def test_save_csv_quoted_names_load_back(tmp_path):
-    ds = _special_table(12, binary=False, named=True)
+    ds = replace(_special_table(12, binary=False, named=True),
+                 attributes=("x", "cr\ry", "z"))
     _assert_oracle_bytes(ds, tmp_path)
     text = (tmp_path / "new.csv").read_bytes().decode()
+    assert text.startswith('name,x,"cr\ry",z,bug\n')
     assert '"a,b",' in text and '"say ""hi""",' in text
-    assert '"lf\nhere",' in text
-    # csv quotes only the line terminator's own characters, so a bare CR
-    # stays unquoted and splits the record on reading; load the rest
-    ds = replace(ds, row_names=tuple(name.replace("\r", "")
-                                     for name in ds.row_names))
-    save_csv(ds, tmp_path / "new.csv")
+    assert '"lf\nhere",' in text and '"cr\rhere",' in text
+    # a bare CR quoted, in the header or a name, the record stays whole
     back = load_csv(tmp_path / "new.csv", label_column="bug")
     assert back.attributes == ds.attributes
     assert np.array_equal(back.values, ds.values, equal_nan=True)

@@ -2,14 +2,16 @@
 
 import hashlib
 import json
+import os
 import random
+import signal
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frugal import operational, rig as rig_module, synth
+from frugal import cli, operational, rig as rig_module, synth
 from frugal.baselines import (LogisticModel, NBModel, lr_score_dataset,
                               nb_train)
 from frugal.dataset import LabelRule, binarize
@@ -24,6 +26,26 @@ from frugal.rig import (LEARNER_TABLE, LEARNERS, MAX_REPEATS, EvalResult,
 
 import oracles
 from conftest import make_dataset
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Every run reaps the fit workers it forked, whether it passed or
+    raised."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """Every fit runs in this process, so a rebound fit name sees it."""
+    _cpus(monkeypatch, 1)
 
 
 def _result(learner="fft", score="d2h", value=0.5, split="cv:r0:b0",
@@ -380,7 +402,8 @@ def test_run_flags_folds_without_positives_and_compare_drops_them():
         ("fft", 25), ("nb", 25), ("sl", 25)]
 
 
-def test_run_fits_score_blind_learners_once_per_cell(corpus, monkeypatch):
+def test_run_fits_score_blind_learners_once_per_cell(corpus, monkeypatch,
+                                                    one_cpu):
     calls = {}
     for name in ("grow_many", "nb_train"):
         def counted(*args, _name=name, _fn=getattr(rig_module, name),
@@ -413,8 +436,8 @@ def test_run_fits_score_blind_learners_once_per_cell(corpus, monkeypatch):
         for s in ("dis2heaven", "popt") for l in ("fft", "nb", "sl")]
 
 
-def test_run_fits_every_sl_set_of_the_run_in_one_batch(corpus,
-                                                       monkeypatch):
+def test_run_fits_every_sl_set_of_the_run_in_one_batch(corpus, monkeypatch,
+                                                       one_cpu):
     batches = []
 
     def batched(trains, _fn=rig_module.lr_train_many):
@@ -440,7 +463,8 @@ def test_run_fits_every_sl_set_of_the_run_in_one_batch(corpus,
         == [item for one in alone for item in one.fingerprints.items()]
 
 
-def test_run_grows_every_tree_of_a_score_in_one_batch(corpus, monkeypatch):
+def test_run_grows_every_tree_of_a_score_in_one_batch(corpus, monkeypatch,
+                                                     one_cpu):
     batches = []
 
     def batched(trains, depth, fn, _fn=rig_module.grow_many):
@@ -491,7 +515,7 @@ def test_run_raises_a_later_plan_error_before_an_earlier_fit_error():
         run(projects, config)
 
 
-def test_run_refuses_an_nb_set_in_the_check_phase(monkeypatch):
+def test_run_refuses_an_nb_set_in_the_check_phase(monkeypatch, one_cpu):
     rng = np.random.default_rng(4)
 
     def version(name, v, rows, effort=True):
@@ -557,7 +581,7 @@ def test_run_reports_a_failing_shared_fit_under_the_first_score():
 
 
 def test_run_checks_each_sl_cell_under_its_prefix_before_fitting(
-        monkeypatch):
+        monkeypatch, one_cpu):
     # two positives in ten rows: some fold trains on negatives only
     data = make_dataset(("m",), [[i] for i in range(10)],
                         labels=[i in (2, 7) for i in range(10)], name="p",
@@ -625,7 +649,7 @@ def test_run_annotates_learner_errors():
 
 
 def test_run_checks_each_fft_cell_under_its_prefix_before_growing(
-        monkeypatch):
+        monkeypatch, one_cpu):
     no_effort = [
         make_dataset(("m",), [[1], [2], [3], [4]],
                      labels=[True, False, True, False], name="p",
@@ -639,6 +663,93 @@ def test_run_checks_each_fft_cell_under_its_prefix_before_growing(
                        match=r"^\[p/fft/popt/full/version:2\] p: popt needs"):
         run({"p": no_effort}, config)
     assert batches == []
+
+
+# ------------------------------------------------------------- fit workers
+
+@pytest.fixture
+def deadline():
+    """A hung run fails its test instead of the session."""
+    def expire(signum, frame):
+        raise TimeoutError("the run did not finish in 60 s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("config", [
+    RigConfig(attribute_sets=("full", "top25")),
+    RigConfig(mode="cv", bins=5, repeats=2, seed=4)], ids=["version", "cv"])
+def test_run_gives_equal_results_and_reports_on_one_and_three_cpus(
+        tmp_path, corpus, monkeypatch, deadline, config):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    got = {}
+    for cpus in (1, 3):
+        _cpus(monkeypatch, cpus)
+        rig = run(corpus, config)
+        paths = write_reports(rig, tmp_path / str(cpus))
+        got[cpus] = rig, {key: p.read_bytes() for key, p in paths.items()}
+    # four groups (fft per score, nb, sl): none forked at one CPU, two at
+    # three, even on a host with fewer
+    assert len(forks) == 2
+    assert got[1] == got[3]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("learners, error", [
+    (("fft", "nb", "sl"), (TrainingError, "grow failed")),
+    (("sl", "nb", "fft"), (ValueError, "descent failed"))])
+def test_run_raises_the_first_failing_group_on_any_cpu_count(
+        corpus, monkeypatch, deadline, cpus, learners, error):
+    _cpus(monkeypatch, cpus)
+
+    def failing(exc_type, message):
+        def fit(*args):
+            raise exc_type(message)
+        return fit
+    monkeypatch.setattr(rig_module, "grow_many",
+                        failing(TrainingError, "grow failed"))
+    monkeypatch.setattr(rig_module, "lr_train_many",
+                        failing(ValueError, "descent failed"))
+    exc_type, message = error
+    with pytest.raises(exc_type, match=f"^{message}$") as caught:
+        run({"ant": corpus["ant"]}, RigConfig(learners=learners))
+    assert type(caught.value) is exc_type
+
+
+def test_run_raises_when_a_fit_worker_dies(corpus, monkeypatch, capsys,
+                                           deadline):
+    _cpus(monkeypatch, 2)
+    parent, pids, fork = os.getpid(), [], os.fork
+
+    def forked():
+        pids.append(pid := fork())
+        return pid
+    monkeypatch.setattr(os, "fork", forked)
+    for name in ("grow_many", "lr_train_many"):
+        def fit(*args, _fn=getattr(rig_module, name)):
+            if os.getpid() != parent:
+                os._exit(1)
+            # the worker takes the other group and dies; wait for that,
+            # leaving the worker for the run to reap
+            os.waitid(os.P_PID, pids[-1], os.WEXITED | os.WNOWAIT)
+            return _fn(*args)
+        monkeypatch.setattr(rig_module, name, fit)
+    config = RigConfig(learners=("fft", "sl"), scores=("d2h",))
+    message = (r"^a fit worker ended without sending its models \(wait "
+               r"status 256: exit code 1\)$")
+    with pytest.raises(ChildProcessError, match=message):
+        run({"ant": corpus["ant"]}, config)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    code = cli.run_command(lambda args: run({"ant": corpus["ant"]}, config),
+                           None)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: a fit worker ended") and err.count("\n") == 1
 
 
 def test_run_top25_needs_two_training_versions(corpus):
